@@ -43,7 +43,7 @@ fn run(args: &HarnessArgs) -> Result<(), String> {
     let scenario = RoofScenario::build(PaperRoof::Roof2);
     let dataset = extract_scenario_with(&scenario, resolution, runtime);
     let config = FloorplanConfig::paper(Topology::new(8, 4).unwrap()).unwrap();
-    let map = SuitabilityMap::compute(&dataset, &config);
+    let map = SuitabilityMap::compute_with(&dataset, &config, runtime);
     let anchors = map.anchor_scores(config.footprint());
     let mut scores: Vec<f64> = anchors.iter().copied().filter(|s| s.is_finite()).collect();
     scores.sort_by(f64::total_cmp);
@@ -129,7 +129,7 @@ fn timings(runtime: Runtime) -> Result<(), String> {
     });
 
     let dataset = par_extractor.extract(&scenario.dsm);
-    let map = SuitabilityMap::compute(&dataset, &config);
+    let map = SuitabilityMap::compute_with(&dataset, &config, runtime);
     let plan = greedy_placement_with_map(&dataset, &config, &map).unwrap();
     let t_scalar = time(&mut || {
         std::hint::black_box(scalar_reference_energy(&dataset, &config, &plan));

@@ -4,9 +4,10 @@
 //! Usage: `cargo run -p pv-bench --bin table1 --release [--fast|--smoke] [--threads N]`
 
 use pv_bench::{
-    compare_row_with, extract_scenario_with, parse_harness_args, HarnessArgs, Resolution,
+    compare_row_with_map, extract_scenario_with, paper_config, parse_harness_args, HarnessArgs,
+    Resolution,
 };
-use pv_floorplan::Table1Report;
+use pv_floorplan::{SuitabilityMap, Table1Report};
 use pv_gis::paper_roofs;
 use std::time::Instant;
 
@@ -34,13 +35,17 @@ fn run(args: &HarnessArgs) {
         let t0 = Instant::now();
         let dataset = extract_scenario_with(&scenario, resolution, runtime);
         let extract_s = t0.elapsed().as_secs_f64();
+        // The suitability map does not depend on N: one map per roof.
+        let t1 = Instant::now();
+        let map = SuitabilityMap::compute_with(&dataset, &paper_config(16), runtime);
+        let suitability_s = t1.elapsed().as_secs_f64();
         for n in [16usize, 32] {
-            let t1 = Instant::now();
-            report.push(compare_row_with(&scenario, &dataset, n, runtime));
+            let t2 = Instant::now();
+            report.push(compare_row_with_map(&scenario, &dataset, n, &map, runtime));
             eprintln!(
-                "  {} N={n}: extract {extract_s:.1}s, place+evaluate {:.1}s",
+                "  {} N={n}: extract {extract_s:.1}s, suitability {suitability_s:.1}s, place+evaluate {:.1}s",
                 scenario.name(),
-                t1.elapsed().as_secs_f64()
+                t2.elapsed().as_secs_f64()
             );
         }
     }

@@ -196,6 +196,17 @@ pub fn extract_scenario_with(
         .extract(&scenario.dsm)
 }
 
+/// The paper's configuration for `n_modules` modules in 8-series strings.
+///
+/// # Panics
+///
+/// Panics unless `n_modules` is a positive multiple of 8.
+#[must_use]
+pub fn paper_config(n_modules: usize) -> FloorplanConfig {
+    let topology = Topology::new(8, n_modules / 8).expect("paper topologies are 8-series");
+    FloorplanConfig::paper(topology).expect("paper module aligns to 20 cm grid")
+}
+
 /// Runs the traditional-vs-proposed comparison of one roof for one module
 /// count, producing a Table I row.
 ///
@@ -225,13 +236,30 @@ pub fn compare_row_with(
     n_modules: usize,
     runtime: Runtime,
 ) -> ComparisonRow {
-    let topology = Topology::new(8, n_modules / 8).expect("paper topologies are 8-series");
-    let config = FloorplanConfig::paper(topology).expect("paper module aligns to 20 cm grid");
-    let map = SuitabilityMap::compute(dataset, &config);
-    let traditional = traditional_placement_with_map(dataset, &config, &map)
+    let map = SuitabilityMap::compute_with(dataset, &paper_config(n_modules), runtime);
+    compare_row_with_map(scenario, dataset, n_modules, &map, runtime)
+}
+
+/// [`compare_row_with`] on a precomputed suitability map. The map does
+/// not depend on the topology, so one map serves every `N` of a roof.
+///
+/// # Panics
+///
+/// Panics when a placement fails on a paper roof (cannot happen for the
+/// published `N`; the roofs have ample space).
+#[must_use]
+pub fn compare_row_with_map(
+    scenario: &RoofScenario,
+    dataset: &SolarDataset,
+    n_modules: usize,
+    map: &SuitabilityMap,
+    runtime: Runtime,
+) -> ComparisonRow {
+    let config = paper_config(n_modules);
+    let traditional = traditional_placement_with_map(dataset, &config, map)
         .expect("compact block fits the paper roofs");
     let proposed =
-        greedy_placement_with_map(dataset, &config, &map).expect("greedy fits the paper roofs");
+        greedy_placement_with_map(dataset, &config, map).expect("greedy fits the paper roofs");
     let evaluator = EnergyEvaluator::new(&config).with_runtime(runtime);
     let trad_report = evaluator
         .evaluate(dataset, &traditional)

@@ -220,7 +220,7 @@ pub fn run_scenario(scenario: &SiteScenario, opts: &PortfolioOptions) -> Portfol
     let map = {
         let probe = Topology::new(1, 1).expect("non-empty");
         let config = FloorplanConfig::paper(probe).expect("paper module fits 20 cm grid");
-        SuitabilityMap::compute(&dataset, &config)
+        SuitabilityMap::compute_with(&dataset, &config, sequential)
     };
     let fitted = TOPOLOGY_LADDER
         .iter()

@@ -9,8 +9,13 @@
 
 use crate::config::FloorplanConfig;
 use pv_geom::{CellCoord, Footprint, Grid};
-use pv_gis::SolarDataset;
+use pv_gis::{GatherScratch, SolarDataset};
+use pv_runtime::Runtime;
 use pv_units::Celsius;
+
+/// Shadow words (64 cells each) per parallel work unit of the suitability
+/// kernel. Fixed, never derived from the thread count.
+const SUITABILITY_CHUNK_WORDS: usize = 4;
 
 /// Per-cell suitability scores, plus the raw irradiance percentiles they
 /// were derived from (Fig. 6-(b) material).
@@ -56,22 +61,38 @@ impl SuitabilityMap {
     /// falls among *moderate-sun* hours, which is precisely where obstacle
     /// shading bites; a daylight-only percentile would sit in the bright
     /// summer-noon band that shadows rarely reach.
+    ///
+    /// Runs on [`Runtime::from_env`] workers (`PV_THREADS` or the
+    /// machine's parallelism); [`compute_with`](Self::compute_with) takes
+    /// an explicit runtime. The map is bit-identical for every thread
+    /// count.
     #[must_use]
     pub fn compute(dataset: &SolarDataset, config: &FloorplanConfig) -> Self {
+        Self::compute_with(dataset, config, Runtime::from_env())
+    }
+
+    /// [`compute`](Self::compute) on an explicit [`Runtime`].
+    ///
+    /// Cells are processed a shadow word at a time through
+    /// [`SolarDataset::sample_gather`], whose samples equal
+    /// [`SolarDataset::irradiance`] bit for bit; the percentile is an
+    /// order statistic, unique whatever order the samples arrive in.
+    #[must_use]
+    pub fn compute_with(
+        dataset: &SolarDataset,
+        config: &FloorplanConfig,
+        runtime: Runtime,
+    ) -> Self {
         let dims = dataset.dims();
-        let valid = dataset.valid();
         let percentile = config.percentile();
         let total_samples = dataset.num_steps() as usize;
 
-        let sun_up_steps: Vec<u32> = (0..dataset.num_steps())
-            .filter(|&i| dataset.conditions(i).sun_up)
-            .collect();
+        let gather = dataset.sample_gather();
         // Night samples are exact zeros; rather than materializing them we
         // shift the percentile rank (a zero never outranks any daylight
         // sample).
-        let num_dark = total_samples - sun_up_steps.len();
+        let num_dark = total_samples - gather.num_samples();
 
-        let mut g_buf: Vec<f64> = Vec::with_capacity(sun_up_steps.len());
         let mut t_buf: Vec<f64> = Vec::with_capacity(total_samples);
         // Ambient temperature is cell-independent; take its percentile once
         // (over all steps, matching the G convention).
@@ -92,14 +113,23 @@ impl SuitabilityMap {
             ((1.12 - gamma * tact) / (1.12 - gamma * Celsius::STC.as_celsius())).max(0.0)
         };
 
+        let chunks = runtime.map_chunks(gather.num_words(), SUITABILITY_CHUNK_WORDS, |words| {
+            let mut scratch = GatherScratch::default();
+            let mut out = Vec::new();
+            for word in words {
+                gather.gather_word(word, &mut scratch, |cell, samples| {
+                    out.push((
+                        cell,
+                        percentile_with_implicit_zeros(samples, num_dark, percentile),
+                    ));
+                });
+            }
+            out
+        });
+
         let mut g_percentile = Grid::filled(dims, f64::NAN);
         let mut scores = Grid::filled(dims, f64::NAN);
-        for cell in valid.iter_set() {
-            g_buf.clear();
-            for &i in &sun_up_steps {
-                g_buf.push(dataset.irradiance(cell, i).as_w_per_m2());
-            }
-            let g_pct = percentile_with_implicit_zeros(&mut g_buf, num_dark, percentile);
+        for (cell, g_pct) in chunks.into_iter().flatten() {
             g_percentile[cell] = g_pct;
             scores[cell] = g_pct * f_of_t(g_pct);
         }

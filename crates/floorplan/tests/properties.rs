@@ -12,19 +12,80 @@ use pv_runtime::Runtime;
 use pv_units::{Degrees, Meters, SimulationClock};
 
 fn dataset(width_m: f64, depth_m: f64, seed: u64, chimney_x: f64) -> SolarDataset {
-    let roof = RoofBuilder::new(Meters::new(width_m), Meters::new(depth_m))
-        .undulation(Degrees::new(4.0), Meters::new(3.0), seed)
-        .obstacle(Obstacle::chimney(
+    roof_dataset(width_m, depth_m, seed, chimney_x, true)
+}
+
+fn roof_dataset(
+    width_m: f64,
+    depth_m: f64,
+    seed: u64,
+    chimney_x: f64,
+    undulating: bool,
+) -> SolarDataset {
+    let mut builder =
+        RoofBuilder::new(Meters::new(width_m), Meters::new(depth_m)).obstacle(Obstacle::chimney(
             Meters::new(chimney_x),
             Meters::new(depth_m / 2.0),
             Meters::new(0.8),
             Meters::new(0.8),
             Meters::new(1.6),
-        ))
-        .build();
+        ));
+    if undulating {
+        builder = builder.undulation(Degrees::new(4.0), Meters::new(3.0), seed);
+    }
     SolarExtractor::new(Site::turin(), SimulationClock::days_at_minutes(3, 240))
         .seed(seed)
-        .extract(&roof)
+        .extract(&builder.build())
+}
+
+/// Nearest-rank percentile of `samples` plus `num_zeros` implicit zeros,
+/// by a plain `select_nth_unstable_by(total_cmp)`.
+fn reference_percentile(samples: &mut [f64], num_zeros: usize, percentile: f64) -> f64 {
+    let total = samples.len() + num_zeros;
+    if total == 0 {
+        return 0.0;
+    }
+    let rank = ((total as f64 * percentile).ceil() as usize).clamp(1, total) - 1;
+    if rank < num_zeros {
+        return 0.0;
+    }
+    *samples
+        .select_nth_unstable_by(rank - num_zeros, f64::total_cmp)
+        .1
+}
+
+/// The suitability metric the slow way: one `irradiance` call per cell and
+/// sun-up step, then `f(T)` as specified in the paper (Sec. III-C).
+/// Returns the score and percentile bits of every cell.
+fn reference_suitability(data: &SolarDataset, config: &FloorplanConfig) -> Vec<(u64, u64)> {
+    let steps = data.num_steps();
+    let sun_up: Vec<u32> = (0..steps).filter(|&i| data.conditions(i).sun_up).collect();
+    let num_dark = steps as usize - sun_up.len();
+    let mut ambient: Vec<f64> = (0..steps)
+        .map(|i| data.conditions(i).ambient.as_celsius())
+        .collect();
+    let t_pct = reference_percentile(&mut ambient, 0, config.percentile());
+    let gamma = config.module().power_temperature_slope();
+    let k = config.module().thermal_coefficient();
+    data.dims()
+        .iter()
+        .map(|cell| {
+            if !data.valid().is_set(cell) {
+                return (f64::NAN.to_bits(), f64::NAN.to_bits());
+            }
+            let mut samples: Vec<f64> = sun_up
+                .iter()
+                .map(|&i| data.irradiance(cell, i).as_w_per_m2())
+                .collect();
+            let g_pct = reference_percentile(&mut samples, num_dark, config.percentile());
+            let f = if config.temperature_correction() {
+                ((1.12 - gamma * (t_pct + k * g_pct)) / (1.12 - gamma * 25.0)).max(0.0)
+            } else {
+                1.0
+            };
+            ((g_pct * f).to_bits(), g_pct.to_bits())
+        })
+        .collect()
 }
 
 proptest! {
@@ -183,6 +244,32 @@ proptest! {
             } else {
                 prop_assert!(s.is_nan(), "invalid cell {cell:?} scored {s}");
             }
+        }
+    }
+
+    /// The word-column suitability kernel is exact: on planar and
+    /// undulating roofs, at 1, 2 and 5 threads, every score and percentile
+    /// equals the per-cell `irradiance` + `select_nth_unstable_by`
+    /// reference bit for bit.
+    #[test]
+    fn suitability_kernel_matches_per_cell_reference(
+        seed in 0u64..300, cx in 2.0..10.0f64, undulating in any::<bool>(),
+        correction in any::<bool>(),
+    ) {
+        let data = roof_dataset(9.0, 4.2, seed, cx, undulating);
+        let config = FloorplanConfig::paper(Topology::new(2, 1).unwrap())
+            .unwrap()
+            .with_temperature_correction(correction);
+        let want = reference_suitability(&data, &config);
+        for threads in [1usize, 2, 5] {
+            let map = SuitabilityMap::compute_with(&data, &config, Runtime::with_threads(threads));
+            let got: Vec<(u64, u64)> = map
+                .scores()
+                .iter()
+                .zip(map.irradiance_percentile().iter())
+                .map(|(s, g)| (s.to_bits(), g.to_bits()))
+                .collect();
+            prop_assert!(got == want, "{} thread(s), undulating {}", threads, undulating);
         }
     }
 

@@ -333,6 +333,18 @@ impl SolarDataset {
         Some(&self.shadow_rows[base..base + self.row_words])
     }
 
+    /// Word `word` of beam row `row`, or 0 for `u32::MAX` (a step without
+    /// a beam component shadows nothing). Internal fast path for the
+    /// word-column sample gather.
+    #[inline]
+    pub(crate) fn shadow_word(&self, row: u32, word: usize) -> u64 {
+        if row == u32::MAX {
+            0
+        } else {
+            self.shadow_rows[row as usize * self.row_words + word]
+        }
+    }
+
     /// Whether every cell shares the base roof normal.
     #[inline]
     pub(crate) const fn is_planar(&self) -> bool {

@@ -15,7 +15,7 @@ use pv_units::SimulationClock;
 /// Beam-step rows per parallel work unit of the shadow-casting loop.
 ///
 /// Fixed (never derived from the thread count) so the shadow table is
-/// assembled from identical segments on any [`Runtime`] configuration.
+/// written in identical chunks on any [`Runtime`] configuration.
 const SHADOW_CHUNK_ROWS: usize = 16;
 
 /// Builder/driver for turning a [`Dsm`] into a [`SolarDataset`].
@@ -44,8 +44,8 @@ pub struct SolarExtractor {
 impl SolarExtractor {
     /// Creates an extractor for a site and simulation period.
     ///
-    /// The shadow-casting stage runs on [`Runtime::from_env`] workers
-    /// (`PV_THREADS` or the machine's parallelism); override with
+    /// The horizon map and the shadow table run on [`Runtime::from_env`]
+    /// workers (`PV_THREADS` or the machine's parallelism); override with
     /// [`runtime`](Self::runtime). Results are bit-identical for every
     /// thread count.
     #[must_use]
@@ -60,7 +60,8 @@ impl SolarExtractor {
         }
     }
 
-    /// Sets the parallel runtime used by the shadow-casting stage.
+    /// Sets the parallel runtime used by the horizon map and the shadow
+    /// table.
     #[must_use]
     pub fn runtime(mut self, runtime: Runtime) -> Self {
         self.runtime = runtime;
@@ -102,7 +103,7 @@ impl SolarExtractor {
         let roof_az = geom.azimuth();
         let latitude = self.site.latitude();
 
-        let horizon = HorizonMap::compute(dsm, self.num_sectors);
+        let horizon = HorizonMap::compute_with(dsm, self.num_sectors, self.runtime);
         let weather = self
             .weather
             .clone()
@@ -112,7 +113,7 @@ impl SolarExtractor {
         let num_steps = self.clock.num_steps() as usize;
         let mut steps = Vec::with_capacity(num_steps);
         let mut beam_row_of_step = vec![u32::MAX; num_steps];
-        let mut beam_steps: Vec<(u32, LocalSun)> = Vec::new();
+        let mut beam_steps: Vec<LocalSun> = Vec::new();
 
         let mut clear_sky_day = u32::MAX;
         let mut clear_sky = ClearSky::new(0, self.site.linke_turbidity(0));
@@ -155,7 +156,7 @@ impl SolarExtractor {
 
             if poa.beam.as_w_per_m2() > 0.0 {
                 beam_row_of_step[i] = beam_steps.len() as u32;
-                beam_steps.push((i as u32, local));
+                beam_steps.push(local);
             }
             steps.push(StepConditions {
                 beam_normal: split.beam_normal,
@@ -169,31 +170,22 @@ impl SolarExtractor {
 
         // Shadow table: one bit-packed row per beam step. This is the
         // extraction hot loop (beam steps × cells horizon tests); rows are
-        // independent, so chunks of rows are cast in parallel and
-        // concatenated in fixed chunk order — bit-identical to the
-        // sequential scan for any thread count.
+        // independent, so chunks of rows are written in place in parallel
+        // by the row kernel — bit-identical to the sequential scan for any
+        // thread count. A flat roof casts no shadows and keeps the zeros.
         let row_words = dims.num_cells().div_ceil(64);
-        let flat_roof = dsm.heights().iter().all(|&h| h <= 0.0);
-        let shadow_rows = if flat_roof {
-            vec![0u64; beam_steps.len() * row_words]
-        } else {
+        let mut shadow_rows = vec![0u64; beam_steps.len() * row_words];
+        if !dsm.heights().iter().all(|&h| h <= 0.0) {
+            // `max(1)`: a zero granularity would panic even on an empty table.
+            let chunk_words = (SHADOW_CHUNK_ROWS * row_words).max(1);
             self.runtime
-                .map_chunks(beam_steps.len(), SHADOW_CHUNK_ROWS, |rows| {
-                    let mut segment = vec![0u64; rows.len() * row_words];
-                    for (local_row, row) in rows.enumerate() {
-                        let (_, sun) = &beam_steps[row];
-                        let base = local_row * row_words;
-                        for cell in dims.iter() {
-                            if horizon.is_shadowed(cell, sun.elevation, sun.plane_angle) {
-                                let bit = dims.linear_index(cell);
-                                segment[base + bit / 64] |= 1 << (bit % 64);
-                            }
-                        }
+                .for_each_chunk_mut(&mut shadow_rows, chunk_words, |chunk, words| {
+                    let first = chunk * SHADOW_CHUNK_ROWS;
+                    for (row, sun) in words.chunks_exact_mut(row_words).zip(&beam_steps[first..]) {
+                        horizon.shadow_row(sun.elevation, sun.plane_angle, row);
                     }
-                    segment
-                })
-                .concat()
-        };
+                });
+        }
 
         let svf: Vec<f32> = dims
             .iter()
@@ -333,6 +325,80 @@ mod tests {
                 );
                 assert_eq!(seq.shadow_fraction(cell), par.shadow_fraction(cell));
             }
+        }
+    }
+
+    #[test]
+    fn shadow_table_matches_per_cell_horizon_tests() {
+        // 7.4 x 3.2 m at 0.2 m pitch: 37 x 16 = 592 cells, so every row
+        // ends in a partial word whose padding bits must stay 0.
+        let roof = RoofBuilder::new(Meters::new(7.4), Meters::new(3.2))
+            .obstacle(Obstacle::chimney(
+                Meters::new(4.0),
+                Meters::new(1.2),
+                Meters::new(0.8),
+                Meters::new(0.8),
+                Meters::new(2.0),
+            ))
+            .build();
+        let dims = roof.dims();
+        assert_ne!(dims.num_cells() % 64, 0);
+        let horizon = HorizonMap::compute(&roof, 64);
+        for threads in [1usize, 3] {
+            let data = SolarExtractor::new(Site::turin(), small_clock())
+                .seed(2)
+                .runtime(Runtime::with_threads(threads))
+                .extract(&roof);
+            let mut beam_rows = 0;
+            for i in 0..data.num_steps() {
+                if data.beam_row_map()[i as usize] == u32::MAX {
+                    continue;
+                }
+                beam_rows += 1;
+                let step = data.clock().step_at(i);
+                let sun = solar_position(
+                    Site::turin().latitude(),
+                    step.day_of_year(),
+                    step.hour_of_day(),
+                );
+                let local =
+                    LocalSun::from_sky(&sun, roof.geometry().tilt(), roof.geometry().azimuth());
+                for cell in dims.iter() {
+                    assert_eq!(
+                        data.is_shadowed(cell, i),
+                        horizon.is_shadowed(cell, local.elevation, local.plane_angle),
+                        "cell {cell:?} step {i}"
+                    );
+                }
+            }
+            assert!(beam_rows > 0);
+            let row_words = dims.num_cells().div_ceil(64);
+            let tail = dims.num_cells() % 64;
+            for row in data.shadow_row_data().chunks_exact(row_words) {
+                assert_eq!(row[row_words - 1] >> tail, 0, "padding bits set");
+            }
+        }
+    }
+
+    #[test]
+    fn periods_without_beam_steps_extract_an_empty_shadow_table() {
+        let roof = RoofBuilder::new(Meters::new(4.0), Meters::new(2.0))
+            .obstacle(Obstacle::chimney(
+                Meters::new(1.0),
+                Meters::new(0.6),
+                Meters::new(0.6),
+                Meters::new(0.6),
+                Meters::new(1.0),
+            ))
+            .build();
+        // Two steps, both at midnight.
+        let clock = SimulationClock::days_at_minutes(2, 1440);
+        for threads in [1usize, 2] {
+            let data = SolarExtractor::new(Site::turin(), clock)
+                .runtime(Runtime::with_threads(threads))
+                .extract(&roof);
+            assert!(data.shadow_row_data().is_empty());
+            assert!(data.beam_row_map().iter().all(|&r| r == u32::MAX));
         }
     }
 

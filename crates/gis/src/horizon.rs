@@ -9,7 +9,14 @@
 
 use crate::dsm::Dsm;
 use pv_geom::{CellCoord, GridDims};
+use pv_runtime::Runtime;
 use pv_units::Radians;
+
+/// Cells per parallel work unit of the horizon ray march.
+///
+/// Fixed (never derived from the thread count), like every chunk size in
+/// the workspace, so the work layout is the same on any [`Runtime`].
+const HORIZON_CHUNK_CELLS: usize = 256;
 
 /// Precomputed horizon elevation angles for every cell and azimuth sector.
 ///
@@ -34,7 +41,10 @@ use pv_units::Radians;
 pub struct HorizonMap {
     dims: GridDims,
     num_sectors: usize,
-    /// Row-major per cell, then per sector: horizon elevation in radians.
+    /// Sector-major horizon elevations in radians: sector `k` of the cell
+    /// with linear index `idx` is `angles[k * num_cells + idx]`, so each
+    /// sector is one contiguous slice in cell order (what the shadow row
+    /// kernel streams).
     angles: Vec<f32>,
     /// Per-cell sky-view factor relative to the unobstructed plane.
     svf: Vec<f32>,
@@ -47,19 +57,35 @@ impl HorizonMap {
     /// grid +x axis towards +y (matching
     /// [`LocalSun::plane_angle`](crate::LocalSun)).
     ///
+    /// Runs on [`Runtime::from_env`] workers (`PV_THREADS` or the
+    /// machine's parallelism); [`compute_with`](Self::compute_with) takes
+    /// an explicit runtime. The map is bit-identical for every thread
+    /// count.
+    ///
     /// # Panics
     ///
     /// Panics if `num_sectors < 4`.
     #[must_use]
     pub fn compute(dsm: &Dsm, num_sectors: usize) -> Self {
+        Self::compute_with(dsm, num_sectors, Runtime::from_env())
+    }
+
+    /// [`compute`](Self::compute) on an explicit [`Runtime`]: cells are
+    /// ray-marched independently, in fixed chunks of cells.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `num_sectors < 4`.
+    #[must_use]
+    pub fn compute_with(dsm: &Dsm, num_sectors: usize, runtime: Runtime) -> Self {
         assert!(num_sectors >= 4, "need at least 4 azimuth sectors");
         let dims = dsm.dims();
+        let num_cells = dims.num_cells();
         let pitch = dsm.geometry().pitch().value();
         let heights = dsm.heights();
         let global_max = heights.iter().copied().fold(0.0, f64::max);
 
-        let mut angles = vec![0.0f32; dims.num_cells() * num_sectors];
-        let mut svf = vec![1.0f32; dims.num_cells()];
+        let mut angles = vec![0.0f32; num_cells * num_sectors];
 
         // A perfectly flat roof: every horizon is zero, SVF is one.
         if global_max <= 0.0 {
@@ -67,52 +93,74 @@ impl HorizonMap {
                 dims,
                 num_sectors,
                 angles,
-                svf,
+                svf: vec![1.0f32; num_cells],
             };
         }
 
         let max_extent =
             ((dims.width() * dims.width() + dims.height() * dims.height()) as f64).sqrt();
-        for cell in dims.iter() {
-            let cell_idx = dims.linear_index(cell);
-            let h0 = heights[cell];
-            let mut svf_acc = 0.0f64;
-            for k in 0..num_sectors {
+        let directions: Vec<(f64, f64)> = (0..num_sectors)
+            .map(|k| {
                 let psi = core::f64::consts::TAU * k as f64 / num_sectors as f64;
-                let (dx, dy) = (psi.cos(), psi.sin());
-                let mut best_tan = 0.0f64;
-                // March in one-cell steps along the sector direction.
-                let mut t = 1.0f64;
-                while t <= max_extent {
-                    let px = cell.x as f64 + 0.5 + dx * t;
-                    let py = cell.y as f64 + 0.5 + dy * t;
-                    if px < 0.0
-                        || py < 0.0
-                        || px >= dims.width() as f64
-                        || py >= dims.height() as f64
-                    {
-                        break;
-                    }
-                    let sample = CellCoord::new(px as usize, py as usize);
-                    let dh = heights[sample] - h0;
-                    let dist = t * pitch;
-                    if dh > 0.0 {
-                        let tan = dh / dist;
-                        if tan > best_tan {
-                            best_tan = tan;
-                        }
-                    }
-                    // Early exit: no remaining sample can beat best_tan.
-                    if (global_max - h0) / dist <= best_tan {
-                        break;
-                    }
-                    t += 1.0;
+                (psi.cos(), psi.sin())
+            })
+            .collect();
+        // One sector's horizon elevation at one cell.
+        let sector_angle = |cell: CellCoord, h0: f64, (dx, dy): (f64, f64)| -> f64 {
+            let mut best_tan = 0.0f64;
+            // March in one-cell steps along the sector direction.
+            let mut t = 1.0f64;
+            while t <= max_extent {
+                let px = cell.x as f64 + 0.5 + dx * t;
+                let py = cell.y as f64 + 0.5 + dy * t;
+                if px < 0.0 || py < 0.0 || px >= dims.width() as f64 || py >= dims.height() as f64 {
+                    break;
                 }
-                let angle = best_tan.atan();
-                angles[cell_idx * num_sectors + k] = angle as f32;
-                svf_acc += angle.cos() * angle.cos();
+                let sample = CellCoord::new(px as usize, py as usize);
+                let dh = heights[sample] - h0;
+                let dist = t * pitch;
+                if dh > 0.0 {
+                    let tan = dh / dist;
+                    if tan > best_tan {
+                        best_tan = tan;
+                    }
+                }
+                // Early exit: no remaining sample can beat best_tan.
+                if (global_max - h0) / dist <= best_tan {
+                    break;
+                }
+                t += 1.0;
             }
-            svf[cell_idx] = (svf_acc / num_sectors as f64) as f32;
+            best_tan.atan()
+        };
+
+        // Each chunk returns its cells' angles cell-major plus their SVFs;
+        // the scatter below writes them sector-major.
+        let chunks = runtime.map_chunks(num_cells, HORIZON_CHUNK_CELLS, |cells| {
+            let mut chunk_angles = Vec::with_capacity(cells.len() * num_sectors);
+            let mut chunk_svf = Vec::with_capacity(cells.len());
+            for idx in cells {
+                let cell = dims.coord_of(idx);
+                let h0 = heights[cell];
+                let mut svf_acc = 0.0f64;
+                for &direction in &directions {
+                    let angle = sector_angle(cell, h0, direction);
+                    chunk_angles.push(angle as f32);
+                    svf_acc += angle.cos() * angle.cos();
+                }
+                chunk_svf.push((svf_acc / num_sectors as f64) as f32);
+            }
+            (chunk_angles, chunk_svf)
+        });
+
+        let mut svf = Vec::with_capacity(num_cells);
+        for (chunk_angles, chunk_svf) in chunks {
+            for (cell_angles, idx) in chunk_angles.chunks_exact(num_sectors).zip(svf.len()..) {
+                for (k, &angle) in cell_angles.iter().enumerate() {
+                    angles[k * num_cells + idx] = angle;
+                }
+            }
+            svf.extend(chunk_svf);
         }
 
         Self {
@@ -146,14 +194,52 @@ impl HorizonMap {
     #[must_use]
     pub fn horizon_at(&self, cell: CellCoord, plane_angle: Radians) -> Radians {
         let idx = self.dims.linear_index(cell);
+        let (s0, s1, w) = self.bracketing_sectors(plane_angle);
+        let a0 = f64::from(s0[idx]);
+        let a1 = f64::from(s1[idx]);
+        Radians::new(a0 * (1.0 - w) + a1 * w)
+    }
+
+    /// The two sector slices bracketing `plane_angle` and the
+    /// interpolation weight of the second one.
+    fn bracketing_sectors(&self, plane_angle: Radians) -> (&[f32], &[f32], f64) {
         let n = self.num_sectors as f64;
         let frac = (plane_angle.value() / core::f64::consts::TAU).rem_euclid(1.0) * n;
         let k0 = frac as usize % self.num_sectors;
         let k1 = (k0 + 1) % self.num_sectors;
         let w = frac - frac.floor();
-        let a0 = f64::from(self.angles[idx * self.num_sectors + k0]);
-        let a1 = f64::from(self.angles[idx * self.num_sectors + k1]);
-        Radians::new(a0 * (1.0 - w) + a1 * w)
+        let cells = self.dims.num_cells();
+        let sector = |k: usize| &self.angles[k * cells..(k + 1) * cells];
+        (sector(k0), sector(k1), w)
+    }
+
+    /// Writes one bit-packed shadow row: bit `idx % 64` of `row[idx / 64]`
+    /// is [`is_shadowed`](Self::is_shadowed) for the cell with linear
+    /// index `idx`, and padding bits past the last cell are 0.
+    ///
+    /// The sector bracket and weight are computed once for the row; the
+    /// per-cell test is `horizon_at`'s arithmetic on two contiguous
+    /// sector slices, so every bit equals the per-cell reference.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `row` is not `num_cells.div_ceil(64)` words long.
+    pub(crate) fn shadow_row(&self, elevation: Radians, plane_angle: Radians, row: &mut [u64]) {
+        assert_eq!(
+            row.len(),
+            self.dims.num_cells().div_ceil(64),
+            "shadow row length"
+        );
+        let (s0, s1, w) = self.bracketing_sectors(plane_angle);
+        let elevation = elevation.value();
+        for (word, (c0, c1)) in row.iter_mut().zip(s0.chunks(64).zip(s1.chunks(64))) {
+            let mut bits = 0u64;
+            for (bit, (&a0, &a1)) in c0.iter().zip(c1).enumerate() {
+                let h = f64::from(a0) * (1.0 - w) + f64::from(a1) * w;
+                bits |= u64::from(elevation <= h) << bit;
+            }
+            *word = bits;
+        }
     }
 
     /// Whether the sun at plane-local `(elevation, plane_angle)` is blocked
@@ -274,6 +360,132 @@ mod tests {
         // not shadow it.
         let on_wall = CellCoord::new(41, 10);
         assert_eq!(h.horizon_at(on_wall, Radians::new(0.0)).value(), 0.0);
+    }
+
+    /// The sequential march, one cell and one sector at a time, laid out
+    /// sector-major: the oracle for the chunked, parallel map.
+    fn sequential_march_angles(dsm: &Dsm, num_sectors: usize) -> Vec<f32> {
+        let dims = dsm.dims();
+        let pitch = dsm.geometry().pitch().value();
+        let heights = dsm.heights();
+        let global_max = heights.iter().copied().fold(0.0, f64::max);
+        let max_extent =
+            ((dims.width() * dims.width() + dims.height() * dims.height()) as f64).sqrt();
+        let mut angles = vec![0.0f32; dims.num_cells() * num_sectors];
+        for cell in dims.iter() {
+            let h0 = heights[cell];
+            for k in 0..num_sectors {
+                let psi = core::f64::consts::TAU * k as f64 / num_sectors as f64;
+                let (dx, dy) = (psi.cos(), psi.sin());
+                let mut best_tan = 0.0f64;
+                let mut t = 1.0f64;
+                while t <= max_extent {
+                    let px = cell.x as f64 + 0.5 + dx * t;
+                    let py = cell.y as f64 + 0.5 + dy * t;
+                    if px < 0.0
+                        || py < 0.0
+                        || px >= dims.width() as f64
+                        || py >= dims.height() as f64
+                    {
+                        break;
+                    }
+                    let dh = heights[CellCoord::new(px as usize, py as usize)] - h0;
+                    let dist = t * pitch;
+                    if dh > 0.0 && dh / dist > best_tan {
+                        best_tan = dh / dist;
+                    }
+                    if (global_max - h0) / dist <= best_tan {
+                        break;
+                    }
+                    t += 1.0;
+                }
+                angles[k * dims.num_cells() + dims.linear_index(cell)] = best_tan.atan() as f32;
+            }
+        }
+        angles
+    }
+
+    #[test]
+    fn parallel_map_matches_sequential_march() {
+        let chimneys = RoofBuilder::new(Meters::new(9.8), Meters::new(5.4))
+            .obstacle(Obstacle::chimney(
+                Meters::new(2.1),
+                Meters::new(1.3),
+                Meters::new(0.6),
+                Meters::new(0.8),
+                Meters::new(1.7),
+            ))
+            .obstacle(Obstacle::chimney(
+                Meters::new(6.9),
+                Meters::new(3.5),
+                Meters::new(0.4),
+                Meters::new(0.4),
+                Meters::new(0.9),
+            ))
+            .build();
+        for dsm in [chimneys, roof_with_wall()] {
+            for sectors in [7, 64] {
+                let want = sequential_march_angles(&dsm, sectors);
+                for threads in [1usize, 3] {
+                    let got =
+                        HorizonMap::compute_with(&dsm, sectors, Runtime::with_threads(threads));
+                    let same = want.len() == got.angles.len()
+                        && want
+                            .iter()
+                            .zip(&got.angles)
+                            .all(|(a, b)| a.to_bits() == b.to_bits());
+                    assert!(same, "{sectors} sectors, {threads} thread(s)");
+                }
+            }
+        }
+    }
+
+    /// The per-cell reference for [`HorizonMap::shadow_row`]: one
+    /// `is_shadowed` call per cell.
+    fn reference_row(h: &HorizonMap, elevation: Radians, plane_angle: Radians) -> Vec<u64> {
+        let dims = h.dims();
+        let mut row = vec![0u64; dims.num_cells().div_ceil(64)];
+        for cell in dims.iter() {
+            if h.is_shadowed(cell, elevation, plane_angle) {
+                let bit = dims.linear_index(cell);
+                row[bit / 64] |= 1 << (bit % 64);
+            }
+        }
+        row
+    }
+
+    #[test]
+    fn shadow_row_matches_per_cell_reference() {
+        let flat = RoofBuilder::new(Meters::new(4.0), Meters::new(2.0)).build();
+        for dsm in [roof_with_wall(), flat] {
+            let cells = dsm.dims().num_cells();
+            // 1000 and 200 cells: the last word of every row is partial.
+            let tail = cells % 64;
+            assert_ne!(tail, 0);
+            for sectors in [16, 64] {
+                let h = HorizonMap::compute(&dsm, sectors);
+                // Pre-filled with ones so stale bits would show.
+                let mut row = vec![u64::MAX; cells.div_ceil(64)];
+                // Plane angles outside [0, 2π) exercise the wrap.
+                for a in 0..40 {
+                    let plane_angle = Radians::new(-7.0 + 0.37 * f64::from(a));
+                    // Elevations exactly on a horizon (0 on the flat roof,
+                    // one cell's interpolated horizon) pin `<=` at ties.
+                    let tie = h.horizon_at(CellCoord::new(19, 9), plane_angle);
+                    let elevations = (0..12)
+                        .map(|e| Radians::new(-0.1 + 0.13 * f64::from(e)))
+                        .chain([Radians::new(0.0), tie]);
+                    for elevation in elevations {
+                        h.shadow_row(elevation, plane_angle, &mut row);
+                        assert_eq!(row, reference_row(&h, elevation, plane_angle));
+                    }
+                }
+                // Everything shadowed: every cell bit set, padding bits 0.
+                h.shadow_row(Radians::new(-1.0), Radians::new(0.3), &mut row);
+                assert!(row[..row.len() - 1].iter().all(|&w| w == u64::MAX));
+                assert_eq!(row[row.len() - 1], (1u64 << tail) - 1);
+            }
+        }
     }
 
     #[test]

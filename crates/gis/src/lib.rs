@@ -65,6 +65,7 @@ mod dataset;
 pub mod decomposition;
 mod dsm;
 mod extract;
+mod gather;
 mod horizon;
 pub mod lanes;
 mod obstacle;
@@ -80,6 +81,7 @@ pub use clearsky::ClearSky;
 pub use dataset::{CellWeatherView, SolarDataset, StepConditions};
 pub use dsm::{Dsm, RoofBuilder, RoofGeometry};
 pub use extract::SolarExtractor;
+pub use gather::{GatherScratch, SampleGather};
 pub use horizon::HorizonMap;
 pub use obstacle::{Obstacle, ObstacleKind};
 pub use scenario::{paper_roofs, PaperRoof, RoofScenario};

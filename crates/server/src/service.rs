@@ -582,7 +582,7 @@ impl PlacementService {
             Topology::new(1, 1).map_err(|e| internal_error(&format!("probe topology: {e}")))?;
         let probe_config = FloorplanConfig::paper(probe)
             .map_err(|e| internal_error(&format!("probe config: {e}")))?;
-        let map = SuitabilityMap::compute(&dataset, &probe_config);
+        let map = SuitabilityMap::compute_with(&dataset, &probe_config, Runtime::sequential());
         let steps = dataset.num_steps() as usize;
         let memo_budget = (steps * 8 * 1024).clamp(256 << 10, 64 << 20);
         let cells = dataset.dims().num_cells();

@@ -888,7 +888,7 @@ fn run() -> Result<(), String> {
     if args.portrait {
         config = config.with_portrait_modules();
     }
-    let map = SuitabilityMap::compute(&data, &config);
+    let map = SuitabilityMap::compute_with(&data, &config, runtime);
     let evaluator = EnergyEvaluator::new(&config).with_runtime(runtime);
 
     println!("suitability (bright = better, x = unusable):");
