@@ -4,9 +4,9 @@
 //! The paper cannot compare against an exhaustive algorithm at roof scale
 //! (Sec. V-B); at toy scale we can, quantifying the greedy heuristic's gap.
 //!
-//! Usage: `cargo run -p pv-bench --bin ablation_optimality --release [--threads N]`
+//! Usage: `cargo run -p pv_bench --bin ablation_optimality --release [--threads N]`
 
-use pv_bench::runtime_from_args;
+use pv_bench::parse_harness_args;
 use pv_floorplan::anneal::{anneal_with_runtime, AnnealConfig};
 use pv_floorplan::exact::optimal_placement_with_runtime;
 use pv_floorplan::{greedy_placement, EnergyEvaluator, FloorplanConfig};
@@ -15,7 +15,12 @@ use pv_model::Topology;
 use pv_units::{Degrees, Meters, SimulationClock};
 
 fn main() {
-    let runtime = runtime_from_args();
+    let cli: Vec<String> = std::env::args().skip(1).collect();
+    let args = parse_harness_args(&cli, &[]).unwrap_or_else(|e| {
+        eprintln!("Error: {e}");
+        std::process::exit(1);
+    });
+    let runtime = args.runtime();
     println!("A3: optimality study\n");
     exact_study(runtime);
     anneal_study(runtime);

@@ -5,17 +5,22 @@
 //! distributions and picks the 75th percentile with an f(T) correction;
 //! this harness quantifies that choice.
 //!
-//! Usage: `cargo run -p pv-bench --bin ablation_percentile --release [--fast|--smoke] [--threads N]`
+//! Usage: `cargo run -p pv_bench --bin ablation_percentile --release [--fast|--smoke] [--threads N]`
 
-use pv_bench::{extract_scenario_with, runtime_from_args, Resolution};
+use pv_bench::{extract_scenario_with, parse_harness_args, Resolution};
 use pv_floorplan::{greedy_placement_with_map, EnergyEvaluator, FloorplanConfig, SuitabilityMap};
 use pv_gis::{PaperRoof, RoofScenario};
 use pv_model::Topology;
 use pv_runtime::Runtime;
 
 fn main() {
-    let resolution = Resolution::from_args();
-    let runtime = runtime_from_args();
+    let cli: Vec<String> = std::env::args().skip(1).collect();
+    let args = parse_harness_args(&cli, &[]).unwrap_or_else(|e| {
+        eprintln!("Error: {e}");
+        std::process::exit(1);
+    });
+    let resolution = args.resolution_or(Resolution::Paper);
+    let runtime = args.runtime();
     let scenario = RoofScenario::build(PaperRoof::Roof2);
     let dataset = extract_scenario_with(&scenario, resolution, runtime);
     let topology = Topology::new(8, 2).expect("valid topology");

@@ -1,7 +1,7 @@
 //! CI guard for the machine-readable bench artifacts.
 //!
 //! Validates that a bench artifact — `BENCH_evaluator.json` (written by
-//! the `evaluator_throughput` bench and `diag --timings`),
+//! `diag --timings`),
 //! `BENCH_portfolio.json` (written by the `portfolio` bin and
 //! `pvplan suite`) or `BENCH_server.json` (written by the `loadgen` bin)
 //! — exists and matches the schema the perf-trajectory tooling expects: a non-empty JSON array of objects, each carrying the
@@ -28,7 +28,7 @@
 //!   finite non-negative span durations.
 //!
 //! Usage: `cargo run -p pv_bench --bin check_bench_json [path]...`
-//! (no path: checks `BENCH_evaluator.json` at the repo root).
+//! (no path: checks `./BENCH_evaluator.json`).
 
 use pv_bench::json::{parse, JsonValue};
 
@@ -417,8 +417,8 @@ fn check_file(path: &std::path::Path) -> Result<(), ()> {
         Ok(doc) => doc,
         Err(e) => {
             eprintln!(
-                "Error: cannot read {} ({e}); run the evaluator_throughput \
-                 bench, diag --timings, or the portfolio bin first",
+                "Error: cannot read {} ({e}); run diag --timings, the \
+                 portfolio bin or loadgen first",
                 path.display()
             );
             return Err(());
@@ -443,7 +443,7 @@ fn main() {
             .map(std::path::PathBuf::from)
             .collect();
         if args.is_empty() {
-            vec![pv_bench::bench_json_path()]
+            vec![pv_bench::EVALUATOR_JSON.into()]
         } else {
             args
         }

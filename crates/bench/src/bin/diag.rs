@@ -1,4 +1,4 @@
-//! Pipeline diagnostics dump, plus the Sec. V-D before/after timing probe
+//! Pipeline diagnostics dump, plus the Sec. V-D timing probe
 //! (`--timings`) whose numbers are recorded in EXPERIMENTS.md.
 //!
 //! Usage: `cargo run -p pv_bench --bin diag --release [--fast|--smoke] [--threads N] [--timings]`
@@ -6,23 +6,25 @@
 //! `--fast`/`--smoke` select the diagnostics resolution (default: fast,
 //! one year at hourly steps); the `--timings` probe is always pinned to
 //! the 30-day smoke configuration so its numbers stay comparable across
-//! runs (the EXPERIMENTS.md row is keyed to that scale). `--timings` also
-//! prints a per-kernel breakdown of the lane-shaped hot loops (irradiance
-//! census, fused transposition + operating-point pass, string
-//! aggregation — each against its scalar reference shape) and rewrites
-//! the machine-readable `BENCH_evaluator.json` at the repo root with the
-//! proposal-loop and `kernel_*` numbers (same schema as the
-//! `evaluator_throughput` bench).
+//! runs (the EXPERIMENTS.md row is keyed to that scale). `--timings`
+//! prints extraction, horizon-map and evaluator timings, the E7 placement
+//! scaling sweep (suitability vs valid cells, greedy vs module count), and
+//! a per-kernel breakdown of the lane-shaped hot loops (irradiance census,
+//! fused transposition + operating-point pass, string aggregation — each
+//! against its scalar reference shape). It is the only writer of
+//! `BENCH_evaluator.json` (in the working directory): the proposal-loop
+//! and `kernel_*` rows.
 
 use pv_bench::{
     extract_scenario_with, kernel_probe_timings, parse_harness_args, proposal_loop_timings,
-    scalar_reference_energy, write_bench_records, HarnessArgs, Resolution,
+    write_bench_records, HarnessArgs, Resolution,
 };
 use pv_floorplan::*;
-use pv_gis::{PaperRoof, RoofScenario, Site, SolarExtractor};
+use pv_gis::{HorizonMap, PaperRoof, RoofBuilder, RoofScenario, Site, SolarExtractor};
 use pv_model::Topology;
 use pv_obs::{Histogram, Timer};
 use pv_runtime::Runtime;
+use pv_units::Meters;
 
 fn main() {
     let cli: Vec<String> = std::env::args().skip(1).collect();
@@ -90,9 +92,10 @@ fn run(args: &HarnessArgs) -> Result<(), String> {
     Ok(())
 }
 
-/// Times the solar extractor and the energy evaluator before/after the
-/// `pv_runtime` refactor: scalar reference vs batched kernel, sequential
-/// vs parallel. Roof 2, 30 days at hourly steps, N = 32.
+/// Times the solar extractor, the horizon map and the energy evaluator
+/// (sequential vs parallel) on Roof 2, 30 days at hourly steps, N = 32;
+/// then the E7 placement scaling sweep, the proposal loop and the lane
+/// kernels.
 fn timings(runtime: Runtime) -> Result<(), String> {
     let scenario = RoofScenario::build(PaperRoof::Roof2);
     let clock = Resolution::Smoke.clock();
@@ -128,18 +131,19 @@ fn timings(runtime: Runtime) -> Result<(), String> {
         std::hint::black_box(par_extractor.extract(&scenario.dsm));
     });
 
+    let t_horizon = time(&mut || {
+        std::hint::black_box(HorizonMap::compute_with(&scenario.dsm, 64, runtime));
+    });
+
     let dataset = par_extractor.extract(&scenario.dsm);
     let map = SuitabilityMap::compute_with(&dataset, &config, runtime);
     let plan = greedy_placement_with_map(&dataset, &config, &map).unwrap();
-    let t_scalar = time(&mut || {
-        std::hint::black_box(scalar_reference_energy(&dataset, &config, &plan));
-    });
     let seq_eval = EnergyEvaluator::new(&config).with_runtime(Runtime::sequential());
     let par_eval = EnergyEvaluator::new(&config).with_runtime(runtime);
-    let t_batched_seq = time(&mut || {
+    let t_eval_seq = time(&mut || {
         std::hint::black_box(seq_eval.evaluate(&dataset, &plan).unwrap());
     });
-    let t_batched_par = time(&mut || {
+    let t_eval_par = time(&mut || {
         std::hint::black_box(par_eval.evaluate(&dataset, &plan).unwrap());
     });
 
@@ -149,16 +153,47 @@ fn timings(runtime: Runtime) -> Result<(), String> {
         runtime.threads(),
         t_extract_seq / t_extract_par
     );
-    println!("evaluator  scalar reference  {t_scalar:9.1} ms  (pre-refactor baseline)");
     println!(
-        "evaluator  batched, 1 thread {t_batched_seq:9.1} ms  ({:.2}x vs scalar)",
-        t_scalar / t_batched_seq
+        "horizon    {} thread(s)       {t_horizon:9.1} ms  (64 sectors)",
+        runtime.threads()
     );
+    println!("evaluator  1 thread          {t_eval_seq:9.1} ms");
     println!(
-        "evaluator  batched, {} thr    {t_batched_par:9.1} ms  ({:.2}x vs scalar)",
+        "evaluator  {} thread(s)       {t_eval_par:9.1} ms  ({:.2}x)",
         runtime.threads(),
-        t_scalar / t_batched_par
+        t_eval_seq / t_eval_par
     );
+
+    // E7: placement time scales with valid cells and module count. A
+    // plain 10 m-deep roof at three widths, 30 days hourly (suitability
+    // is linear in steps, so the scaling shape is preserved).
+    let sweep = [10.0, 20.0, 40.0].map(|width_m| {
+        let roof = RoofBuilder::new(Meters::new(width_m), Meters::new(10.0)).build();
+        SolarExtractor::new(Site::turin(), clock)
+            .seed(1)
+            .runtime(runtime)
+            .extract(&roof)
+    });
+    let sweep_config = |n: usize| FloorplanConfig::paper(Topology::new(8, n / 8).unwrap()).unwrap();
+    let config_16 = sweep_config(16);
+    for data in &sweep {
+        let t = time(&mut || {
+            std::hint::black_box(SuitabilityMap::compute_with(data, &config_16, runtime));
+        });
+        println!(
+            "E7 suitability  {:>6} valid cells  {t:9.1} ms",
+            data.valid().count()
+        );
+    }
+    let wide = &sweep[2];
+    for n in [8usize, 16, 32] {
+        let config = sweep_config(n);
+        let map = SuitabilityMap::compute_with(wide, &config, runtime);
+        let t = time(&mut || {
+            std::hint::black_box(greedy_placement_with_map(wide, &config, &map).unwrap());
+        });
+        println!("E7 greedy       N = {n:>2}              {t:9.1} ms");
+    }
 
     // Anneal-style proposal loop (single relocate + re-score),
     // single-threaded: cold full re-integration vs incremental delta

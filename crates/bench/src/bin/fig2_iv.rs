@@ -4,7 +4,7 @@
 //!
 //! Prints CSV series; also summarizes the qualitative claims of the figure.
 //!
-//! Usage: `cargo run -p pv-bench --bin fig2_iv`
+//! Usage: `cargo run -p pv_bench --bin fig2_iv`
 
 use pv_model::SingleDiodeModule;
 use pv_units::{Celsius, Irradiance};

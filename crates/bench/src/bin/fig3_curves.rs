@@ -5,7 +5,7 @@
 //! Middle: normalized Pmax/Voc/Isc vs temperature.
 //! Right: normalized Pmax/Voc/Isc vs irradiance.
 //!
-//! Usage: `cargo run -p pv-bench --bin fig3_curves`
+//! Usage: `cargo run -p pv_bench --bin fig3_curves`
 
 use pv_model::{EmpiricalModule, ModuleModel, SingleDiodeModule};
 use pv_units::{Celsius, Irradiance};

@@ -4,16 +4,21 @@
 //! Writes one PGM image per roof to `target/figures/` and prints ASCII
 //! previews.
 //!
-//! Usage: `cargo run -p pv-bench --bin fig6_irradiance --release [--fast|--smoke] [--threads N]`
+//! Usage: `cargo run -p pv_bench --bin fig6_irradiance --release [--fast|--smoke] [--threads N]`
 
-use pv_bench::{extract_scenario_with, figures_dir, runtime_from_args, Resolution};
+use pv_bench::{extract_scenario_with, figures_dir, parse_harness_args, Resolution};
 use pv_floorplan::{render, FloorplanConfig, SuitabilityMap};
 use pv_gis::paper_roofs;
 use pv_model::Topology;
 
 fn main() {
-    let resolution = Resolution::from_args();
-    let runtime = runtime_from_args();
+    let cli: Vec<String> = std::env::args().skip(1).collect();
+    let args = parse_harness_args(&cli, &[]).unwrap_or_else(|e| {
+        eprintln!("Error: {e}");
+        std::process::exit(1);
+    });
+    let resolution = args.resolution_or(Resolution::Paper);
+    let runtime = args.runtime();
     let config =
         FloorplanConfig::paper(Topology::new(8, 2).expect("valid topology")).expect("paper config");
     let dir = figures_dir();

@@ -3,9 +3,9 @@
 //! indices (panels with the same digit are connected in series), `.` is
 //! free suitable area, `x` is unusable.
 //!
-//! Usage: `cargo run -p pv-bench --bin fig7_placements --release [--fast|--smoke] [--threads N]`
+//! Usage: `cargo run -p pv_bench --bin fig7_placements --release [--fast|--smoke] [--threads N]`
 
-use pv_bench::{extract_scenario_with, runtime_from_args, Resolution};
+use pv_bench::{extract_scenario_with, parse_harness_args, Resolution};
 use pv_floorplan::{
     greedy_placement_with_map, render, traditional_placement_with_map, EnergyEvaluator,
     FloorplanConfig, SuitabilityMap,
@@ -14,8 +14,13 @@ use pv_gis::paper_roofs;
 use pv_model::Topology;
 
 fn main() {
-    let resolution = Resolution::from_args();
-    let runtime = runtime_from_args();
+    let cli: Vec<String> = std::env::args().skip(1).collect();
+    let args = parse_harness_args(&cli, &[]).unwrap_or_else(|e| {
+        eprintln!("Error: {e}");
+        std::process::exit(1);
+    });
+    let resolution = args.resolution_or(Resolution::Paper);
+    let runtime = args.runtime();
     let config =
         FloorplanConfig::paper(Topology::new(8, 4).expect("valid topology")).expect("paper config");
     println!(

@@ -660,11 +660,8 @@ fn run(args: &LoadgenArgs) -> Result<(), String> {
     }
 
     let doc = json::render_record_array(&records);
-    let path = match &args.out {
-        Some(path) => std::path::PathBuf::from(path),
-        None => pv_bench::server_json_path(),
-    };
-    std::fs::write(&path, &doc).map_err(|e| format!("writing {}: {e}", path.display()))?;
+    let path = args.out.as_deref().unwrap_or(pv_bench::SERVER_JSON);
+    std::fs::write(path, &doc).map_err(|e| format!("writing {path}: {e}"))?;
 
     println!(
         "cold:     {:>5} req, p50 {:>8.2} ms, p99 {:>8.2} ms",
@@ -699,7 +696,7 @@ fn run(args: &LoadgenArgs) -> Result<(), String> {
             store_hit_rate,
         );
     }
-    println!("wrote {}", path.display());
+    println!("wrote {path}");
 
     if let Some((server, _)) = spawned {
         server.shutdown();

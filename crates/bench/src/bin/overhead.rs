@@ -5,17 +5,22 @@
 //! metre per year; overhead ~0.05%/m of yearly production; worst-case extra
 //! wire ~20 m; cost ~1 $/m.
 //!
-//! Usage: `cargo run -p pv-bench --bin overhead --release [--fast|--smoke] [--threads N]`
+//! Usage: `cargo run -p pv_bench --bin overhead --release [--fast|--smoke] [--threads N]`
 
-use pv_bench::{extract_scenario_with, runtime_from_args, Resolution};
+use pv_bench::{extract_scenario_with, parse_harness_args, Resolution};
 use pv_floorplan::{greedy_placement_with_map, EnergyEvaluator, FloorplanConfig, SuitabilityMap};
 use pv_gis::paper_roofs;
 use pv_model::{Topology, WiringSpec};
 use pv_units::{Amperes, Meters};
 
 fn main() {
-    let resolution = Resolution::from_args();
-    let runtime = runtime_from_args();
+    let cli: Vec<String> = std::env::args().skip(1).collect();
+    let args = parse_harness_args(&cli, &[]).unwrap_or_else(|e| {
+        eprintln!("Error: {e}");
+        std::process::exit(1);
+    });
+    let resolution = args.resolution_or(Resolution::Paper);
+    let runtime = args.runtime();
     println!("Sec. V-C overhead assessment — {}\n", resolution.label());
 
     // Static cable characterization (paper's conservative numbers).

@@ -1,7 +1,7 @@
 //! E1 — regenerates **Table I**: traditional vs proposed yearly production
 //! on the three roofs for N = 16 and N = 32 (8-series strings).
 //!
-//! Usage: `cargo run -p pv-bench --bin table1 --release [--fast|--smoke] [--threads N]`
+//! Usage: `cargo run -p pv_bench --bin table1 --release [--fast|--smoke] [--threads N]`
 
 use pv_bench::{
     compare_row_with_map, extract_scenario_with, paper_config, parse_harness_args, HarnessArgs,

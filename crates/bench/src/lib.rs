@@ -10,10 +10,10 @@ use pv_floorplan::{
     EnergyEvaluator, FloorplanConfig, FloorplanResult, SuitabilityMap, TraceMemo,
 };
 use pv_geom::CellCoord;
-use pv_gis::{lanes, RoofScenario, Site, SolarDataset, SolarExtractor};
-use pv_model::{string_wiring_overhead, ModuleModel, OperatingPoint, Topology};
+use pv_gis::{lanes, IrradianceGroup, RoofScenario, Site, SolarDataset, SolarExtractor};
+use pv_model::{ModuleModel, Topology};
 use pv_runtime::Runtime;
-use pv_units::{Amperes, Irradiance, Meters, SimulationClock, Volts, WattHours, Watts};
+use pv_units::{Irradiance, SimulationClock};
 use std::path::PathBuf;
 use std::time::Instant;
 
@@ -40,19 +40,6 @@ pub enum Resolution {
 }
 
 impl Resolution {
-    /// Parses from the harness CLI convention: `--fast` / `--smoke`.
-    #[must_use]
-    pub fn from_args() -> Self {
-        let args: Vec<String> = std::env::args().collect();
-        if args.iter().any(|a| a == "--smoke") {
-            Self::Smoke
-        } else if args.iter().any(|a| a == "--fast") {
-            Self::Fast
-        } else {
-            Self::Paper
-        }
-    }
-
     /// The simulation clock for this resolution.
     #[must_use]
     pub fn clock(self) -> SimulationClock {
@@ -70,35 +57,6 @@ impl Resolution {
             Self::Paper => "1 year @ 15 min (paper)",
             Self::Fast => "1 year @ 60 min (fast)",
             Self::Smoke => "30 days @ 60 min (smoke)",
-        }
-    }
-}
-
-/// Parses the shared `--threads N` harness flag into a [`Runtime`],
-/// falling back to [`Runtime::from_env`] (`PV_THREADS` or the machine's
-/// parallelism) when the flag is absent. Every harness binary accepts the
-/// flag; results are identical for every setting.
-///
-/// A malformed value exits with an error rather than being silently
-/// ignored — a typo must not invalidate the thread count a measurement
-/// run was supposed to pin.
-#[must_use]
-pub fn runtime_from_args() -> Runtime {
-    let args: Vec<String> = std::env::args().collect();
-    let Some(i) = args.iter().position(|a| a == "--threads") else {
-        return Runtime::from_env();
-    };
-    match args.get(i + 1).map(|v| pv_runtime::parse_threads(v)) {
-        Some(Some(n)) => Runtime::with_threads(n),
-        _ => {
-            // pvlint: allow(R03): this IS the CLI error path, shared by every bench bin
-            eprintln!(
-                "Error: --threads expects a positive integer, got {:?}",
-                args.get(i + 1).map_or("nothing", String::as_str)
-            );
-            // Exit 1 like every other workspace CLI error path (the PR 1
-            // convention): bad flags are user errors, not crashes.
-            std::process::exit(1);
         }
     }
 }
@@ -279,85 +237,6 @@ pub fn compare_row_with_map(
     }
 }
 
-/// The pre-batching scalar reference evaluation: recompute the full
-/// per-cell irradiance composition inside a steps × modules × cells triple
-/// loop, exactly as `EnergyEvaluator` did before the batched kernel.
-///
-/// Kept as the "before" baseline the `evaluator_throughput` bench and
-/// `diag --timings` pin the batched kernel's speedup against (EXPERIMENTS
-/// Sec. V-D). Agrees with the evaluator up to floating-point association.
-///
-/// # Panics
-///
-/// Panics when the plan's module count differs from the configured
-/// topology.
-#[must_use]
-pub fn scalar_reference_energy(
-    dataset: &SolarDataset,
-    config: &FloorplanConfig,
-    plan: &FloorplanResult,
-) -> WattHours {
-    let topology = config.topology();
-    let n_modules = topology.num_modules();
-    assert_eq!(plan.placement.len(), n_modules, "plan/topology mismatch");
-    let module = config.module();
-    let wiring = config.wiring();
-
-    let mut strings: Vec<Vec<usize>> = vec![Vec::new(); topology.strings()];
-    for (k, &s) in plan.string_of.iter().enumerate() {
-        strings[s].push(k);
-    }
-    let module_cells: Vec<Vec<pv_geom::CellCoord>> = (0..n_modules)
-        .map(|k| plan.placement.cells_of(k).collect())
-        .collect();
-    let string_extra: Vec<Meters> = strings
-        .iter()
-        .map(|mods| {
-            let centers: Vec<pv_geom::Point> =
-                mods.iter().map(|&k| plan.placement.center(k)).collect();
-            string_wiring_overhead(&centers, wiring).extra_length
-        })
-        .collect();
-
-    let mut gross = 0.0f64;
-    let mut loss = 0.0f64;
-    let mut ops: Vec<OperatingPoint> = vec![OperatingPoint::default(); n_modules];
-    for i in 0..dataset.num_steps() {
-        let cond = dataset.conditions(i);
-        if !cond.sun_up {
-            continue;
-        }
-        for k in 0..n_modules {
-            let cells = &module_cells[k];
-            let mean_g = cells
-                .iter()
-                .map(|&c| dataset.irradiance(c, i).as_w_per_m2())
-                .sum::<f64>()
-                / cells.len() as f64;
-            ops[k] = module.operating_point(Irradiance::from_w_per_m2(mean_g), cond.ambient);
-        }
-        let mut v_panel = f64::INFINITY;
-        let mut i_panel = 0.0f64;
-        let mut step_loss = 0.0f64;
-        for (j, mods) in strings.iter().enumerate() {
-            let v: f64 = mods.iter().map(|&k| ops[k].voltage.value()).sum();
-            let i_str = mods
-                .iter()
-                .map(|&k| ops[k].current.value())
-                .fold(f64::INFINITY, f64::min);
-            v_panel = v_panel.min(v);
-            i_panel += i_str;
-            step_loss += wiring
-                .power_loss(string_extra[j], Amperes::new(i_str))
-                .as_watts();
-        }
-        let p_panel = (Volts::new(v_panel) * Amperes::new(i_panel)).as_watts();
-        gross += p_panel;
-        loss += step_loss.min(p_panel);
-    }
-    Watts::new(gross - loss).over(dataset.step_duration())
-}
-
 /// One machine-readable benchmark measurement for `BENCH_evaluator.json`.
 #[derive(Clone, Debug, PartialEq)]
 pub struct BenchRecord {
@@ -372,36 +251,24 @@ pub struct BenchRecord {
     pub speedup_vs_cold: f64,
 }
 
-/// Path of the machine-readable benchmark artifact at the repo root
-/// (`BENCH_evaluator.json`), independent of the invocation directory.
-#[must_use]
-pub fn bench_json_path() -> PathBuf {
-    PathBuf::from(concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/../../BENCH_evaluator.json"
-    ))
-}
+/// Default path of the evaluator benchmark artifact, relative to the
+/// working directory (run from the repo root, it lands there).
+pub const EVALUATOR_JSON: &str = "BENCH_evaluator.json";
 
-/// Path of the server load-test artifact at the repo root
-/// (`BENCH_server.json`, written by the `loadgen` bin), independent of
-/// the invocation directory.
-#[must_use]
-pub fn server_json_path() -> PathBuf {
-    PathBuf::from(concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/../../BENCH_server.json"
-    ))
-}
+/// Default path of the server load-test artifact written by the `loadgen`
+/// bin, relative to the working directory.
+pub const SERVER_JSON: &str = "BENCH_server.json";
 
-/// Writes the benchmark artifact consumed by the CI schema check and the
-/// EXPERIMENTS.md perf trajectory: a JSON array of objects with keys
-/// `bench`, `scale`, `name`, `ns_per_eval`, `speedup_vs_cold`.
+/// Writes [`EVALUATOR_JSON`], the benchmark artifact consumed by the CI
+/// schema check and the EXPERIMENTS.md perf trajectory: a JSON array of
+/// objects with keys `bench`, `scale`, `name`, `ns_per_eval`,
+/// `speedup_vs_cold`.
 ///
 /// # Errors
 ///
 /// Propagates filesystem errors.
 pub fn write_bench_records(bench: &str, records: &[BenchRecord]) -> std::io::Result<PathBuf> {
-    let path = bench_json_path();
+    let path = PathBuf::from(EVALUATOR_JSON);
     std::fs::write(&path, render_bench_records(bench, records))?;
     Ok(path)
 }
@@ -447,9 +314,8 @@ impl ProposalTimings {
         self.cold_ns_per_eval / self.incremental_ns_per_eval.max(1e-9)
     }
 
-    /// The two `BENCH_evaluator.json` records of this measurement — the
-    /// single source of the artifact rows written by the
-    /// `evaluator_throughput` bench and `diag --timings`.
+    /// The two `BENCH_evaluator.json` records of this measurement, as
+    /// written by `diag --timings`.
     #[must_use]
     pub fn to_records(&self, scale: &str) -> [BenchRecord; 2] {
         [
@@ -536,9 +402,8 @@ impl KernelTimings {
 /// 3. `kernel_string_agg` — member-outer elementwise `add_assign` /
 ///    `min_assign` folds vs the step-outer member-inner loop.
 ///
-/// `budget` scales repetition counts (1 = single pass per kernel, the
-/// bench `--test` mode; larger values take the minimum over batches for
-/// stable numbers).
+/// `budget` scales repetition counts (1 = single pass per batch, for
+/// tests; larger values give steadier numbers).
 ///
 /// # Panics
 ///
@@ -558,7 +423,10 @@ pub fn kernel_probe_timings(
     let module_cells: Vec<Vec<CellCoord>> = (0..n_modules)
         .map(|k| plan.placement.cells_of(k).collect())
         .collect();
-    let batch = dataset.batch(&module_cells);
+    let groups: Vec<IrradianceGroup> = module_cells
+        .iter()
+        .map(|cells| dataset.irradiance_group(cells))
+        .collect();
     let module = config.module();
     let iv = module_lane_params(module);
     let ambient: Vec<f64> = (0..num_steps)
@@ -566,8 +434,8 @@ pub fn kernel_probe_timings(
         .collect();
     let budget = budget.max(1);
     // Always at least three batches — the CI schema check gates on the
-    // recorded speedups, so even the bench's `--test` smoke pass must
-    // produce noise-resistant numbers.
+    // recorded speedups, so even a budget-1 pass must produce
+    // noise-resistant numbers.
     let batches = 3;
 
     // Minimum over batches of `reps` passes — the standard microbench
@@ -585,17 +453,19 @@ pub fn kernel_probe_timings(
         best
     };
 
-    // 1. Irradiance census, all modules × all steps.
+    // 1. Irradiance census, all modules × all steps (module-major).
     let mut means = vec![0.0f64; n * n_modules];
     let census_lane = time(budget, &mut || {
-        dataset.mean_irradiance_into(&batch, 0..num_steps, &mut means);
+        for (group, block) in groups.iter().zip(means.chunks_exact_mut(n)) {
+            dataset.mean_irradiance_group_into(group, 0..num_steps, block);
+        }
         std::hint::black_box(&means);
     });
     let census_scalar = time(budget, &mut || {
         for i in 0..num_steps {
             let sun_up = dataset.conditions(i).sun_up;
             for (k, cells) in module_cells.iter().enumerate() {
-                means[i as usize * n_modules + k] = if sun_up {
+                means[k * n + i as usize] = if sun_up {
                     cells
                         .iter()
                         .map(|&c| dataset.irradiance(c, i).as_w_per_m2())
@@ -611,14 +481,13 @@ pub fn kernel_probe_timings(
 
     // 2. Per-module trace refresh: fused means + lane IV sweep vs the
     // scalar per-(step, group) path it replaced — per-cell irradiance
-    // recomposition and the unit-typed per-step operating point, the
-    // same shape as `scalar_reference_energy`'s inner loop.
+    // recomposition and the unit-typed per-step operating point.
     let mut volts = vec![vec![0.0f64; n]; n_modules];
     let mut amps = vec![vec![0.0f64; n]; n_modules];
     let mut one = vec![0.0f64; n];
     let fused_lane = time(4 * budget, &mut || {
-        for k in 0..n_modules {
-            dataset.mean_irradiance_group_into(&batch, k, 0..num_steps, &mut one);
+        for (k, group) in groups.iter().enumerate() {
+            dataset.mean_irradiance_group_into(group, 0..num_steps, &mut one);
             lanes::operating_points(&iv, &one, &ambient, &mut volts[k], &mut amps[k]);
         }
         std::hint::black_box((&volts, &amps));
@@ -846,22 +715,6 @@ mod tests {
     }
 
     #[test]
-    fn scalar_reference_agrees_with_batched_evaluator() {
-        let scenario = RoofScenario::build(PaperRoof::Roof1);
-        let dataset = extract_scenario(&scenario, Resolution::Smoke);
-        let config = FloorplanConfig::paper(Topology::new(8, 2).unwrap()).unwrap();
-        let map = SuitabilityMap::compute(&dataset, &config);
-        let plan = greedy_placement_with_map(&dataset, &config, &map).unwrap();
-        let batched = EnergyEvaluator::new(&config)
-            .evaluate(&dataset, &plan)
-            .unwrap()
-            .energy;
-        let reference = scalar_reference_energy(&dataset, &config, &plan);
-        let rel = (batched.as_wh() - reference.as_wh()).abs() / reference.as_wh();
-        assert!(rel < 1e-9, "batched {batched:?} vs reference {reference:?}");
-    }
-
-    #[test]
     fn bench_records_round_trip_through_the_json_reader() {
         let records = [
             BenchRecord {
@@ -934,6 +787,13 @@ mod tests {
         assert_eq!(records.len(), 3);
         let doc = render_bench_records("unit", &records);
         assert!(json::parse(&doc).is_ok());
+    }
+
+    #[test]
+    fn default_artifact_paths_are_relative() {
+        for path in [EVALUATOR_JSON, SERVER_JSON, portfolio::PORTFOLIO_JSON] {
+            assert!(std::path::Path::new(path).is_relative(), "{path}");
+        }
     }
 
     #[test]

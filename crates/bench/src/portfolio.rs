@@ -270,15 +270,9 @@ pub fn run_scenario(scenario: &SiteScenario, opts: &PortfolioOptions) -> Portfol
     record
 }
 
-/// Path of the portfolio artifact at the repo root
-/// (`BENCH_portfolio.json`), independent of the invocation directory.
-#[must_use]
-pub fn portfolio_json_path() -> PathBuf {
-    PathBuf::from(concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/../../BENCH_portfolio.json"
-    ))
-}
+/// Default path of the portfolio artifact, relative to the working
+/// directory.
+pub const PORTFOLIO_JSON: &str = "BENCH_portfolio.json";
 
 /// Renders the `BENCH_portfolio.json` document: a JSON array with one
 /// object per scenario, sharing the `bench`/`scale`/`name` core of
@@ -329,26 +323,10 @@ pub fn render_portfolio_json(
     json::render_record_array(&items)
 }
 
-/// Writes `BENCH_portfolio.json` at the repo root (see
-/// [`render_portfolio_json`]).
-///
-/// # Errors
-///
-/// Propagates filesystem errors.
-pub fn write_portfolio_records(
-    corpus_name: &str,
-    scale: &str,
-    records: &[PortfolioRecord],
-) -> std::io::Result<PathBuf> {
-    let path = portfolio_json_path();
-    std::fs::write(&path, render_portfolio_json(corpus_name, scale, records))?;
-    Ok(path)
-}
-
 /// The shared front-end driver behind the `portfolio` bin and
 /// `pvplan suite`: builds the preset corpus, runs the portfolio, prints
 /// the summary table, and writes the artifact — to `out` when given,
-/// otherwise to [`portfolio_json_path`]. Returns the written path.
+/// otherwise to [`PORTFOLIO_JSON`]. Returns the written path.
 ///
 /// Keeping this in one place pins the `scale` string and the
 /// run-format-write sequence, so both entry points always emit the same
@@ -389,11 +367,11 @@ pub fn drive(
         opts.clock.num_steps(),
         seed
     );
-    let path = match out {
-        Some(path) => std::fs::write(path, render_portfolio_json(corpus.name(), &scale, &records))
-            .map(|()| PathBuf::from(path))?,
-        None => write_portfolio_records(corpus.name(), &scale, &records)?,
-    };
+    let path = PathBuf::from(out.unwrap_or(PORTFOLIO_JSON));
+    std::fs::write(
+        &path,
+        render_portfolio_json(corpus.name(), &scale, &records),
+    )?;
     println!("wrote {}", path.display()); // pvlint: allow(R02): drive() is the body of `pvplan suite`; stdout is its user interface
     Ok(path)
 }

@@ -45,7 +45,7 @@ use crate::config::FloorplanConfig;
 use crate::error::FloorplanError;
 use crate::greedy::FloorplanResult;
 use pv_geom::{CellCoord, Placement};
-use pv_gis::{lanes, IrradianceBatch, IrradianceGroup, SolarDataset};
+use pv_gis::{lanes, IrradianceGroup, SolarDataset};
 use pv_model::{string_wiring_overhead, EmpiricalModule, ModuleModel, OperatingPoint};
 use pv_runtime::Runtime;
 use pv_units::{Amperes, Irradiance, Meters, Volts, WattHours, Watts};
@@ -442,7 +442,8 @@ pub struct EvaluationContext<'d> {
     strings: Vec<Vec<usize>>,
     /// `string_of[k]` = series string of module `k`.
     string_of: Vec<usize>,
-    batch: IrradianceBatch,
+    /// Static irradiance state of each module's covered cells.
+    groups: Vec<IrradianceGroup>,
     string_extra: Vec<Meters>,
     /// The module's empirical coefficients, flattened for the lane-shaped
     /// operating-point kernel (bit-identical to the `ModuleModel` calls).
@@ -492,10 +493,12 @@ impl<'d> EvaluationContext<'d> {
         }
         debug_assert!(strings.iter().all(|s| s.len() == topology.series()));
 
-        let module_cells: Vec<Vec<CellCoord>> = (0..n_modules)
-            .map(|k| plan.placement.cells_of(k).collect())
+        let groups: Vec<IrradianceGroup> = (0..n_modules)
+            .map(|k| {
+                let cells: Vec<CellCoord> = plan.placement.cells_of(k).collect();
+                dataset.irradiance_group(&cells)
+            })
             .collect();
-        let batch = dataset.batch(&module_cells);
 
         let num_steps = dataset.num_steps() as usize;
         let iv = module_lane_params(config.module());
@@ -509,7 +512,7 @@ impl<'d> EvaluationContext<'d> {
         // anchor, so thread count cannot affect the bytes).
         let mut trace = vec![0.0f64; n_modules * TRACE_FIELDS * num_steps];
         runtime.for_each_chunk_mut(&mut trace, TRACE_FIELDS * num_steps, |k, block| {
-            fill_module_trace(dataset, &batch, &iv, &ambient, memo, k, anchors[k], block);
+            fill_module_trace(dataset, &groups[k], &iv, &ambient, memo, anchors[k], block);
         });
 
         // Per-string aggregates over the traces.
@@ -525,7 +528,7 @@ impl<'d> EvaluationContext<'d> {
             placement: plan.placement.clone(),
             strings,
             string_of: plan.string_of.clone(),
-            batch,
+            groups,
             string_extra: vec![Meters::ZERO; topology.strings()],
             iv,
             ambient,
@@ -589,7 +592,8 @@ impl<'d> EvaluationContext<'d> {
         // The move is geometrically valid: from here on the proposal
         // replaces any previously pending one.
         let cells: Vec<CellCoord> = self.placement.cells_of(k).collect();
-        let old_group = self.batch.replace_group(self.dataset, k, &cells);
+        let old_group =
+            std::mem::replace(&mut self.groups[k], self.dataset.irradiance_group(&cells));
         let s = self.string_of[k];
         let num_steps = self.num_steps();
         self.undo_trace
@@ -600,11 +604,10 @@ impl<'d> EvaluationContext<'d> {
 
         fill_module_trace(
             self.dataset,
-            &self.batch,
+            &self.groups[k],
             &self.iv,
             &self.ambient,
             self.memo,
-            k,
             anchor,
             &mut self.trace[trace_block(k, num_steps)],
         );
@@ -650,7 +653,7 @@ impl<'d> EvaluationContext<'d> {
         self.placement
             .try_relocate(k, undo.old_anchor, self.dataset.valid())
             .expect("undoing a move to the prior anchor is always feasible");
-        self.batch.restore_group(k, undo.old_group);
+        self.groups[k] = undo.old_group;
         self.trace[trace_block(k, num_steps)].copy_from_slice(&self.undo_trace);
         self.agg[agg_block(s, num_steps)].copy_from_slice(&self.undo_agg);
         self.string_extra[s] = undo.old_extra;
@@ -789,12 +792,17 @@ impl<'d> EvaluationContext<'d> {
             num_steps,
             STEP_CHUNK,
             |steps| {
-                let mut means = vec![0.0f64; steps.len() * n_modules];
-                self.dataset.mean_irradiance_into(
-                    &self.batch,
-                    steps.start as u32..steps.end as u32,
-                    &mut means,
-                );
+                // Module-major means block: module `k` owns
+                // `[k·len, (k+1)·len)` of this chunk's steps.
+                let len = steps.len();
+                let mut means = vec![0.0f64; len * n_modules];
+                for (group, block) in self.groups.iter().zip(means.chunks_exact_mut(len)) {
+                    self.dataset.mean_irradiance_group_into(
+                        group,
+                        steps.start as u32..steps.end as u32,
+                        block,
+                    );
+                }
                 let mut ops: Vec<OperatingPoint> = vec![OperatingPoint::default(); n_modules];
                 let mut gross = 0.0f64;
                 let mut loss = 0.0f64;
@@ -805,9 +813,8 @@ impl<'d> EvaluationContext<'d> {
                         continue;
                     }
                     let ambient = cond.ambient;
-                    let row = &means[rel * n_modules..(rel + 1) * n_modules];
                     for k in 0..n_modules {
-                        let g = Irradiance::from_w_per_m2(row[k]);
+                        let g = Irradiance::from_w_per_m2(means[k * len + rel]);
                         ops[k] = module.operating_point(g, ambient);
                         unconstrained += ops[k].power().as_watts();
                     }
@@ -885,22 +892,20 @@ pub fn module_lane_params(module: &EmpiricalModule) -> lanes::IvParams {
     }
 }
 
-/// Fills module `k`'s trace block `[mean G | V | I]` for its current cell
-/// group, consulting (and feeding) the optional per-anchor memo.
+/// Fills one module's trace block `[mean G | V | I]` for its cell group
+/// at `anchor`, consulting (and feeding) the optional per-anchor memo.
 ///
 /// The fused transposition + operating-point pass: each tile of steps
 /// runs the POA mean kernel and then the lane-shaped IV sweep while the
 /// means are still cache-hot, instead of two full-range sweeps. Sun-down
 /// steps carry `mean G = 0`, for which the kernel yields exact `0.0`
 /// volts and amps — the same bytes the old explicit zeroing wrote.
-#[allow(clippy::too_many_arguments)]
 fn fill_module_trace(
     dataset: &SolarDataset,
-    batch: &IrradianceBatch,
+    group: &IrradianceGroup,
     iv: &lanes::IvParams,
     ambient: &[f64],
     memo: Option<&TraceMemo>,
-    k: usize,
     anchor: CellCoord,
     block: &mut [f64],
 ) {
@@ -922,8 +927,7 @@ fn fill_module_trace(
     for start in (0..num_steps).step_by(FUSE_TILE) {
         let tile = start..(start + FUSE_TILE).min(num_steps);
         dataset.mean_irradiance_group_into(
-            batch,
-            k,
+            group,
             tile.start as u32..tile.end as u32,
             &mut means[tile.clone()],
         );
@@ -1101,7 +1105,7 @@ mod tests {
         // placement, irradiance groups, trace blocks, string aggregates
         // and wiring extras.
         assert_eq!(ctx.placement.modules(), pristine.placement.modules());
-        assert_eq!(ctx.batch, pristine.batch);
+        assert_eq!(ctx.groups, pristine.groups);
         assert_eq!(ctx.trace, pristine.trace);
         assert_eq!(ctx.agg, pristine.agg);
         assert_eq!(ctx.string_extra, pristine.string_extra);

@@ -1,4 +1,4 @@
-//! Batched per-module mean-irradiance evaluation.
+//! Per-module mean-irradiance evaluation.
 //!
 //! The floorplanner's energy model only ever consumes the *mean* irradiance
 //! over each module's covered cells, yet the scalar
@@ -24,12 +24,10 @@
 //! across its scalar, portable-lane and (feature `simd`) AVX2
 //! implementations; see that module for the bit-identity argument.
 //!
-//! Two query shapes sit on top: [`SolarDataset::mean_irradiance_into`]
-//! (every group × a step range — the cold-evaluation kernel) and
-//! [`SolarDataset::mean_irradiance_group_into`] (one group × a step range —
-//! the single-module relocation path of incremental delta evaluation).
-//! Both are computed by the same per-(step, group) helper, so their outputs
-//! are bit-identical by construction.
+//! One query sits on top: [`SolarDataset::mean_irradiance_group_into`]
+//! (one group × a step range), built on the single per-(step, group)
+//! helper. The evaluator runs it per module, both for its cached traces
+//! and for the from-scratch reference pass, so the two agree bit for bit.
 
 use crate::dataset::{SolarDataset, StepConditions};
 use crate::lanes;
@@ -38,10 +36,24 @@ use pv_geom::CellCoord;
 /// Static per-group state: one cell set whose mean irradiance is wanted as
 /// a single number (in practice the cells covered by one PV module).
 ///
-/// Owned by an [`IrradianceBatch`]; escapes it only through
-/// [`IrradianceBatch::replace_group`], whose return value lets a caller
-/// undo a speculative relocation with
-/// [`IrradianceBatch::restore_group`] — no recomputation.
+/// Built by [`SolarDataset::irradiance_group`]. A plain value: a caller
+/// relocating a module swaps in a new group and keeps the old one to undo
+/// a rejected move with no recomputation.
+///
+/// ```
+/// use pv_gis::{RoofBuilder, SolarExtractor, Site};
+/// use pv_geom::CellCoord;
+/// use pv_units::{Meters, SimulationClock};
+/// let roof = RoofBuilder::new(Meters::new(4.0), Meters::new(2.0)).build();
+/// let data = SolarExtractor::new(Site::turin(), SimulationClock::days_at_minutes(1, 120))
+///     .extract(&roof);
+/// let cells: Vec<CellCoord> = (0..4).map(|x| CellCoord::new(x, 0)).collect();
+/// let group = data.irradiance_group(&cells);
+/// let mut means = vec![0.0; data.num_steps() as usize];
+/// data.mean_irradiance_group_into(&group, 0..data.num_steps(), &mut means);
+/// let scalar: f64 = cells.iter().map(|&c| data.irradiance(c, 6).as_w_per_m2()).sum::<f64>() / 4.0;
+/// assert!((means[6] - scalar).abs() < 1e-9);
+/// ```
 #[derive(Clone, Debug, PartialEq)]
 pub struct IrradianceGroup {
     /// `(shadow word index, bits of this group in that word)`, sorted by
@@ -142,8 +154,8 @@ impl IrradianceGroup {
     /// incidence term, hoisted per step by [`step_beam_poa`]) and `None`
     /// on undulating ones (hoisted per-cell normals).
     ///
-    /// The single source of the per-(step, group) arithmetic: both the
-    /// all-groups and the single-group kernels call it, which is what makes
+    /// The single source of the per-(step, group) arithmetic: every
+    /// mean-irradiance query goes through it, which is what makes
     /// incremental re-evaluation bit-identical to a cold pass.
     #[inline]
     fn mean_at(
@@ -178,8 +190,7 @@ impl IrradianceGroup {
 }
 
 /// The shared planar beam POA of one sun-up step (`Some` only when the
-/// roof is planar) — hoisted once per step so the per-group loop repeats
-/// no sun-geometry arithmetic.
+/// roof is planar): one incidence cosine for every cell of the group.
 #[inline]
 fn step_beam_poa(plane_normal: Option<[f64; 3]>, cond: &StepConditions) -> Option<f64> {
     plane_normal.map(|n| {
@@ -189,161 +200,39 @@ fn step_beam_poa(plane_normal: Option<[f64; 3]>, cond: &StepConditions) -> Optio
     })
 }
 
-/// Precomputed per-group state for batched mean-irradiance queries.
-///
-/// A *group* is any set of cells whose mean irradiance is wanted as one
-/// number — in practice the cells covered by one PV module. Build with
-/// [`SolarDataset::batch`], query with
-/// [`SolarDataset::mean_irradiance_into`] /
-/// [`SolarDataset::mean_irradiance_group_into`], and relocate a single
-/// group with [`set_group`](Self::set_group) or the undo-friendly
-/// [`replace_group`](Self::replace_group) (the annealer moves one module at
-/// a time and rolls rejected proposals back).
-///
-/// ```
-/// use pv_gis::{RoofBuilder, SolarExtractor, Site};
-/// use pv_geom::CellCoord;
-/// use pv_units::{Meters, SimulationClock};
-/// let roof = RoofBuilder::new(Meters::new(4.0), Meters::new(2.0)).build();
-/// let data = SolarExtractor::new(Site::turin(), SimulationClock::days_at_minutes(1, 120))
-///     .extract(&roof);
-/// let cells: Vec<CellCoord> = (0..4).map(|x| CellCoord::new(x, 0)).collect();
-/// let batch = data.batch(&[cells.clone()]);
-/// let mut means = vec![0.0; data.num_steps() as usize];
-/// data.mean_irradiance_into(&batch, 0..data.num_steps(), &mut means);
-/// let scalar: f64 = cells.iter().map(|&c| data.irradiance(c, 6).as_w_per_m2()).sum::<f64>() / 4.0;
-/// assert!((means[6] - scalar).abs() < 1e-9);
-/// ```
-#[derive(Clone, Debug, PartialEq)]
-pub struct IrradianceBatch {
-    groups: Vec<IrradianceGroup>,
-}
-
-impl IrradianceBatch {
-    /// Number of cell groups.
-    #[inline]
-    #[must_use]
-    pub fn num_groups(&self) -> usize {
-        self.groups.len()
-    }
-
-    /// Recomputes the static state of group `g` for a new cell set — the
-    /// single-module relocation path used by simulated annealing.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `g` is out of range, `cells` is empty or contains
-    /// duplicates, or a cell lies outside `dataset`'s grid.
-    pub fn set_group(&mut self, dataset: &SolarDataset, g: usize, cells: &[CellCoord]) {
-        let _ = self.replace_group(dataset, g, cells);
-    }
-
-    /// [`set_group`](Self::set_group), returning the replaced state so a
-    /// speculative move can be undone with
-    /// [`restore_group`](Self::restore_group) at zero recomputation cost.
-    ///
-    /// # Panics
-    ///
-    /// Same conditions as [`set_group`](Self::set_group).
-    pub fn replace_group(
-        &mut self,
-        dataset: &SolarDataset,
-        g: usize,
-        cells: &[CellCoord],
-    ) -> IrradianceGroup {
-        assert!(g < self.num_groups(), "group index out of range");
-        std::mem::replace(&mut self.groups[g], IrradianceGroup::new(dataset, cells))
-    }
-
-    /// Puts a previously [`replace_group`](Self::replace_group)d state back
-    /// — the rollback half of a try/commit/rollback move.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `g` is out of range.
-    pub fn restore_group(&mut self, g: usize, group: IrradianceGroup) {
-        self.groups[g] = group;
-    }
-}
-
 impl SolarDataset {
-    /// Precomputes an [`IrradianceBatch`] over per-group cell lists
-    /// (typically the covered cells of each placed module).
+    /// Precomputes the static state of one cell group (typically the
+    /// covered cells of one placed module) for
+    /// [`mean_irradiance_group_into`](Self::mean_irradiance_group_into).
     ///
     /// # Panics
     ///
-    /// Panics if any group is empty, contains a duplicate cell, or
-    /// contains a cell outside the grid.
+    /// Panics if `cells` is empty, contains a duplicate cell, or contains
+    /// a cell outside the grid.
     #[must_use]
-    pub fn batch(&self, groups: &[Vec<CellCoord>]) -> IrradianceBatch {
-        IrradianceBatch {
-            groups: groups
-                .iter()
-                .map(|group| IrradianceGroup::new(self, group))
-                .collect(),
-        }
+    pub fn irradiance_group(&self, cells: &[CellCoord]) -> IrradianceGroup {
+        IrradianceGroup::new(self, cells)
     }
 
-    /// Writes the mean plane-of-array irradiance of every batch group for
-    /// every step in `steps` into `out`, laid out row-major
-    /// `[step - steps.start][group]`, in W/m².
+    /// Writes the mean plane-of-array irradiance of `group` for every step
+    /// in `steps` into `out` (`out[step - steps.start]`, in W/m²).
     ///
-    /// Equivalent to averaging [`irradiance`](Self::irradiance) over each
+    /// Equivalent to averaging [`irradiance`](Self::irradiance) over the
     /// group's cells, at a fraction of the cost (see the module docs).
+    /// Sub-range stable: every step is computed independently, so any
+    /// sub-range reproduces the matching slice of a full-range call
+    /// bit for bit.
     ///
     /// # Panics
     ///
-    /// Panics if `steps` exceeds the clock range or `out.len()` differs
-    /// from `steps.len() × batch.num_groups()`.
-    pub fn mean_irradiance_into(
-        &self,
-        batch: &IrradianceBatch,
-        steps: core::ops::Range<u32>,
-        out: &mut [f64],
-    ) {
-        assert!(steps.end <= self.num_steps(), "step range out of bounds");
-        let num_groups = batch.num_groups();
-        assert_eq!(
-            out.len(),
-            steps.len() * num_groups,
-            "output buffer must hold steps × groups means"
-        );
-        let plane_normal = self.is_planar().then(|| self.plane_normal());
-
-        for (rel, i) in steps.enumerate() {
-            let row_out = &mut out[rel * num_groups..(rel + 1) * num_groups];
-            let cond = self.conditions(i);
-            if !cond.sun_up {
-                row_out.fill(0.0);
-                continue;
-            }
-            let shadow_row = self.shadow_row_words(i);
-            let beam_poa = step_beam_poa(plane_normal, cond);
-            for (g, out) in row_out.iter_mut().enumerate() {
-                *out = batch.groups[g].mean_at(cond, shadow_row, beam_poa);
-            }
-        }
-    }
-
-    /// Writes the mean plane-of-array irradiance of the single group `g`
-    /// for every step in `steps` into `out` (`out[step - steps.start]`, in
-    /// W/m²) — the kernel behind single-module trace refresh in incremental
-    /// delta evaluation. Bit-identical to the `g`-th column of
-    /// [`mean_irradiance_into`](Self::mean_irradiance_into) over the same
-    /// range.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `g` is out of range, `steps` exceeds the clock range, or
+    /// Panics if `steps` exceeds the clock range or
     /// `out.len() != steps.len()`.
     pub fn mean_irradiance_group_into(
         &self,
-        batch: &IrradianceBatch,
-        g: usize,
+        group: &IrradianceGroup,
         steps: core::ops::Range<u32>,
         out: &mut [f64],
     ) {
-        assert!(g < batch.num_groups(), "group index out of range");
         assert!(steps.end <= self.num_steps(), "step range out of bounds");
         assert_eq!(
             out.len(),
@@ -351,7 +240,6 @@ impl SolarDataset {
             "output buffer must hold one mean per step"
         );
         let plane_normal = self.is_planar().then(|| self.plane_normal());
-        let group = &batch.groups[g];
 
         for (rel, i) in steps.enumerate() {
             let cond = self.conditions(i);
@@ -388,6 +276,16 @@ mod tests {
         ]
     }
 
+    fn chimney() -> Obstacle {
+        Obstacle::chimney(
+            Meters::new(3.0),
+            Meters::new(1.0),
+            Meters::new(0.8),
+            Meters::new(0.8),
+            Meters::new(2.0),
+        )
+    }
+
     fn scalar_mean(data: &SolarDataset, cells: &[CellCoord], i: u32) -> f64 {
         cells
             .iter()
@@ -396,34 +294,33 @@ mod tests {
             / cells.len() as f64
     }
 
+    /// Every group's kernel means agree with the per-cell scalar path.
+    fn assert_matches_scalar_path(data: &SolarDataset) {
+        let n = data.num_steps();
+        for (g, cells) in groups().iter().enumerate() {
+            let group = data.irradiance_group(cells);
+            let mut out = vec![0.0; n as usize];
+            data.mean_irradiance_group_into(&group, 0..n, &mut out);
+            for i in 0..n {
+                let want = scalar_mean(data, cells, i);
+                let got = out[i as usize];
+                assert!(
+                    (got - want).abs() < 1e-9 * want.abs().max(1.0),
+                    "step {i} group {g}: kernel {got} vs scalar {want}"
+                );
+            }
+        }
+    }
+
     #[test]
     fn matches_scalar_path_on_shaded_planar_roof() {
         let roof = RoofBuilder::new(Meters::new(8.0), Meters::new(3.0))
-            .obstacle(Obstacle::chimney(
-                Meters::new(3.0),
-                Meters::new(1.0),
-                Meters::new(0.8),
-                Meters::new(0.8),
-                Meters::new(2.0),
-            ))
+            .obstacle(chimney())
             .build();
         let data = SolarExtractor::new(Site::turin(), SimulationClock::days_at_minutes(3, 60))
             .seed(5)
             .extract(&roof);
-        let groups = groups();
-        let batch = data.batch(&groups);
-        let mut out = vec![0.0; data.num_steps() as usize * 2];
-        data.mean_irradiance_into(&batch, 0..data.num_steps(), &mut out);
-        for i in 0..data.num_steps() {
-            for (g, cells) in groups.iter().enumerate() {
-                let want = scalar_mean(&data, cells, i);
-                let got = out[i as usize * 2 + g];
-                assert!(
-                    (got - want).abs() < 1e-9 * want.abs().max(1.0),
-                    "step {i} group {g}: batched {got} vs scalar {want}"
-                );
-            }
-        }
+        assert_matches_scalar_path(&data);
     }
 
     #[test]
@@ -434,121 +331,34 @@ mod tests {
         let data = SolarExtractor::new(Site::turin(), SimulationClock::days_at_minutes(2, 120))
             .seed(2)
             .extract(&roof);
-        let groups = groups();
-        let batch = data.batch(&groups);
-        let mut out = vec![0.0; data.num_steps() as usize * 2];
-        data.mean_irradiance_into(&batch, 0..data.num_steps(), &mut out);
-        for i in 0..data.num_steps() {
-            for (g, cells) in groups.iter().enumerate() {
-                let want = scalar_mean(&data, cells, i);
-                let got = out[i as usize * 2 + g];
-                assert!(
-                    (got - want).abs() < 1e-9 * want.abs().max(1.0),
-                    "step {i} group {g}: batched {got} vs scalar {want}"
-                );
-            }
-        }
+        assert_matches_scalar_path(&data);
     }
 
     #[test]
     fn sub_range_matches_full_range() {
-        let roof = RoofBuilder::new(Meters::new(6.0), Meters::new(3.0)).build();
-        let data = SolarExtractor::new(Site::turin(), SimulationClock::days_at_minutes(2, 60))
-            .seed(1)
-            .extract(&roof);
-        let groups = groups();
-        let batch = data.batch(&groups);
-        let n = data.num_steps();
-        let mut full = vec![0.0; n as usize * 2];
-        data.mean_irradiance_into(&batch, 0..n, &mut full);
-        let mut part = vec![0.0; 10 * 2];
-        data.mean_irradiance_into(&batch, 12..22, &mut part);
-        assert_eq!(&full[12 * 2..22 * 2], &part[..]);
-    }
-
-    #[test]
-    fn single_group_kernel_is_bit_identical_to_batched_column() {
         for undulating in [false, true] {
             let mut builder =
-                RoofBuilder::new(Meters::new(8.0), Meters::new(3.0)).obstacle(Obstacle::chimney(
-                    Meters::new(3.0),
-                    Meters::new(1.0),
-                    Meters::new(0.8),
-                    Meters::new(0.8),
-                    Meters::new(2.0),
-                ));
+                RoofBuilder::new(Meters::new(8.0), Meters::new(3.0)).obstacle(chimney());
             if undulating {
                 builder = builder.undulation(pv_units::Degrees::new(5.0), Meters::new(2.0), 4);
             }
             let data = SolarExtractor::new(Site::turin(), SimulationClock::days_at_minutes(2, 60))
                 .seed(3)
                 .extract(&builder.build());
-            let groups = groups();
-            let batch = data.batch(&groups);
             let n = data.num_steps();
-            let mut all = vec![0.0; n as usize * 2];
-            data.mean_irradiance_into(&batch, 0..n, &mut all);
-            for g in 0..2 {
-                let mut one = vec![0.0; n as usize];
-                data.mean_irradiance_group_into(&batch, g, 0..n, &mut one);
-                let column: Vec<f64> = (0..n as usize).map(|i| all[i * 2 + g]).collect();
-                assert_eq!(one, column, "undulating {undulating} group {g}");
-                // Sub-ranges agree too.
-                let mut part = vec![0.0; 7];
-                data.mean_irradiance_group_into(&batch, g, 9..16, &mut part);
-                assert_eq!(&one[9..16], &part[..]);
+            for (g, cells) in groups().iter().enumerate() {
+                let group = data.irradiance_group(cells);
+                let mut full = vec![0.0; n as usize];
+                data.mean_irradiance_group_into(&group, 0..n, &mut full);
+                let mut part = vec![0.0; 10];
+                data.mean_irradiance_group_into(&group, 12..22, &mut part);
+                assert_eq!(
+                    &full[12..22],
+                    &part[..],
+                    "undulating {undulating} group {g}"
+                );
             }
         }
-    }
-
-    #[test]
-    fn set_group_relocates_a_module() {
-        let roof = RoofBuilder::new(Meters::new(8.0), Meters::new(3.0))
-            .obstacle(Obstacle::chimney(
-                Meters::new(3.0),
-                Meters::new(1.0),
-                Meters::new(0.8),
-                Meters::new(0.8),
-                Meters::new(2.0),
-            ))
-            .build();
-        let data = SolarExtractor::new(Site::turin(), SimulationClock::days_at_minutes(2, 60))
-            .seed(7)
-            .extract(&roof);
-        let mut all = groups();
-        let mut batch = data.batch(&all);
-        // Move group 1 somewhere else; it must equal a fresh batch.
-        all[1] = (0..8)
-            .flat_map(|x| (0..4).map(move |y| CellCoord::new(30 + x, 8 + y)))
-            .collect();
-        batch.set_group(&data, 1, &all[1]);
-        let fresh = data.batch(&all);
-        let n = data.num_steps();
-        let mut a = vec![0.0; n as usize * 2];
-        let mut b = vec![0.0; n as usize * 2];
-        data.mean_irradiance_into(&batch, 0..n, &mut a);
-        data.mean_irradiance_into(&fresh, 0..n, &mut b);
-        assert_eq!(a, b);
-    }
-
-    #[test]
-    fn replace_then_restore_roundtrips_exactly() {
-        let roof = RoofBuilder::new(Meters::new(8.0), Meters::new(3.0))
-            .undulation(pv_units::Degrees::new(4.0), Meters::new(2.0), 2)
-            .build();
-        let data = SolarExtractor::new(Site::turin(), SimulationClock::days_at_minutes(1, 120))
-            .seed(4)
-            .extract(&roof);
-        let all = groups();
-        let mut batch = data.batch(&all);
-        let pristine = batch.clone();
-        let elsewhere: Vec<CellCoord> = (0..8)
-            .flat_map(|x| (0..4).map(move |y| CellCoord::new(30 + x, 8 + y)))
-            .collect();
-        let old = batch.replace_group(&data, 0, &elsewhere);
-        assert_ne!(batch, pristine);
-        batch.restore_group(0, old);
-        assert_eq!(batch, pristine);
     }
 
     #[test]
@@ -558,7 +368,7 @@ mod tests {
         let data = SolarExtractor::new(Site::turin(), SimulationClock::days_at_minutes(1, 240))
             .extract(&roof);
         let c = CellCoord::new(1, 1);
-        let _ = data.batch(&[vec![c, c]]);
+        let _ = data.irradiance_group(&[c, c]);
     }
 
     #[test]
@@ -567,7 +377,7 @@ mod tests {
         let roof = RoofBuilder::new(Meters::new(4.0), Meters::new(2.0)).build();
         let data = SolarExtractor::new(Site::turin(), SimulationClock::days_at_minutes(1, 240))
             .extract(&roof);
-        let _ = data.batch(&[Vec::new()]);
+        let _ = data.irradiance_group(&[]);
     }
 
     #[test]
@@ -576,9 +386,10 @@ mod tests {
         let roof = RoofBuilder::new(Meters::new(4.0), Meters::new(2.0)).build();
         let data = SolarExtractor::new(Site::turin(), SimulationClock::days_at_minutes(1, 240))
             .extract(&roof);
-        let batch = data.batch(&[vec![CellCoord::new(0, 0)]]);
-        let mut out = vec![0.0; 3];
-        data.mean_irradiance_into(&batch, 0..data.num_steps(), &mut out);
+        let group = data.irradiance_group(&[CellCoord::new(0, 0)]);
+        // One slot too many.
+        let mut out = vec![0.0; data.num_steps() as usize + 1];
+        data.mean_irradiance_group_into(&group, 0..data.num_steps(), &mut out);
     }
 
     #[test]
@@ -587,8 +398,9 @@ mod tests {
         let roof = RoofBuilder::new(Meters::new(4.0), Meters::new(2.0)).build();
         let data = SolarExtractor::new(Site::turin(), SimulationClock::days_at_minutes(1, 240))
             .extract(&roof);
-        let batch = data.batch(&[vec![CellCoord::new(0, 0)]]);
+        let group = data.irradiance_group(&[CellCoord::new(0, 0)]);
+        // Too few slots.
         let mut out = vec![0.0; 2];
-        data.mean_irradiance_group_into(&batch, 0, 0..data.num_steps(), &mut out);
+        data.mean_irradiance_group_into(&group, 0..data.num_steps(), &mut out);
     }
 }

@@ -76,7 +76,7 @@ pub mod synth;
 pub mod transposition;
 mod weather;
 
-pub use batch::{IrradianceBatch, IrradianceGroup};
+pub use batch::IrradianceGroup;
 pub use clearsky::ClearSky;
 pub use dataset::{CellWeatherView, SolarDataset, StepConditions};
 pub use dsm::{Dsm, RoofBuilder, RoofGeometry};

@@ -3,7 +3,7 @@
 //! Builds the synthetic reconstructions of the three industrial roofs,
 //! runs traditional-vs-proposed for N = 16, and prints the comparison —
 //! a fast preview of the full Table I harness
-//! (`cargo run -p pv-bench --bin table1 --release`).
+//! (`cargo run -p pv_bench --bin table1 --release`).
 //!
 //! Run: `cargo run --example industrial_roofs --release`
 
@@ -39,6 +39,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             e_p.energy.percent_gain_over(e_c.energy)
         );
     }
-    println!("\nfull-year Table I: cargo run -p pv-bench --bin table1 --release");
+    println!("\nfull-year Table I: cargo run -p pv_bench --bin table1 --release");
     Ok(())
 }
