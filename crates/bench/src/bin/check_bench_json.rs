@@ -142,6 +142,8 @@ fn validate_exposition(doc: &str) -> Result<usize, String> {
         "pv_requests_total",
         "pv_place_ok_total",
         "pv_errors_total",
+        "pv_store_writes_total",
+        "pv_cache_entries",
         "pv_place_latency_us",
     ] {
         if !declared.iter().any(|d| d == required) {
@@ -670,6 +672,12 @@ mod tests {
         # HELP pv_errors_total Requests answered with a 4xx/5xx.\n\
         # TYPE pv_errors_total counter\n\
         pv_errors_total 0\n\
+        # HELP pv_store_writes_total Snapshots committed to disk.\n\
+        # TYPE pv_store_writes_total counter\n\
+        pv_store_writes_total 3\n\
+        # HELP pv_cache_entries Sites in the warm cache.\n\
+        # TYPE pv_cache_entries gauge\n\
+        pv_cache_entries 5\n\
         # HELP pv_place_latency_us End-to-end /v1/place latency, microseconds.\n\
         # TYPE pv_place_latency_us histogram\n\
         pv_place_latency_us_bucket{le=\"64\"} 1\n\
@@ -679,13 +687,13 @@ mod tests {
 
     #[test]
     fn accepts_a_real_metrics_scrape() {
-        assert_eq!(validate(GOOD_EXPOSITION), Ok(7));
+        assert_eq!(validate(GOOD_EXPOSITION), Ok(9));
         // Histogram series with labels resolve to their family's TYPE.
         let stage = format!(
             "{GOOD_EXPOSITION}# TYPE pv_stage_us histogram\n\
              pv_stage_us_bucket{{stage=\"solve\",le=\"+Inf\"}} 3\n"
         );
-        assert_eq!(validate(&stage), Ok(8));
+        assert_eq!(validate(&stage), Ok(10));
     }
 
     #[test]
@@ -717,6 +725,14 @@ mod tests {
             (
                 "# HELP x y\n# TYPE x counter\nx 1\n".to_string(),
                 "missing the required serving families",
+            ),
+            (
+                GOOD_EXPOSITION.replace("pv_store_writes_total", "pv_store_other_total"),
+                "missing the store write counter",
+            ),
+            (
+                GOOD_EXPOSITION.replace("pv_cache_entries", "pv_cache_other"),
+                "missing the cache entries gauge",
             ),
         ] {
             assert!(validate(&doc).is_err(), "accepted {why}: {doc}");

@@ -59,7 +59,7 @@ use pv_gis::ScenarioSpec;
 use pv_obs::Timer;
 use pv_runtime::Runtime;
 use pv_server::http::send_request;
-use pv_server::{PlacementService, Router, RouterConfig, Server, ServiceConfig};
+use pv_server::{PlacementService, Router, RouterConfig, Server, ServiceConfig, StatsSnapshot};
 use pv_store::SiteStore;
 use std::net::SocketAddr;
 use std::sync::Arc;
@@ -187,22 +187,15 @@ fn percentile_ms(latencies_us: &[u64], q: f64) -> f64 {
     pv_server::percentile_us(latencies_us, q) / 1e3
 }
 
-/// Reads the server's cumulative `(cache_hits, cache_misses)` counters
-/// from `/v1/stats`.
-fn cache_counts(addr: SocketAddr) -> Result<(f64, f64), String> {
-    let (status, stats) =
+/// Fetches and decodes the target's `/v1/stats` — one schema, the
+/// server's own [`StatsSnapshot`].
+fn fetch_stats(addr: SocketAddr) -> Result<StatsSnapshot, String> {
+    let (status, body) =
         send_request(addr, "GET", "/v1/stats", b"").map_err(|e| format!("stats failed: {e}"))?;
     if status != 200 {
         return Err(format!("stats returned HTTP {status}"));
     }
-    let stats = json::parse(&stats).map_err(|e| format!("stats body: {e}"))?;
-    let number = |key: &str| -> Result<f64, String> {
-        stats
-            .get(key)
-            .and_then(json::JsonValue::as_number)
-            .ok_or_else(|| format!("stats body missing numeric '{key}'"))
-    };
-    Ok((number("cache_hits")?, number("cache_misses")?))
+    StatsSnapshot::from_json(&body)
 }
 
 /// One artifact record: shared `bench`/`scale`/`name` core + the server
@@ -267,29 +260,15 @@ fn record(
     )
 }
 
-/// Per-phase cache hit rate from before/after `(hits, misses)` counter
-/// snapshots, so prior traffic never contaminates a phase's number.
-fn phase_rate(before: (f64, f64), after: (f64, f64)) -> f64 {
-    let lookups = (after.0 + after.1) - (before.0 + before.1);
-    if lookups <= 0.0 {
-        0.0
-    } else {
-        (after.0 - before.0) / lookups
+/// Per-phase cache hit rate from before/after stats snapshots, so prior
+/// traffic never contaminates a phase's number.
+fn phase_rate(before: &StatsSnapshot, after: &StatsSnapshot) -> f64 {
+    StatsSnapshot {
+        cache_hits: after.cache_hits.saturating_sub(before.cache_hits),
+        cache_misses: after.cache_misses.saturating_sub(before.cache_misses),
+        ..StatsSnapshot::default()
     }
-}
-
-/// Reads one numeric field from `/v1/stats`.
-fn stat_number(addr: SocketAddr, key: &str) -> Result<f64, String> {
-    let (status, stats) =
-        send_request(addr, "GET", "/v1/stats", b"").map_err(|e| format!("stats failed: {e}"))?;
-    if status != 200 {
-        return Err(format!("stats returned HTTP {status}"));
-    }
-    json::parse(&stats)
-        .map_err(|e| format!("stats body: {e}"))?
-        .get(key)
-        .and_then(json::JsonValue::as_number)
-        .ok_or_else(|| format!("stats body missing numeric '{key}'"))
+    .cache_hit_rate()
 }
 
 /// Extracts one counter's value from Prometheus exposition text. Pure,
@@ -479,11 +458,11 @@ fn run_router_curve(
         )?;
 
         // Warm mix through the proxy: the throughput measurement.
-        let before = cache_counts(addr)?;
+        let before = fetch_stats(addr)?;
         let t0 = Timer::start();
         let warm = run_phase(addr, &mix, args.clients)?;
         let wall = t0.elapsed_us() as f64 / 1e6;
-        let after = cache_counts(addr)?;
+        let after = fetch_stats(addr)?;
         check_place_counter(
             &format!("shards_{shards} warm mix"),
             ok_cold,
@@ -502,7 +481,7 @@ fn run_router_curve(
             &format!("shards_{shards}"),
             &warm,
             wall,
-            phase_rate(before, after),
+            phase_rate(&before, &after),
             None,
             Some((shards, cpus)),
         ));
@@ -551,12 +530,12 @@ fn run(args: &LoadgenArgs) -> Result<(), String> {
     // fresh server). Hit rates are computed as *per-phase deltas* of the
     // server's counters, so prior traffic on an external `--addr` server
     // never contaminates a phase's number.
-    let before_cold = cache_counts(addr)?;
+    let before_cold = fetch_stats(addr)?;
     let ok_start = scrape_place_ok(addr)?;
     let t0 = Timer::start();
     let cold = run_phase(addr, &bodies, 1)?;
     let cold_wall = t0.elapsed_us() as f64 / 1e6;
-    let before_warm = cache_counts(addr)?;
+    let before_warm = fetch_stats(addr)?;
     let ok_cold = scrape_place_ok(addr)?;
     check_place_counter("cold", ok_start, ok_cold, bodies.len())?;
 
@@ -567,10 +546,10 @@ fn run(args: &LoadgenArgs) -> Result<(), String> {
     let t0 = Timer::start();
     let warm = run_phase(addr, &mix, args.clients)?;
     let warm_wall = t0.elapsed_us() as f64 / 1e6;
-    let after_warm = cache_counts(addr)?;
+    let after_warm = fetch_stats(addr)?;
     check_place_counter("warm_mix", ok_cold, scrape_place_ok(addr)?, mix.len())?;
 
-    let hit_rate = phase_rate(before_warm, after_warm);
+    let hit_rate = phase_rate(&before_warm, &after_warm);
 
     let scale = format!(
         "{} sites, {} clients, seed {}, smoke clock",
@@ -582,7 +561,7 @@ fn run(args: &LoadgenArgs) -> Result<(), String> {
             "cold",
             &cold,
             cold_wall,
-            phase_rate(before_cold, before_warm),
+            phase_rate(&before_cold, &before_warm),
             None,
         ),
         record(&scale, "warm_mix", &warm, warm_wall, hit_rate, None),
@@ -621,9 +600,9 @@ fn run(args: &LoadgenArgs) -> Result<(), String> {
             scrape_place_ok(server.local_addr())?,
             bodies.len(),
         )?;
-        let store_hits = stat_number(server.local_addr(), "store_hits")?;
-        let cache_hits = stat_number(server.local_addr(), "cache_hits")?;
-        let snapshots = stat_number(server.local_addr(), "store_hydrated")?;
+        let stats = fetch_stats(server.local_addr())?;
+        let (store_hits, cache_hits) = (stats.store_hits as f64, stats.cache_hits as f64);
+        let snapshots = stats.store_hydrated;
         server.shutdown();
         drop(service);
 
@@ -679,8 +658,10 @@ fn run(args: &LoadgenArgs) -> Result<(), String> {
     );
     println!(
         "server counters this run: {} hit(s), {} miss(es)",
-        after_warm.0 - before_cold.0,
-        after_warm.1 - before_cold.1,
+        after_warm.cache_hits.saturating_sub(before_cold.cache_hits),
+        after_warm
+            .cache_misses
+            .saturating_sub(before_cold.cache_misses),
     );
     if let Some((cold_lat, hydrated_lat, store_hit_rate, snapshots)) = restart {
         println!(

@@ -22,7 +22,7 @@
 //! | `/v1/place` | POST | spec string or JSON request | placement + energy report (JSON) |
 //! | `/v1/healthz` | GET | — | `{"status": "ok"}` |
 //! | `/v1/stats` | GET | — | cache hits/misses, snapshot-store counters, queue depth, histogram quantiles, sparse histogram encodings |
-//! | `/v1/metrics` | GET | — | Prometheus exposition text: counters, rates, latency + per-stage histograms |
+//! | `/v1/metrics` | GET | — | Prometheus exposition text of the same snapshot: counters (store counters included), gauges, rates, latency + per-stage histograms |
 //!
 //! # Observability
 //!

@@ -5,7 +5,7 @@
 
 use crate::cache::{CachedSite, SiteCache};
 use crate::server::RequestContext;
-use crate::stats::ServiceStats;
+use crate::stats::{ServiceStats, StatsSnapshot};
 use pv_floorplan::{
     FloorplanConfig, FloorplanResult, Placer, PlacerOptions, SuitabilityMap, TraceMemo,
 };
@@ -13,12 +13,12 @@ use pv_gis::synth::fnv1a;
 use pv_gis::ScenarioSpec;
 use pv_json::{JsonValue, ObjectBuilder};
 use pv_model::Topology;
-use pv_obs::{derive_trace_id, event_line, Exposition, Stage, StageTimes, Timer, TraceLog};
+use pv_obs::{derive_trace_id, event_line, Stage, StageTimes, Timer, TraceLog};
 use pv_runtime::Runtime;
 use pv_store::{SiteStore, SnapshotMeta};
 use pv_units::SimulationClock;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// Topology ladder tried largest-first when a request does not pin
 /// `series`/`strings`: big roofs get paper-scale panels, small ones
@@ -350,7 +350,7 @@ impl PlacementService {
         }
         let mut times = StageTimes::default();
         times.add(Stage::StoreHydrate, timer.elapsed_us());
-        self.stats.record_stages(&times);
+        self.stats.update(|stats| stats.stages.record(&times));
         Ok(seeded)
     }
 
@@ -414,26 +414,29 @@ impl PlacementService {
         body: &[u8],
         ctx: &RequestContext,
     ) -> (u16, String) {
-        self.stats.record_request();
+        self.stats.update(|stats| stats.requests += 1);
         let timer = Timer::start();
         let mut spans = StageTimes::default();
         let path = target.split('?').next().unwrap_or(target);
         let (status, response) = match (method, path) {
             ("GET", "/v1/healthz") => (200, r#"{"status": "ok"}"#.to_string()),
-            ("GET", "/v1/stats") => match self.stats_body(ctx.queue_depth) {
-                Ok(body) => (200, body),
-                Err(error) => error,
-            },
-            ("GET", "/v1/metrics") => match self.metrics_body(ctx.queue_depth) {
-                Ok(body) => (200, body),
-                Err(error) => error,
-            },
+            ("GET", "/v1/stats") => (200, self.snapshot(ctx.queue_depth).to_json(None)),
+            ("GET", "/v1/metrics") => (200, self.snapshot(ctx.queue_depth).to_exposition(None)),
             ("POST", "/v1/place") => match core::str::from_utf8(body) {
                 Err(_) => (400, error_body("request body must be UTF-8")),
                 Ok(text) => match self.place_traced(text, &mut spans) {
                     Ok((response, cache_hit)) => {
-                        self.stats.record_place(cache_hit, timer.elapsed_us());
-                        self.stats.record_stages(&spans);
+                        let latency_us = timer.elapsed_us();
+                        self.stats.update(|stats| {
+                            stats.place_ok += 1;
+                            if cache_hit {
+                                stats.cache_hits += 1;
+                            } else {
+                                stats.cache_misses += 1;
+                            }
+                            stats.latency.record(latency_us);
+                            stats.stages.record(&spans);
+                        });
                         (200, response)
                     }
                     Err((status, body)) => (status, body),
@@ -446,7 +449,7 @@ impl PlacementService {
             _ => (404, error_body(&format!("no such route '{path}'"))),
         };
         if status >= 400 {
-            self.stats.record_error();
+            self.stats.update(|stats| stats.errors += 1);
         }
         if let Some(log) = &self.trace_log {
             // Forwarded id (router→shard) or a fresh request-derived one.
@@ -565,7 +568,7 @@ impl PlacementService {
         spans.add(Stage::CacheLookup, lookup_timer.elapsed_us());
         if let Some(site) = warm {
             if site.from_store {
-                self.stats.record_store_hit();
+                self.stats.update(|stats| stats.store_hits += 1);
             }
             return Ok((site, true));
         }
@@ -683,152 +686,31 @@ impl PlacementService {
         }
     }
 
-    /// Renders the `/v1/stats` body. Unlike `/v1/place` responses this is
-    /// *observability*, not part of the determinism contract.
-    ///
-    /// # Errors
-    ///
-    /// `500` when the cache lock is poisoned.
-    fn stats_body(&self, queue_depth: usize) -> Result<String, (u16, String)> {
-        let snap = self.stats.snapshot();
-        let (entries, bytes, budget) = {
-            let cache = self
-                .cache
-                .lock()
-                .map_err(|_| internal_error("site cache lock poisoned"))?;
-            (cache.len(), cache.bytes(), cache.budget_bytes())
-        };
-        // Store counters are zeros on a storeless service so the stats
-        // schema is stable either way.
-        let (hydrated, quarantined, skipped, writes, write_errors) =
-            self.store.as_ref().map_or((0, 0, 0, 0, 0), |store| {
-                let c = store.counters();
-                (
-                    c.hydrated(),
-                    c.quarantined(),
-                    c.skipped(),
-                    c.writes(),
-                    c.write_errors(),
-                )
-            });
-        Ok(ObjectBuilder::new()
-            .field("requests", snap.requests as f64)
-            .field("place_ok", snap.place_ok as f64)
-            .field("errors", snap.errors as f64)
-            .field("cache_hits", snap.cache_hits as f64)
-            .field("cache_misses", snap.cache_misses as f64)
-            .field("cache_hit_rate", pv_json::rounded(snap.cache_hit_rate(), 4))
-            .field("cache_entries", entries)
-            .field("cache_bytes", bytes)
-            .field("cache_budget_bytes", budget)
-            .field("store_hits", snap.store_hits as f64)
-            .field("store_hydrated", hydrated as f64)
-            .field("store_quarantined", quarantined as f64)
-            .field("store_skipped", skipped as f64)
-            .field("store_writes", writes as f64)
-            .field("store_write_errors", write_errors as f64)
-            .field("queue_depth", queue_depth)
-            .field("p50_ms", pv_json::rounded(snap.p50_ms, 3))
-            .field("p99_ms", pv_json::rounded(snap.p99_ms, 3))
-            .field(
-                "trace_dropped",
-                self.trace_log.as_ref().map_or(0.0, |l| l.dropped() as f64),
-            )
-            // Sparse histogram encodings: what makes the router's merged
-            // quantiles exact instead of a weighted average of quantiles.
-            .field("latency_hist", self.stats.latency_histogram().to_sparse())
-            .field("stage_hists", self.stats.stage_histograms().to_sparse())
-            .build()
-            .to_json_string())
-    }
-
-    /// Renders the Prometheus-text `/v1/metrics` body: counters, rates,
-    /// the request-latency histogram and the per-stage histograms. Like
-    /// `/v1/stats`, observability only — deliberately outside the
-    /// determinism boundary.
-    ///
-    /// # Errors
-    ///
-    /// `500` when the cache lock is poisoned.
-    fn metrics_body(&self, queue_depth: usize) -> Result<String, (u16, String)> {
-        let snap = self.stats.snapshot();
-        let cache_entries = {
-            let cache = self
-                .cache
-                .lock()
-                .map_err(|_| internal_error("site cache lock poisoned"))?;
-            cache.len()
-        };
-        let mut doc = Exposition::new();
-        doc.counter(
-            "pv_requests_total",
-            "Requests routed, any endpoint.",
-            snap.requests,
-        );
-        doc.counter(
-            "pv_place_ok_total",
-            "Successful /v1/place solves.",
-            snap.place_ok,
-        );
-        doc.counter(
-            "pv_errors_total",
-            "Requests answered with a 4xx/5xx.",
-            snap.errors,
-        );
-        doc.counter(
-            "pv_cache_hits_total",
-            "Warm site-cache hits.",
-            snap.cache_hits,
-        );
-        doc.counter(
-            "pv_cache_misses_total",
-            "Cold site extractions.",
-            snap.cache_misses,
-        );
-        doc.counter(
-            "pv_store_hits_total",
-            "Cache hits on store-hydrated entries.",
-            snap.store_hits,
-        );
-        doc.counter(
-            "pv_trace_dropped_total",
-            "Trace events lost to a full ring or failed writes.",
-            self.trace_log.as_ref().map_or(0, |l| l.dropped()),
-        );
-        doc.gauge(
-            "pv_cache_hit_rate",
-            "Cache hits over lookups.",
-            snap.cache_hit_rate(),
-        );
-        doc.gauge(
-            "pv_cache_entries",
-            "Sites in the warm cache.",
-            cache_entries as f64,
-        );
-        doc.gauge(
-            "pv_queue_depth",
-            "Accepted connections awaiting a worker.",
-            queue_depth as f64,
-        );
-        doc.histogram(
-            "pv_place_latency_us",
-            "End-to-end /v1/place latency, microseconds.",
-            None,
-            &self.stats.latency_histogram(),
-        );
-        let stages = self.stats.stage_histograms();
-        for stage in Stage::ALL {
-            let hist = stages.get(stage);
-            if !hist.is_empty() {
-                doc.histogram(
-                    "pv_stage_us",
-                    "Per-stage span duration, microseconds.",
-                    Some(("stage", stage.name())),
-                    hist,
-                );
-            }
+    /// Fills the one stats snapshot both `/v1/stats` and `/v1/metrics`
+    /// render: the recorded counters and histograms, the cache gauges,
+    /// the store counters (zero without a store, so the schema is stable
+    /// either way), the transport backlog and the trace-log drops. A
+    /// poisoned cache lock still yields its gauges: stats keep answering
+    /// when something else has failed.
+    fn snapshot(&self, queue_depth: usize) -> StatsSnapshot {
+        let mut snap = self.stats.snapshot();
+        {
+            let cache = self.cache.lock().unwrap_or_else(PoisonError::into_inner);
+            snap.cache_entries = cache.len() as u64;
+            snap.cache_bytes = cache.bytes() as u64;
+            snap.cache_budget_bytes = cache.budget_bytes() as u64;
         }
-        Ok(doc.finish())
+        if let Some(store) = &self.store {
+            let counters = store.counters();
+            snap.store_hydrated = counters.hydrated();
+            snap.store_quarantined = counters.quarantined();
+            snap.store_skipped = counters.skipped();
+            snap.store_writes = counters.writes();
+            snap.store_write_errors = counters.write_errors();
+        }
+        snap.queue_depth = queue_depth as u64;
+        snap.trace_dropped = self.trace_log.as_ref().map_or(0, |log| log.dropped());
+        snap
     }
 }
 
@@ -1225,10 +1107,74 @@ mod tests {
         assert!(hit, "hydrated site must be a warm cache hit");
         assert_eq!(hydrated, baseline, "store must never change response bytes");
         assert_eq!(restarted.stats().snapshot().store_hits, 1);
-        let stats = pv_json::parse(&restarted.stats_body(0).unwrap()).unwrap();
+        let (_, stats) = restarted.handle("GET", "/v1/stats", b"", &depth(0));
+        let stats = pv_json::parse(&stats).unwrap();
         assert_eq!(stats.get("store_hits").unwrap().as_number(), Some(1.0));
         assert_eq!(stats.get("store_hydrated").unwrap().as_number(), Some(1.0));
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn store_counters_reach_both_renderings() {
+        let dir = store_scratch("renderings");
+        let store = Arc::new(SiteStore::open(&dir).unwrap());
+        let service = PlacementService::new(ServiceConfig::tiny()).with_store(Arc::clone(&store));
+        service.place(&spec_body(1)).unwrap();
+        service.drain_store();
+        assert_eq!(store.counters().writes(), 1);
+
+        let (_, stats) = service.handle("GET", "/v1/stats", b"", &depth(0));
+        let stats = pv_json::parse(&stats).unwrap();
+        let (_, text) = service.handle("GET", "/v1/metrics", b"", &depth(0));
+        for (key, metric) in [
+            ("store_hits", "pv_store_hits_total"),
+            ("store_hydrated", "pv_store_hydrated_total"),
+            ("store_quarantined", "pv_store_quarantined_total"),
+            ("store_skipped", "pv_store_skipped_total"),
+            ("store_writes", "pv_store_writes_total"),
+            ("store_write_errors", "pv_store_write_errors_total"),
+        ] {
+            let value = stats.get(key).and_then(JsonValue::as_number).unwrap();
+            let line = format!("\n{metric} {value}\n");
+            assert!(
+                text.contains(&line),
+                "{key} = {value} missing from:\n{text}"
+            );
+        }
+        assert!(text.contains("\npv_store_writes_total 1\n"), "{text}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn stats_keys_are_a_superset_of_the_published_schema() {
+        let (status, stats) = service().handle("GET", "/v1/stats", b"", &depth(0));
+        assert_eq!(status, 200);
+        let stats = pv_json::parse(&stats).unwrap();
+        for key in [
+            "requests",
+            "place_ok",
+            "errors",
+            "cache_hits",
+            "cache_misses",
+            "cache_hit_rate",
+            "cache_entries",
+            "cache_bytes",
+            "cache_budget_bytes",
+            "store_hits",
+            "store_hydrated",
+            "store_quarantined",
+            "store_skipped",
+            "store_writes",
+            "store_write_errors",
+            "queue_depth",
+            "p50_ms",
+            "p99_ms",
+            "trace_dropped",
+            "latency_hist",
+            "stage_hists",
+        ] {
+            assert!(stats.get(key).is_some(), "/v1/stats lost '{key}'");
+        }
     }
 
     #[test]
@@ -1293,7 +1239,7 @@ mod tests {
         let service = PlacementService::new(config);
         service.place(&spec_body(0)).unwrap();
         service.place(&spec_body(1)).unwrap();
-        let stats = service.stats_body(0).unwrap();
+        let (_, stats) = service.handle("GET", "/v1/stats", b"", &depth(0));
         let parsed = pv_json::parse(&stats).unwrap();
         assert_eq!(parsed.get("cache_entries").unwrap().as_number(), Some(1.0));
         // Re-requesting the evicted site is a miss, not an error.
