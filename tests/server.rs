@@ -19,7 +19,8 @@ use pvfloorplan::server::http::send_request;
 use pvfloorplan::server::{place_shard_key, HashRing, PlacementService, Server, ServiceConfig};
 use pvfloorplan::store::SiteStore;
 use std::collections::BTreeMap;
-use std::net::SocketAddr;
+use std::io::{Read, Write};
+use std::net::{SocketAddr, TcpStream};
 use std::process::{Child, Command, Stdio};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -84,6 +85,10 @@ fn fire_interleaved(
     by_request
 }
 
+/// How long the server may take to read one whole request before it
+/// closes the connection.
+const READ_DEADLINE: Duration = Duration::from_secs(2);
+
 fn start_server(threads: usize) -> Server {
     let config = ServiceConfig::tiny();
     let service = Arc::new(PlacementService::new(config));
@@ -122,6 +127,76 @@ fn stat(addr: SocketAddr, field: &str) -> f64 {
         .get(field)
         .and_then(|v| v.as_number())
         .unwrap_or_else(|| panic!("stats field {field} missing"))
+}
+
+/// Opens a client that sends half a request line and then stalls — a
+/// slow or half-open peer holding a connection without ever finishing
+/// its request.
+fn stalled_client(addr: SocketAddr) -> TcpStream {
+    let mut stream = TcpStream::connect(addr).expect("connect stalled client");
+    stream
+        .write_all(b"POST /v1/pla")
+        .expect("write half a request line");
+    stream
+}
+
+/// One raw `GET` whose whole exchange must finish within `limit`:
+/// returns the elapsed time and the raw response text.
+fn get_within(addr: SocketAddr, path: &str, limit: Duration) -> (Duration, String) {
+    let started = Instant::now();
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    stream.set_read_timeout(Some(limit)).expect("read timeout");
+    write!(stream, "GET {path} HTTP/1.1\r\nHost: pv\r\n\r\n").expect("write request");
+    let mut response = String::new();
+    stream
+        .read_to_string(&mut response)
+        .unwrap_or_else(|e| panic!("GET {path} not answered within {limit:?}: {e}"));
+    (started.elapsed(), response)
+}
+
+#[test]
+fn stalled_clients_cannot_starve_healthz_or_change_place_bytes() {
+    let body = ScenarioSpec::generate(2018, 0).to_spec_string();
+    let idle = start_server(2);
+    let reference = post_place(idle.local_addr(), &body);
+    idle.shutdown();
+
+    // More stalled clients than solve workers: under a transport that
+    // reads on the solve pool, every worker is now blocked in a read.
+    let server = start_server(2);
+    let addr = server.local_addr();
+    let opened = Instant::now();
+    let mut stalled: Vec<TcpStream> = (0..3).map(|_| stalled_client(addr)).collect();
+    std::thread::sleep(Duration::from_millis(50));
+
+    let (elapsed, health) = get_within(addr, "/v1/healthz", Duration::from_secs(1));
+    assert!(health.starts_with("HTTP/1.1 200"), "{health}");
+    assert!(
+        elapsed < Duration::from_millis(100),
+        "healthz took {elapsed:?} behind 3 stalled clients"
+    );
+    assert_eq!(
+        post_place(addr, &body),
+        reference,
+        "stalled clients changed /v1/place bytes"
+    );
+
+    // The stalled sockets are closed by the server once the request
+    // deadline passes — an EOF, not a hang until the client gives up.
+    let deadline = READ_DEADLINE + Duration::from_millis(500);
+    for client in &mut stalled {
+        let left = deadline
+            .saturating_sub(opened.elapsed())
+            .max(Duration::from_millis(1));
+        client.set_read_timeout(Some(left)).expect("read timeout");
+        let mut rest = Vec::new();
+        let read = client.read_to_end(&mut rest);
+        assert!(
+            matches!(read, Ok(0)),
+            "stalled client not closed within {deadline:?}: {read:?}"
+        );
+    }
+    server.shutdown();
 }
 
 #[test]
