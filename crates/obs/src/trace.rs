@@ -58,12 +58,16 @@ pub fn parse_trace_id(text: &str) -> Option<u64> {
     u64::from_str_radix(text, 16).ok()
 }
 
-/// The instrumented stages of a placement request, in pipeline order.
+/// The instrumented stages of a placement request: the handler's stages
+/// in pipeline order, then the transport's.
 ///
 /// `CacheLookup` covers the warm-cache probe, `StoreHydrate` the
 /// snapshot-store read on a cache miss, `Extract` the cold GIS
 /// extraction, `MemoWarm` the ladder-choice memoization, `Solve` the
-/// placement solve itself, and `Encode` response rendering.
+/// placement solve itself, and `Encode` response rendering. `Read` runs
+/// from `accept` until the whole request is parsed, and `QueueWait` from
+/// the parsed request's hand-off to the worker pool until a worker takes
+/// it.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Stage {
     /// Cold GIS extraction of a site.
@@ -78,17 +82,23 @@ pub enum Stage {
     Solve,
     /// Response-body rendering.
     Encode,
+    /// Transport: accept until the whole request is read.
+    Read,
+    /// Transport: wait in the worker pool's queue.
+    QueueWait,
 }
 
 impl Stage {
-    /// Every stage, in pipeline order.
-    pub const ALL: [Stage; 6] = [
+    /// Every stage, in declaration order.
+    pub const ALL: [Stage; 8] = [
         Stage::Extract,
         Stage::CacheLookup,
         Stage::StoreHydrate,
         Stage::MemoWarm,
         Stage::Solve,
         Stage::Encode,
+        Stage::Read,
+        Stage::QueueWait,
     ];
 
     /// Number of stages.
@@ -105,6 +115,8 @@ impl Stage {
             Stage::MemoWarm => "memo_warm",
             Stage::Solve => "solve",
             Stage::Encode => "encode",
+            Stage::Read => "read",
+            Stage::QueueWait => "queue_wait",
         }
     }
 

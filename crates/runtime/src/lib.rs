@@ -33,9 +33,11 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod gate;
 pub mod pool;
 pub mod proc;
 
+pub use gate::{Gate, Permit, Spawner};
 pub use pool::WorkerPool;
 pub use proc::{ChildSpec, Supervisor};
 

@@ -11,10 +11,12 @@ use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::Duration;
 
-/// Socket read/write timeout shared by the server's per-connection
-/// sockets and the one-shot client, so "how long may one side stall"
-/// has exactly one answer. Sized for the slowest legitimate exchange —
-/// a cold `/v1/place` extraction at production clock resolution.
+/// Per-operation socket timeout of the one-shot client (reads and
+/// writes) and of the server's response writes. Sized for the slowest
+/// legitimate exchange — a client waiting out a cold `/v1/place`
+/// extraction at production clock resolution. The server does not read
+/// requests under it: a request must arrive whole within
+/// [`READ_DEADLINE`](crate::READ_DEADLINE) of `accept`.
 pub const IO_TIMEOUT: Duration = Duration::from_secs(30);
 /// Upper bound on a request body (64 KiB — a spec string is ~200 bytes).
 pub const MAX_BODY_BYTES: usize = 64 * 1024;

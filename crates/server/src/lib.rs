@@ -82,6 +82,6 @@ pub mod stats;
 
 pub use ring::HashRing;
 pub use router::{place_shard_key, Router, RouterConfig};
-pub use server::{Handler, RequestContext, Server};
+pub use server::{Handler, RequestContext, Server, READ_DEADLINE};
 pub use service::{PlaceRequest, PlacementService, ServiceConfig};
 pub use stats::{percentile_us, ServiceStats, StatsSnapshot};

@@ -57,12 +57,12 @@ use crate::server::{Handler, RequestContext};
 use crate::service::{error_body, PlaceRequest};
 use crate::stats::{Fleet, StatsSnapshot};
 use pv_gis::synth::fnv1a;
-use pv_obs::{derive_trace_id, event_line, StageTimes, Timer, TraceLog};
-use pv_runtime::{ChildSpec, Supervisor};
+use pv_obs::{derive_trace_id, event_line, Timer, TraceLog};
+use pv_runtime::{ChildSpec, Gate, Supervisor};
 use std::net::SocketAddr;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, PoisonError};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Duration;
 
 /// Supervisor poll interval for dead-worker detection.
@@ -133,49 +133,6 @@ impl RouterConfig {
     }
 }
 
-/// A counting semaphore bounding concurrent connections to one shard.
-struct Gate {
-    free: Mutex<usize>,
-    available: Condvar,
-}
-
-impl Gate {
-    fn new(permits: usize) -> Self {
-        Self {
-            free: Mutex::new(permits.max(1)),
-            available: Condvar::new(),
-        }
-    }
-
-    fn acquire(&self) -> GatePermit<'_> {
-        let mut free = self.free.lock().unwrap_or_else(PoisonError::into_inner);
-        while *free == 0 {
-            free = self
-                .available
-                .wait(free)
-                .unwrap_or_else(PoisonError::into_inner);
-        }
-        *free -= 1;
-        GatePermit { gate: self }
-    }
-}
-
-struct GatePermit<'a> {
-    gate: &'a Gate,
-}
-
-impl Drop for GatePermit<'_> {
-    fn drop(&mut self) {
-        let mut free = self
-            .gate
-            .free
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
-        *free += 1;
-        self.gate.available.notify_one();
-    }
-}
-
 /// Router-side state for one backend worker.
 struct ShardSlot {
     /// File the worker writes its bound address into (rewritten by every
@@ -183,6 +140,7 @@ struct ShardSlot {
     port_file: PathBuf,
     /// Last known good address; refreshed from the port file on failure.
     addr: Mutex<Option<SocketAddr>>,
+    /// Bounds concurrent proxy connections to this shard.
     gate: Gate,
 }
 
@@ -473,14 +431,15 @@ impl Handler for Router {
             _ => (404, error_body(&format!("no such route '{path}'"))),
         };
         if let Some(log) = &self.trace_log {
-            // Router events carry no stage spans (stages are measured on
-            // the shard that solved); the shared trace id is the join key.
+            // Router events carry only the router's own transport spans
+            // (the solve stages are measured on the shard that solved);
+            // the shared trace id is the join key.
             log.push(event_line(
                 trace,
                 path,
                 status,
                 timer.elapsed_us(),
-                &StageTimes::default(),
+                &ctx.spans(),
             ));
         }
         (status, answer)
@@ -520,26 +479,6 @@ mod tests {
         assert_eq!(place_shard_key(body), fnv1a(body));
         // Deterministic: same bytes, same key.
         assert_eq!(place_shard_key(body), place_shard_key(body));
-    }
-
-    #[test]
-    fn gate_bounds_concurrency_and_releases_on_drop() {
-        let gate = Gate::new(2);
-        let a = gate.acquire();
-        let b = gate.acquire();
-        assert_eq!(*gate.free.lock().unwrap(), 0);
-        drop(a);
-        assert_eq!(*gate.free.lock().unwrap(), 1);
-        drop(b);
-        assert_eq!(*gate.free.lock().unwrap(), 2);
-    }
-
-    #[test]
-    fn zero_permit_gate_is_clamped_to_one() {
-        let gate = Gate::new(0);
-        let permit = gate.acquire();
-        drop(permit);
-        assert_eq!(*gate.free.lock().unwrap(), 1);
     }
 
     /// A shard's `/v1/stats` body with the given trace drops and one

@@ -416,7 +416,7 @@ impl PlacementService {
     ) -> (u16, String) {
         self.stats.update(|stats| stats.requests += 1);
         let timer = Timer::start();
-        let mut spans = StageTimes::default();
+        let mut spans = ctx.spans();
         let path = target.split('?').next().unwrap_or(target);
         let (status, response) = match (method, path) {
             ("GET", "/v1/healthz") => (200, r#"{"status": "ok"}"#.to_string()),
@@ -900,7 +900,7 @@ mod tests {
     fn depth(queue_depth: usize) -> RequestContext {
         RequestContext {
             queue_depth,
-            trace: None,
+            ..RequestContext::default()
         }
     }
 
@@ -982,8 +982,8 @@ mod tests {
         let log = Arc::new(TraceLog::create(&path).expect("create trace log"));
         let service = PlacementService::new(ServiceConfig::tiny()).with_trace_log(Arc::clone(&log));
         let forwarded = RequestContext {
-            queue_depth: 0,
             trace: Some(0xabcd),
+            ..RequestContext::default()
         };
         let (status, body) =
             service.handle("POST", "/v1/place", spec_body(0).as_bytes(), &forwarded);

@@ -16,7 +16,9 @@
 use pvfloorplan::json::JsonValue;
 use pvfloorplan::prelude::*;
 use pvfloorplan::server::http::send_request;
-use pvfloorplan::server::{place_shard_key, HashRing, PlacementService, Server, ServiceConfig};
+use pvfloorplan::server::{
+    place_shard_key, HashRing, PlacementService, Server, ServiceConfig, READ_DEADLINE,
+};
 use pvfloorplan::store::SiteStore;
 use std::collections::BTreeMap;
 use std::io::{Read, Write};
@@ -84,10 +86,6 @@ fn fire_interleaved(
     }
     by_request
 }
-
-/// How long the server may take to read one whole request before it
-/// closes the connection.
-const READ_DEADLINE: Duration = Duration::from_secs(2);
 
 fn start_server(threads: usize) -> Server {
     let config = ServiceConfig::tiny();
