@@ -68,12 +68,6 @@ impl Gate {
         Permit { gate: self }
     }
 
-    /// Permits not currently held.
-    #[must_use]
-    pub fn available(&self) -> usize {
-        *self.lock()
-    }
-
     /// Runs `body` with a [`Spawner`] whose threads each hold one of
     /// this gate's permits, and returns once `body` has returned and
     /// every spawned thread has been joined. Spawned threads may borrow
@@ -145,11 +139,11 @@ mod tests {
         let gate = Gate::new(2);
         let a = gate.acquire();
         let b = gate.acquire();
-        assert_eq!(gate.available(), 0);
+        assert_eq!(*gate.lock(), 0);
         drop(a);
-        assert_eq!(gate.available(), 1);
+        assert_eq!(*gate.lock(), 1);
         drop(b);
-        assert_eq!(gate.available(), 2);
+        assert_eq!(*gate.lock(), 2);
     }
 
     #[test]
@@ -157,7 +151,7 @@ mod tests {
         let gate = Gate::new(0);
         let permit = gate.acquire();
         drop(permit);
-        assert_eq!(gate.available(), 1);
+        assert_eq!(*gate.lock(), 1);
     }
 
     #[test]
@@ -183,7 +177,7 @@ mod tests {
         });
         assert_eq!(done.load(Ordering::SeqCst), 24, "scope joined every job");
         assert!(peak.load(Ordering::SeqCst) <= 3, "peak {peak:?}");
-        assert_eq!(gate.available(), 3);
+        assert_eq!(*gate.lock(), 3);
     }
 
     #[test]

@@ -164,8 +164,9 @@ fn stalled_clients_cannot_starve_healthz_or_change_place_bytes() {
     let server = start_server(2);
     let addr = server.local_addr();
     let opened = Instant::now();
+    // Connected before the probe, so they are ahead of it in the
+    // listen backlog.
     let mut stalled: Vec<TcpStream> = (0..3).map(|_| stalled_client(addr)).collect();
-    std::thread::sleep(Duration::from_millis(50));
 
     let (elapsed, health) = get_within(addr, "/v1/healthz", Duration::from_secs(1));
     assert!(health.starts_with("HTTP/1.1 200"), "{health}");
