@@ -289,11 +289,28 @@ fn malformed_place_requests_get_a_deterministic_400_not_a_dropped_connection() {
     // Every malformed body must produce a structured 400 whose bytes are
     // a pure function of the request: identical on repeat, identical
     // across worker counts, and carrying no timing or cache metadata.
+    // The out-of-range specs must be refused before a solve worker builds
+    // the roof: a panic there would cost the worker, not just the request.
+    let out_of_range = |key: &str, value: &str| {
+        let canonical = ScenarioSpec::generate(2018, 0).to_spec_string();
+        canonical
+            .split_whitespace()
+            .map(|field| match field.split_once('=') {
+                Some((k, _)) if k == key => format!("{key}={value}"),
+                _ => field.to_string(),
+            })
+            .collect::<Vec<_>>()
+            .join(" ")
+    };
     let bad_bodies = [
         "{".to_string(),                 // truncated JSON
         r#"{"spec": 3}"#.to_string(),    // wrong type
         "not a spec at all".to_string(), // not a spec string
         r#"{"days": 9000}"#.to_string(), // out-of-range knob
+        out_of_range("tilt", "95.0"),
+        out_of_range("tilt", "NaN"),
+        out_of_range("width", "1e9"),
+        out_of_range("width", "0"),
     ];
     let mut canonical: Option<Vec<String>> = None;
     for threads in [1usize, 3] {
