@@ -264,6 +264,65 @@ pub struct ScenarioSpec {
 /// coverage of low/mid/high latitudes.
 pub const LATITUDE_BANDS: [(f64, f64); 3] = [(20.0, 33.0), (33.0, 46.0), (46.0, 60.0)];
 
+/// The grid pitch every spec and `pvplan` roof is built on, metres.
+const GRID_PITCH_M: f64 = 0.2;
+
+/// Cap on a roof's grid, in cells at the 20 cm pitch. Extraction allocates
+/// per cell (horizon sectors, a shadow row per sun-up step, suitability
+/// samples), so an extent taken unchecked from a request or a flag is an
+/// allocation of any size: `width=1e9` asks for terabytes and aborts the
+/// process. 2^18 cells is a 100 m × 100 m roof, ~18× the largest paper
+/// roof (Roof 1, 14,637 cells).
+pub const MAX_GRID_CELLS: usize = 1 << 18;
+
+/// Range check of a roof's geometry, shared by the spec parser and
+/// `pvplan`'s roof flags: both extents finite and at least one grid cell,
+/// at most [`MAX_GRID_CELLS`] cells, tilt in `[0, 90)` degrees and a
+/// finite azimuth — what [`RoofBuilder`] can build without panicking.
+///
+/// # Errors
+///
+/// The spec key of the first field out of range (`width`, `depth`, `tilt`
+/// or `azimuth`, also the `pvplan` flag name; the longer side for the
+/// cell cap) and the reason.
+pub fn check_roof(
+    width_m: f64,
+    depth_m: f64,
+    tilt_deg: f64,
+    azimuth_deg: f64,
+) -> Result<(), (&'static str, String)> {
+    for (key, metres) in [("width", width_m), ("depth", depth_m)] {
+        // Below half a pitch the extent rounds to zero cells.
+        if !(metres.is_finite() && metres >= GRID_PITCH_M / 2.0) {
+            return Err((
+                key,
+                format!("must be a finite extent of at least 0.1 m, got {metres}"),
+            ));
+        }
+    }
+    let cells = (width_m / GRID_PITCH_M).round() * (depth_m / GRID_PITCH_M).round();
+    if cells > MAX_GRID_CELLS as f64 {
+        // Blame the longer side: shrinking it helps most.
+        return Err((
+            if width_m >= depth_m { "width" } else { "depth" },
+            format!(
+                "must keep the roof within {MAX_GRID_CELLS} cells at the 20 cm pitch, \
+                 got {width_m} x {depth_m} m ({cells} cells)"
+            ),
+        ));
+    }
+    if !(0.0..90.0).contains(&tilt_deg) {
+        return Err((
+            "tilt",
+            format!("must be in [0, 90) degrees, got {tilt_deg}"),
+        ));
+    }
+    if !azimuth_deg.is_finite() {
+        return Err(("azimuth", format!("must be finite, got {azimuth_deg}")));
+    }
+    Ok(())
+}
+
 impl ScenarioSpec {
     /// Generates scenario `index` of the corpus seeded with `corpus_seed`.
     ///
@@ -312,7 +371,7 @@ impl ScenarioSpec {
         let w = self.width_m;
         let d = self.depth_m;
         let mut builder = RoofBuilder::new(Meters::new(w), Meters::new(d))
-            .pitch(Meters::new(0.2))
+            .pitch(Meters::new(GRID_PITCH_M))
             .tilt(Degrees::new(self.tilt_deg))
             .azimuth(Degrees::new(self.azimuth_deg))
             .undulation(
@@ -442,7 +501,15 @@ impl ScenarioSpec {
                 ObstacleKind::Antenna => (0.2, 0.2, rng.gen_range(2.0..5.0)),
                 ObstacleKind::PipeRun | ObstacleKind::OffRoofBlock => {
                     let along_x = rng.gen_bool(0.5);
-                    let len = rng.gen_range(2.5..(self.width_m.min(10.0)));
+                    // A roof narrower than the shortest run gets the
+                    // shortest run (it then rarely fits); an empty draw
+                    // range would panic.
+                    let longest = self.width_m.min(10.0);
+                    let len = if longest > 2.5 {
+                        rng.gen_range(2.5..longest)
+                    } else {
+                        2.5
+                    };
                     let (pw, ph) = if along_x { (len, 0.5) } else { (0.5, len) };
                     (pw, ph, rng.gen_range(0.4..0.6))
                 }
@@ -578,8 +645,9 @@ impl ScenarioSpec {
     ///
     /// # Errors
     ///
-    /// Returns a description of the first malformed, missing, duplicated
-    /// or unknown field.
+    /// Returns a description of the first malformed, missing, duplicated,
+    /// unknown or out-of-range field (ranges: [`check_roof`], latitude in
+    /// `[-90, 90]`, density in `[0, 1]`, horizon class 0–2).
     pub fn parse_spec_string(text: &str) -> Result<Self, String> {
         const KEYS: [&str; 11] = [
             "index",
@@ -648,6 +716,26 @@ impl ScenarioSpec {
         }
         if let Some(missing) = KEYS.iter().zip(&seen).find(|(_, &s)| !s) {
             return Err(format!("missing field '{}'", missing.0));
+        }
+        check_roof(spec.width_m, spec.depth_m, spec.tilt_deg, spec.azimuth_deg)
+            .map_err(|(key, e)| format!("field '{key}': {e}"))?;
+        if !(-90.0..=90.0).contains(&spec.latitude_deg) {
+            return Err(format!(
+                "field 'latitude': must be in [-90, 90] degrees, got {}",
+                spec.latitude_deg
+            ));
+        }
+        if !(0.0..=1.0).contains(&spec.obstacle_density) {
+            return Err(format!(
+                "field 'density': must be in [0, 1], got {}",
+                spec.obstacle_density
+            ));
+        }
+        if spec.horizon_class > 2 {
+            return Err(format!(
+                "field 'horizon': no preset for class {} (expected 0, 1 or 2)",
+                spec.horizon_class
+            ));
         }
         Ok(spec)
     }
@@ -900,6 +988,49 @@ mod tests {
             ScenarioSpec::parse_spec_string(without_horizon),
             Err("missing field 'horizon'".to_string())
         );
+        // Well-formed but out of range: refused by name before anything
+        // builds the roof (RoofBuilder and Site would panic on these).
+        let with = |field: &str| {
+            let key = field.split_once('=').map_or(field, |(k, _)| k);
+            let others = good
+                .split_whitespace()
+                .filter(|f| !f.starts_with(&format!("{key}=")));
+            (
+                others.collect::<Vec<_>>().join(" ") + " " + field,
+                key.to_string(),
+            )
+        };
+        let refused = "width=0 width=-3 width=1e9 depth=inf depth=NaN tilt=95.0 tilt=90 tilt=-1 \
+                       tilt=NaN azimuth=inf latitude=91 latitude=NaN density=1.5 density=-0.1 horizon=3";
+        for field in refused.split_whitespace() {
+            let (text, key) = with(field);
+            let err = ScenarioSpec::parse_spec_string(&text).unwrap_err();
+            assert!(
+                err.starts_with(&format!("field '{key}': ")),
+                "{field}: {err}"
+            );
+        }
+        // The edges of each range are accepted.
+        for field in ["tilt=0", "latitude=-90", "density=1", "width=0.1"] {
+            assert!(
+                ScenarioSpec::parse_spec_string(&with(field).0).is_ok(),
+                "{field}"
+            );
+        }
+    }
+
+    #[test]
+    fn small_in_range_roofs_build_without_panicking() {
+        // Down to one grid cell: every archetype and horizon class builds
+        // (the pipe-run length draw used to panic below 2.5 m of width).
+        for index in 0..4 {
+            for (w, d) in [(0.1, 0.1), (1.0, 3.0), (2.5, 1.0), (3.0, 0.4)] {
+                let mut spec = ScenarioSpec::generate(CORPUS_SEED, index);
+                (spec.width_m, spec.depth_m, spec.horizon_class) = (w, d, 2);
+                let spec = ScenarioSpec::parse_spec_string(&spec.to_spec_string()).unwrap();
+                assert!(spec.build().dsm.dims().num_cells() > 0);
+            }
+        }
     }
 
     #[test]

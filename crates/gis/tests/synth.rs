@@ -52,9 +52,11 @@ proptest! {
         prop_assert!(lit, "{}: no cell ever receives irradiance", scenario.name);
     }
 
-    /// Spec strings round-trip exactly for any draw.
+    /// Spec strings round-trip exactly for any draw, and every generated
+    /// spec passes the parser's range checks — so no corpus or benchmark
+    /// site is refused by a server.
     #[test]
-    fn spec_string_round_trips(corpus_seed in 0u64..1_000_000, index in 0u32..512) {
+    fn spec_string_round_trips(corpus_seed in any::<u64>(), index in any::<u32>()) {
         let spec = ScenarioSpec::generate(corpus_seed, index);
         let text = spec.to_spec_string();
         prop_assert_eq!(ScenarioSpec::parse_spec_string(&text), Ok(spec));
