@@ -2,8 +2,7 @@
 //!
 //! Validates that a bench artifact — `BENCH_evaluator.json` (written by
 //! `diag --timings`),
-//! `BENCH_portfolio.json` (written by the `portfolio` bin and
-//! `pvplan suite`) or `BENCH_server.json` (written by the `loadgen` bin)
+//! `BENCH_portfolio.json` (written by `pvplan suite`) or `BENCH_server.json` (written by the `loadgen` bin)
 //! — exists and matches the schema the perf-trajectory tooling expects: a non-empty JSON array of objects, each carrying the
 //! shared string core (`bench`, `scale`, `name`) plus its variant's
 //! numeric measurements, all finite and non-negative. Evaluator rows
@@ -419,8 +418,8 @@ fn check_file(path: &std::path::Path) -> Result<(), ()> {
         Ok(doc) => doc,
         Err(e) => {
             eprintln!(
-                "Error: cannot read {} ({e}); run diag --timings, the \
-                 portfolio bin or loadgen first",
+                "Error: cannot read {} ({e}); run diag --timings, \
+                 pvplan suite or loadgen first",
                 path.display()
             );
             return Err(());

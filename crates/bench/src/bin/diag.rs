@@ -213,14 +213,7 @@ fn timings(runtime: Runtime) -> Result<(), String> {
     // the fused transposition + operating-point pass, and the string
     // aggregation, each against the scalar shape it replaced.
     let kernels = kernel_probe_timings(&dataset, &config, &plan, 5);
-    println!(
-        "lane kernels ({} path):",
-        if pv_gis::lanes::simd_active() {
-            "avx2"
-        } else {
-            "portable"
-        }
-    );
+    println!("lane kernels:");
     for k in &kernels.kernels {
         println!(
             "  {:<26} {:9.3} ms  (scalar {:9.3} ms, {:.2}x)",

@@ -54,6 +54,7 @@
 //!
 //! Bad flags exit 1 with an `Error:` message, never a panic.
 
+use pv_bench::cli::{self, Flag};
 use pv_bench::json;
 use pv_gis::ScenarioSpec;
 use pv_obs::Timer;
@@ -79,62 +80,58 @@ struct LoadgenArgs {
     shards_max: usize,
 }
 
+/// The loadgen flag table.
+const LOADGEN_FLAGS: &[Flag] = &[
+    Flag::value("--addr"),
+    Flag::switch("--spawn"),
+    Flag::value("--requests"),
+    Flag::value("--clients"),
+    Flag::value("--sites"),
+    Flag::value("--seed"),
+    Flag::value("--threads"),
+    Flag::value("--out"),
+    Flag::switch("--restart-recovery"),
+    Flag::value("--store-dir"),
+    Flag::switch("--router"),
+    Flag::value("--shards-max"),
+];
+
 /// Parses the harness flags. Pure — no I/O, no exits — so the error
 /// paths are unit-testable.
 fn parse_loadgen_args(args: &[String]) -> Result<LoadgenArgs, String> {
-    let mut parsed = LoadgenArgs {
-        addr: None,
-        requests: 200,
-        clients: 4,
-        sites: 8,
-        seed: pv_gis::synth::CORPUS_SEED,
-        threads: 2,
-        out: None,
-        restart_recovery: false,
-        store_dir: "target/loadgen_store".to_string(),
-        router: false,
-        shards_max: 3,
-    };
-    let mut spawn = false;
-    let mut it = args.iter();
-    while let Some(flag) = it.next() {
-        let mut value = |name: &str| -> Result<&String, String> {
-            it.next().ok_or_else(|| format!("{name} needs a value"))
-        };
-        let positive = |name: &str, spec: &str| -> Result<usize, String> {
-            match spec.parse() {
-                Ok(n) if n > 0 => Ok(n),
-                _ => Err(format!("{name} expects a positive integer, got '{spec}'")),
-            }
-        };
-        match flag.as_str() {
-            "--addr" => parsed.addr = Some(value("--addr")?.clone()),
-            "--spawn" => spawn = true,
-            "--requests" => parsed.requests = positive("--requests", value("--requests")?)?,
-            "--clients" => parsed.clients = positive("--clients", value("--clients")?)?,
-            "--sites" => parsed.sites = positive("--sites", value("--sites")?)?,
-            "--threads" => parsed.threads = positive("--threads", value("--threads")?)?,
-            "--seed" => {
-                let spec = value("--seed")?;
-                parsed.seed = spec
-                    .parse()
-                    .map_err(|e| format!("--seed expects an integer, got '{spec}' ({e})"))?;
-            }
-            "--out" => parsed.out = Some(value("--out")?.clone()),
-            "--restart-recovery" => parsed.restart_recovery = true,
-            "--store-dir" => parsed.store_dir = value("--store-dir")?.clone(),
-            "--router" => parsed.router = true,
-            "--shards-max" => {
-                let spec = value("--shards-max")?;
-                parsed.shards_max = match spec.parse() {
-                    Ok(n) if (1..=8).contains(&n) => n,
-                    _ => return Err(format!("--shards-max expects 1..=8, got '{spec}'")),
-                };
-            }
-            other => return Err(format!("unknown flag '{other}'")),
-        }
+    let m = cli::parse("", &[LOADGEN_FLAGS], args)?;
+    if m.help {
+        return Err(cli::usage(&[LOADGEN_FLAGS]));
     }
-    if spawn && parsed.addr.is_some() {
+    let positive = |name: &str, default: usize| {
+        m.parse(name, "a positive integer", |v| {
+            v.parse().ok().filter(|&n: &usize| n > 0)
+        })
+        .map(|n| n.unwrap_or(default))
+    };
+    let parsed = LoadgenArgs {
+        addr: m.value("--addr").map(str::to_string),
+        requests: positive("--requests", 200)?,
+        clients: positive("--clients", 4)?,
+        sites: positive("--sites", 8)?,
+        seed: m
+            .get("--seed", "an integer")?
+            .unwrap_or(pv_gis::synth::CORPUS_SEED),
+        threads: positive("--threads", 2)?,
+        out: m.value("--out").map(str::to_string),
+        restart_recovery: m.has("--restart-recovery"),
+        store_dir: m
+            .value("--store-dir")
+            .unwrap_or("target/loadgen_store")
+            .to_string(),
+        router: m.has("--router"),
+        shards_max: m
+            .parse("--shards-max", "1..=8", |v| {
+                v.parse().ok().filter(|n| (1..=8).contains(n))
+            })?
+            .unwrap_or(3),
+    };
+    if m.has("--spawn") && parsed.addr.is_some() {
         return Err("--spawn and --addr are mutually exclusive".into());
     }
     if parsed.restart_recovery && parsed.addr.is_some() {

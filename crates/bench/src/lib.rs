@@ -22,7 +22,10 @@ use std::time::Instant;
 /// (the placement server is the second consumer).
 pub use pv_json as json;
 
+pub mod cli;
 pub mod portfolio;
+
+use cli::Flag;
 
 /// The weather seed shared by all experiments (all three roofs are
 /// neighbours and see the same weather, as in the paper).
@@ -97,41 +100,49 @@ impl HarnessArgs {
     }
 }
 
-/// Pure parser behind the harness bins' shared CLI, per the workspace
-/// error-path convention: parse failures are `Err` strings the bin
-/// prints as `Error: …` before exiting 1 — never panics, and unknown
-/// flags are rejected instead of silently ignored. `extra_flags` lists
-/// the bin's own boolean flags (e.g. `--timings`).
+/// The flags every harness bin takes.
+const HARNESS_FLAGS: &[Flag] = &[
+    Flag::switch("--paper"),
+    Flag::switch("--fast"),
+    Flag::switch("--smoke"),
+    Flag::value("--threads"),
+];
+
+/// The harness bins' shared CLI on the [`cli`] flag table. `extra_flags`
+/// lists the bin's own boolean flags (e.g. `--timings`). The last
+/// resolution flag wins; `--help` answers with the flag list as an error,
+/// since the bins' usage lives in their module docs.
 ///
 /// # Errors
 ///
 /// A message naming the offending flag or `--threads` value.
-pub fn parse_harness_args(args: &[String], extra_flags: &[&str]) -> Result<HarnessArgs, String> {
-    let mut parsed = HarnessArgs {
-        resolution: None,
-        threads: None,
-        extra: Vec::new(),
-    };
-    let mut it = args.iter();
-    while let Some(flag) = it.next() {
-        match flag.as_str() {
-            "--paper" => parsed.resolution = Some(Resolution::Paper),
-            "--fast" => parsed.resolution = Some(Resolution::Fast),
-            "--smoke" => parsed.resolution = Some(Resolution::Smoke),
-            "--threads" => {
-                let value = it
-                    .next()
-                    .ok_or("--threads expects a positive integer, got nothing")?;
-                let n = pv_runtime::parse_threads(value).ok_or_else(|| {
-                    format!("--threads expects a positive integer, got '{value}'")
-                })?;
-                parsed.threads = Some(n);
-            }
-            other if extra_flags.contains(&other) => parsed.extra.push(other.to_string()),
-            other => return Err(format!("unknown flag '{other}'")),
-        }
+pub fn parse_harness_args(
+    args: &[String],
+    extra_flags: &[&'static str],
+) -> Result<HarnessArgs, String> {
+    let extra: Vec<Flag> = extra_flags.iter().map(|&name| Flag::switch(name)).collect();
+    let tables = [HARNESS_FLAGS, &extra];
+    let m = cli::parse("", &tables, args)?;
+    if m.help {
+        return Err(cli::usage(&tables));
     }
-    Ok(parsed)
+    Ok(HarnessArgs {
+        resolution: m
+            .names()
+            .filter_map(|flag| match flag {
+                "--paper" => Some(Resolution::Paper),
+                "--fast" => Some(Resolution::Fast),
+                "--smoke" => Some(Resolution::Smoke),
+                _ => None,
+            })
+            .last(),
+        threads: m.parse("--threads", "a positive integer", pv_runtime::parse_threads)?,
+        extra: extra_flags
+            .iter()
+            .filter(|&&name| m.has(name))
+            .map(ToString::to_string)
+            .collect(),
+    })
 }
 
 /// Extracts the solar dataset of a paper roof at the given resolution,

@@ -323,14 +323,10 @@ pub fn render_portfolio_json(
     json::render_record_array(&items)
 }
 
-/// The shared front-end driver behind the `portfolio` bin and
-/// `pvplan suite`: builds the preset corpus, runs the portfolio, prints
-/// the summary table, and writes the artifact — to `out` when given,
-/// otherwise to [`PORTFOLIO_JSON`]. Returns the written path.
-///
-/// Keeping this in one place pins the `scale` string and the
-/// run-format-write sequence, so both entry points always emit the same
-/// `BENCH_portfolio.json` shape.
+/// The front-end driver behind `pvplan suite`: builds the preset corpus,
+/// runs the portfolio, prints the summary table, and writes the artifact
+/// — to `out` when given, otherwise to [`PORTFOLIO_JSON`]. Returns the
+/// written path.
 ///
 /// # Errors
 ///

@@ -21,8 +21,8 @@
 //!
 //! The inner arithmetic — masked popcount census, shadow-gated beam sum —
 //! lives in [`crate::lanes`], which pins one canonical summation order
-//! across its scalar, portable-lane and (feature `simd`) AVX2
-//! implementations; see that module for the bit-identity argument.
+//! across its scalar and lane implementations; see that module for the
+//! bit-identity argument.
 //!
 //! One query sits on top: [`SolarDataset::mean_irradiance_group_into`]
 //! (one group × a step range), built on the single per-(step, group)

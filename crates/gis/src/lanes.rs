@@ -4,8 +4,7 @@
 //! loop shapes — a masked popcount census over shadow words, a
 //! shadow-gated beam accumulation over per-cell normals, and an
 //! elementwise operating-point sweep.  This module owns all three in a
-//! form the autovectorizer (and, behind the `simd` feature, explicit
-//! AVX2 intrinsics) can chew on: structure-of-arrays inputs, no
+//! form the autovectorizer can chew on: structure-of-arrays inputs, no
 //! data-dependent branches, and accumulation split across [`LANES`]
 //! fixed accumulators folded in one canonical tree order.
 //!
@@ -13,8 +12,8 @@
 //!
 //! Floating-point addition is not associative, so "vectorize the sum"
 //! normally changes the bits.  The kernels here pin one summation order
-//! and make every implementation — branchy scalar reference, portable
-//! chunked loop, AVX2 intrinsics — reproduce it exactly:
+//! and make every implementation — branchy scalar reference and
+//! chunked lane loop — reproduce it exactly:
 //!
 //! * term `i` of a reduction is added into accumulator `i % LANES`;
 //! * the accumulators are folded by [`sum_lanes`], a fixed tree
@@ -26,22 +25,17 @@
 //!   every beam term is `max(·, 0.0) ≥ +0.0` and the accumulators start
 //!   at `+0.0` — no `-0.0` can ever appear on either side;
 //! * no FMA contraction anywhere: every path performs the same discrete
-//!   multiply and add steps, which is why the AVX2 lane results equal
-//!   the scalar ones bit-for-bit.
+//!   multiply and add steps, which is why the lane results equal the
+//!   scalar ones bit-for-bit.
 //!
 //! The `*_scalar` twins are not dead code: they are the proptest oracle
 //! (`lane_kernel_is_bit_identical_to_scalar`) and the shape a reviewer
 //! should diff against the lane loops.
 //!
-//! The `simd` feature swaps in `core::arch` x86_64 intrinsics for the
-//! two loops where autovectorization fails in practice (the shadow-gated
-//! beam gather and the blended operating-point sweep).  Dispatch is by
-//! runtime AVX2 detection with the portable loop as fallback, and by
-//! construction the choice cannot be observed in the output bits — only
-//! in the wall clock.  `pvlint` rule D05 keeps the intrinsics fenced
-//! into this one module.
+//! The lane loops are the only fast path: portable, safe Rust (the crate
+//! forbids `unsafe`), with no intrinsics module beside them.
 
-/// Number of parallel f64 accumulator lanes (one 256-bit AVX2 register).
+/// Number of parallel f64 accumulator lanes (one 256-bit vector register).
 ///
 /// This constant is part of the numeric contract: changing it changes
 /// the canonical summation order and therefore the bits.
@@ -50,9 +44,9 @@ pub const LANES: usize = 4;
 /// Folds the four lane accumulators in the one canonical tree order:
 /// `(acc[0] + acc[2]) + (acc[1] + acc[3])`.
 ///
-/// Every reduction in this module — scalar reference, portable lane
-/// loop, AVX2 path — ends in exactly this fold, which is what makes the
-/// result independent of chunking.
+/// Every reduction in this module — scalar reference and lane loop —
+/// ends in exactly this fold, which is what makes the result independent
+/// of chunking.
 #[inline]
 #[must_use]
 pub fn sum_lanes(acc: [f64; LANES]) -> f64 {
@@ -121,10 +115,6 @@ pub fn shadowed_beam_sum(
     shadow: Option<&[u64]>,
 ) -> f64 {
     debug_assert!(nx.len() == ny.len() && ny.len() == nz.len() && nz.len() == cells.len());
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-    if let Some(v) = simd::try_shadowed_beam_sum(sun, nx, ny, nz, cells, shadow) {
-        return v;
-    }
     match shadow {
         None => beam_sum_portable(sun, nx, ny, nz),
         Some(words) => shadowed_beam_sum_portable(sun, nx, ny, nz, cells, words),
@@ -287,10 +277,6 @@ pub fn operating_points(
         ambient.len() == n && volts.len() == n && amps.len() == n,
         "operating-point sweep: length mismatch"
     );
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-    if simd::try_operating_points(params, means, ambient, volts, amps) {
-        return;
-    }
     operating_points_portable(params, means, ambient, volts, amps);
 }
 
@@ -374,203 +360,6 @@ pub fn operating_points_scalar(
             let p = (params.p_ref * (1.12 - params.gamma_p * tact) * 1e-3 * g).max(0.0);
             *a = p / vv;
         }
-    }
-}
-
-/// True when the build and the machine will run the AVX2 kernels — what
-/// `diag --timings` reports; the bits do not depend on the answer.
-#[must_use]
-pub fn simd_active() -> bool {
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-    {
-        simd::avx2_available()
-    }
-    #[cfg(not(all(feature = "simd", target_arch = "x86_64")))]
-    {
-        false
-    }
-}
-
-/// The sanctioned `core::arch` island (pvlint rule D05): AVX2 versions
-/// of the two kernels where the portable loops fail to vectorize — the
-/// shadow-gated beam gather and the blended operating-point sweep.
-/// Each lane op mirrors one scalar op (separate mul/add, same `max`
-/// operand order, mask-AND instead of branch), so the results are
-/// bit-identical to the portable paths by construction and pinned by
-/// the same proptests.
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
-mod simd {
-    #![allow(unsafe_code)]
-
-    use super::{keep_factor, sum_lanes, IvParams, LANES};
-    // pvlint: allow(D05): the one sanctioned intrinsics module, feature-gated.
-    use core::arch::x86_64::{
-        _mm256_add_pd, _mm256_and_pd, _mm256_castsi256_pd, _mm256_cmp_pd, _mm256_div_pd,
-        _mm256_loadu_pd, _mm256_max_pd, _mm256_movemask_pd, _mm256_mul_pd, _mm256_set1_epi64x,
-        _mm256_set1_pd, _mm256_setr_epi64x, _mm256_setzero_pd, _mm256_storeu_pd, _mm256_sub_pd,
-        _CMP_GT_OQ,
-    };
-
-    pub(super) fn avx2_available() -> bool {
-        // pvlint: allow(D05): runtime dispatch, still inside the sanctioned module.
-        std::arch::is_x86_feature_detected!("avx2")
-    }
-
-    pub(super) fn try_shadowed_beam_sum(
-        sun: &[f64; 3],
-        nx: &[f64],
-        ny: &[f64],
-        nz: &[f64],
-        cells: &[u32],
-        shadow: Option<&[u64]>,
-    ) -> Option<f64> {
-        if !avx2_available() {
-            return None;
-        }
-        // SAFETY: AVX2 presence checked above; slice lengths are equal
-        // (debug-asserted by the caller, enforced by group construction).
-        Some(unsafe { shadowed_beam_sum_avx2(sun, nx, ny, nz, cells, shadow) })
-    }
-
-    pub(super) fn try_operating_points(
-        params: &IvParams,
-        means: &[f64],
-        ambient: &[f64],
-        volts: &mut [f64],
-        amps: &mut [f64],
-    ) -> bool {
-        if !avx2_available() {
-            return false;
-        }
-        // SAFETY: AVX2 presence checked above; lengths asserted by the caller.
-        unsafe { operating_points_avx2(params, means, ambient, volts, amps) };
-        true
-    }
-
-    /// AVX2 beam gather.  The shadow keep bits are expanded to all-ones /
-    /// all-zero lane masks and ANDed into the clamped dot product: a
-    /// kept lane passes through bit-exact, a shadowed lane becomes
-    /// `+0.0` — the same `+0.0` the portable multiply produces.
-    #[target_feature(enable = "avx2")]
-    unsafe fn shadowed_beam_sum_avx2(
-        sun: &[f64; 3],
-        nx: &[f64],
-        ny: &[f64],
-        nz: &[f64],
-        cells: &[u32],
-        shadow: Option<&[u64]>,
-    ) -> f64 {
-        let n = nx.len();
-        let whole = n - n % LANES;
-        let sx = _mm256_set1_pd(sun[0]);
-        let sy = _mm256_set1_pd(sun[1]);
-        let sz = _mm256_set1_pd(sun[2]);
-        let zero = _mm256_setzero_pd();
-        let ones = _mm256_castsi256_pd(_mm256_set1_epi64x(-1));
-        let mut acc = zero;
-        let mut i = 0;
-        while i < whole {
-            let x = _mm256_loadu_pd(nx.as_ptr().add(i));
-            let y = _mm256_loadu_pd(ny.as_ptr().add(i));
-            let z = _mm256_loadu_pd(nz.as_ptr().add(i));
-            let dot = _mm256_add_pd(
-                _mm256_add_pd(_mm256_mul_pd(sx, x), _mm256_mul_pd(sy, y)),
-                _mm256_mul_pd(sz, z),
-            );
-            let lit = _mm256_max_pd(dot, zero);
-            let keep = match shadow {
-                None => ones,
-                Some(words) => {
-                    let m = |j: usize| -(keep_bit(words, cells[i + j]) as i64);
-                    _mm256_castsi256_pd(_mm256_setr_epi64x(m(0), m(1), m(2), m(3)))
-                }
-            };
-            acc = _mm256_add_pd(acc, _mm256_and_pd(lit, keep));
-            i += LANES;
-        }
-        let mut lanes = [0.0f64; LANES];
-        _mm256_storeu_pd(lanes.as_mut_ptr(), acc);
-        for (j, a) in lanes.iter_mut().enumerate().take(n - whole) {
-            let i = whole + j;
-            let dot = sun[0] * nx[i] + sun[1] * ny[i] + sun[2] * nz[i];
-            let keep = match shadow {
-                None => 1.0,
-                Some(words) => keep_factor(words, cells[i]),
-            };
-            *a += keep * dot.max(0.0);
-        }
-        sum_lanes(lanes)
-    }
-
-    /// `1` when the cell is lit, `0` when shadowed.
-    #[inline]
-    fn keep_bit(words: &[u64], cell: u32) -> u64 {
-        1 ^ ((words[cell as usize / 64] >> (cell % 64)) & 1)
-    }
-
-    /// AVX2 operating-point sweep.  Night and clamped lanes are zeroed
-    /// by ANDing with the comparison masks — identical to the portable
-    /// `if` selects, and it neutralizes the masked lanes' `inf`/NaN
-    /// division results before they can escape.
-    #[target_feature(enable = "avx2")]
-    unsafe fn operating_points_avx2(
-        params: &IvParams,
-        means: &[f64],
-        ambient: &[f64],
-        volts: &mut [f64],
-        amps: &mut [f64],
-    ) {
-        let n = means.len();
-        let whole = n - n % LANES;
-        let zero = _mm256_setzero_pd();
-        let k = _mm256_set1_pd(params.thermal_k);
-        let vmp = _mm256_set1_pd(params.vmp_ref);
-        let beta = _mm256_set1_pd(params.beta_v);
-        let pref = _mm256_set1_pd(params.p_ref);
-        let gamma = _mm256_set1_pd(params.gamma_p);
-        let c108 = _mm256_set1_pd(1.08);
-        let c0875 = _mm256_set1_pd(0.875);
-        let c125u = _mm256_set1_pd(0.000125);
-        let c112 = _mm256_set1_pd(1.12);
-        let milli = _mm256_set1_pd(1e-3);
-        let mut i = 0;
-        while i < whole {
-            let g = _mm256_loadu_pd(means.as_ptr().add(i));
-            let lit = _mm256_cmp_pd::<_CMP_GT_OQ>(g, zero);
-            // Night run: every lane dark means every output is exactly
-            // `0.0` — skip the arithmetic, matching the scalar shape's
-            // early `continue` (roughly half of a real clock's steps).
-            if _mm256_movemask_pd(lit) == 0 {
-                _mm256_storeu_pd(volts.as_mut_ptr().add(i), zero);
-                _mm256_storeu_pd(amps.as_mut_ptr().add(i), zero);
-                i += LANES;
-                continue;
-            }
-            let t = _mm256_loadu_pd(ambient.as_ptr().add(i));
-            let tact = _mm256_add_pd(t, _mm256_mul_pd(k, g));
-            let va = _mm256_sub_pd(c108, _mm256_mul_pd(beta, tact));
-            let vb = _mm256_add_pd(c0875, _mm256_mul_pd(c125u, g));
-            let v_raw = _mm256_max_pd(_mm256_mul_pd(_mm256_mul_pd(vmp, va), vb), zero);
-            let pc = _mm256_sub_pd(c112, _mm256_mul_pd(gamma, tact));
-            let p_raw = _mm256_max_pd(
-                _mm256_mul_pd(_mm256_mul_pd(_mm256_mul_pd(pref, pc), milli), g),
-                zero,
-            );
-            let vpos = _mm256_cmp_pd::<_CMP_GT_OQ>(v_raw, zero);
-            let amp_mask = _mm256_and_pd(lit, vpos);
-            let v = _mm256_and_pd(v_raw, lit);
-            let a = _mm256_and_pd(_mm256_div_pd(p_raw, v_raw), amp_mask);
-            _mm256_storeu_pd(volts.as_mut_ptr().add(i), v);
-            _mm256_storeu_pd(amps.as_mut_ptr().add(i), a);
-            i += LANES;
-        }
-        super::operating_points_portable(
-            params,
-            &means[whole..],
-            &ambient[whole..],
-            &mut volts[whole..],
-            &mut amps[whole..],
-        );
     }
 }
 

@@ -52,11 +52,7 @@
 //! assert_eq!(dataset.num_steps(), 96);
 //! ```
 
-// Unsafe code is forbidden except for the feature-gated `core::arch`
-// island inside `lanes` (pvlint rule D05 fences it there; the crate
-// manifest carries the matching `unsafe_code = "deny"` override).
-#![cfg_attr(not(feature = "simd"), forbid(unsafe_code))]
-#![cfg_attr(feature = "simd", deny(unsafe_code))]
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod batch;

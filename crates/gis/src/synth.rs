@@ -1021,8 +1021,9 @@ mod tests {
 
     #[test]
     fn small_in_range_roofs_build_without_panicking() {
-        // Down to one grid cell: every archetype and horizon class builds
-        // (the pipe-run length draw used to panic below 2.5 m of width).
+        // Down to one grid cell, every archetype builds: no random draw
+        // may see an empty range (the pipe-run length is drawn from
+        // 2.5 m up to the roof width).
         for index in 0..4 {
             for (w, d) in [(0.1, 0.1), (1.0, 3.0), (2.5, 1.0), (3.0, 0.4)] {
                 let mut spec = ScenarioSpec::generate(CORPUS_SEED, index);

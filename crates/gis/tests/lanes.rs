@@ -5,9 +5,7 @@
 //! hand-computed values; these properties drive the same kernels with
 //! adversarial *group shapes* (a single cell, a run straddling a shadow
 //! word boundary, a full 64-cell word, random rectangles) over both
-//! planar and undulating roofs, asserting `to_bits` equality — the same
-//! contract the `simd` feature must uphold, so running this suite with
-//! and without `--features simd` is the cross-implementation audit.
+//! planar and undulating roofs, asserting `to_bits` equality.
 
 use proptest::prelude::*;
 use pv_geom::CellCoord;

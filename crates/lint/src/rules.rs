@@ -94,8 +94,8 @@ pub const RULES: &[Rule] = &[
         id: "D05",
         severity: "deny",
         summary:
-            "arch intrinsics outside the sanctioned lane-kernel module undermine the bit-identity \
-             audit; keep them in pv_gis::lanes behind the `simd` feature",
+            "arch intrinsics would fork the lane kernels from their portable, bit-identity-audited \
+             form; no intrinsics module is sanctioned (pv_gis forbids unsafe code)",
         patterns: &["core::arch", "std::arch"],
     },
     Rule {
@@ -182,9 +182,9 @@ const RESULT_CRATES: &[&str] = &["units", "geom", "gis", "model", "floorplan", "
 ///   it instead of ad-hoc spawning).
 /// * `D04` — result-producing crates only (units, geom, gis, model,
 ///   floorplan, json).
-/// * `D05` — everywhere, including `crates/gis/src/lanes.rs`: the one
-///   sanctioned intrinsics module carries audited `allow(D05)` pragmas,
-///   so any *new* arch use there still demands a written reason.
+/// * `D05` — everywhere, including `crates/gis/src/lanes.rs`: no
+///   intrinsics module is sanctioned, so any arch use demands an audited
+///   `allow(D05)` pragma with a written reason.
 /// * `R01` — `pv_server` request paths, `pv_store` decode/persist paths
 ///   (they run inside request handling and parse untrusted bytes), and
 ///   the `pvplan` CLI body.
@@ -634,8 +634,8 @@ mod tests {
         let src = "use core::arch::x86_64::_mm256_add_pd;\n";
         assert_eq!(fire(LIB, src), ["D05@1"]);
         assert_eq!(fire("crates/server/src/fake.rs", src), ["D05@1"]);
-        // Even the sanctioned module only passes via an audited pragma —
-        // bare intrinsics there are still findings.
+        // The lane-kernel module is no exception: only an audited pragma
+        // passes.
         assert_eq!(fire("crates/gis/src/lanes.rs", src), ["D05@1"]);
         let pinned = "// pvlint: allow(D05): sanctioned lane-kernel intrinsics\nuse core::arch::x86_64::_mm256_add_pd;\n";
         let lint = lint_source("crates/gis/src/lanes.rs", pinned);

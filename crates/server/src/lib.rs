@@ -1,8 +1,8 @@
 //! Placement-as-a-service: an embeddable HTTP/1.1 front end over the
 //! floorplanning pipeline, with warm per-site caches.
 //!
-//! Every other entry point in the workspace (`pvplan`, `portfolio`, the
-//! bench bins) is a batch run: extract a site, place modules, print, exit
+//! Every other entry point in the workspace (`pvplan` and its `suite`,
+//! the bench bins) is a batch run: extract a site, place modules, print, exit
 //! — and the warm-reuse machinery of the incremental evaluator (the shared
 //! [`TraceMemo`](pv_floorplan::TraceMemo), `anneal_with_memo`,
 //! `optimal_placement_with_memo`) dies with the process. This crate turns

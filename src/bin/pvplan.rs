@@ -50,9 +50,10 @@
 //! worker count for solar extraction and energy evaluation; the default is
 //! the machine's parallelism. Results are identical for every setting.
 
+use pv_bench::cli::{self, Flag, Matches};
 use pv_bench::portfolio::{drive, PortfolioOptions};
 use pvfloorplan::floorplan::{greedy_placement_with_map, render, traditional_placement_with_map};
-use pvfloorplan::gis::synth::{CorpusPreset, CORPUS_SEED};
+use pvfloorplan::gis::synth::{check_roof, CorpusPreset, CORPUS_SEED};
 use pvfloorplan::prelude::*;
 use pvfloorplan::server::{PlacementService, Server, ServiceConfig};
 use std::sync::Arc;
@@ -120,6 +121,97 @@ THREADING:
   for every setting)
 ";
 
+/// The top-level command's flags: the roof, the array and the clock.
+const ROOF_FLAGS: &[Flag] = &[
+    Flag::value("--width"),
+    Flag::value("--depth"),
+    Flag::value("--tilt"),
+    Flag::value("--azimuth"),
+    Flag::value("--series"),
+    Flag::value("--strings"),
+    Flag::value("--days"),
+    Flag::value("--step"),
+    Flag::value("--seed"),
+    Flag::value("--threads"),
+    Flag::switch("--portrait"),
+    Flag::repeated("--chimney"),
+    Flag::repeated("--hvac"),
+];
+
+const SUITE_FLAGS: &[Flag] = &[
+    Flag::value("--preset"),
+    Flag::value("--seed"),
+    Flag::value("--threads"),
+    Flag::switch("--full"),
+    Flag::value("--out"),
+];
+
+/// The flags `serve` and `route` share; `route` forwards the profile,
+/// threads, cache and clock ones to every worker.
+const SERVING_FLAGS: &[Flag] = &[
+    Flag::value("--port"),
+    Flag::value("--threads"),
+    Flag::value("--cache-mb"),
+    Flag::value("--days"),
+    Flag::value("--step"),
+    Flag::value("--profile"),
+    Flag::value("--store-dir"),
+    Flag::value("--port-file"),
+    Flag::value("--trace-log"),
+    Flag::switch("--watch-stdin"),
+];
+
+/// What `route` takes beyond [`SERVING_FLAGS`].
+const ROUTE_FLAGS: &[Flag] = &[Flag::value("--shards")];
+
+const EXTRACT_FLAGS: &[Flag] = &[
+    Flag::value("--store-dir"),
+    Flag::value("--sites"),
+    Flag::value("--seed"),
+    Flag::value("--days"),
+    Flag::value("--step"),
+];
+
+/// `--threads N`, shared by every subcommand that takes it.
+fn threads_flag(m: &Matches) -> Result<Option<usize>, String> {
+    m.parse(
+        "--threads",
+        "a positive integer",
+        pvfloorplan::runtime::parse_threads,
+    )
+}
+
+/// `--days`/`--step`, range-checked once for every subcommand that takes
+/// them; `None` when absent.
+fn clock_flags(m: &Matches) -> Result<(Option<u32>, Option<u32>), String> {
+    let days = m.get("--days", "a day count")?;
+    if let Some(days) = days.filter(|d| !(1..=365).contains(d)) {
+        return Err(format!("--days must be in 1..=365, got {days}"));
+    }
+    let step = m.get("--step", "a step in minutes")?;
+    if let Some(step) = step.filter(|&s| s == 0 || !1440u32.is_multiple_of(s)) {
+        return Err(format!(
+            "--step must divide the 1440-minute day evenly, got {step}"
+        ));
+    }
+    Ok((days, step))
+}
+
+/// `--chimney`/`--hvac` obstacles: every `X,Y,H` triple, metres, with a
+/// positive height.
+fn obstacle_flags(m: &Matches, name: &str) -> Result<Vec<(f64, f64, f64)>, String> {
+    m.parse_all(name, "X,Y,H (metres, H > 0)", |spec| {
+        let parts: Vec<f64> = spec
+            .split(',')
+            .map(|p| p.trim().parse().ok().filter(|v: &f64| v.is_finite()))
+            .collect::<Option<_>>()?;
+        let &[x, y, h] = parts.as_slice() else {
+            return None;
+        };
+        (h > 0.0).then_some((x, y, h))
+    })
+}
+
 struct Args {
     width: f64,
     depth: f64,
@@ -134,100 +226,36 @@ struct Args {
     portrait: bool,
     chimneys: Vec<(f64, f64, f64)>,
     hvacs: Vec<(f64, f64, f64)>,
+    help: bool,
 }
 
-fn parse_args() -> Result<Args, String> {
-    let mut args = Args {
-        width: 12.0,
-        depth: 5.0,
-        tilt: 26.0,
-        azimuth: 180.0,
-        series: 4,
-        strings: 2,
-        days: 365,
-        step: 60,
-        seed: 42,
-        threads: None,
-        portrait: false,
-        chimneys: Vec::new(),
-        hvacs: Vec::new(),
+/// Parses the top-level flags (everything after `pvplan`). Pure, like
+/// the subcommand parsers; the roof goes through the same range check as
+/// a served spec.
+fn parse_args(args: &[String]) -> Result<Args, String> {
+    let m = cli::parse("", &[ROOF_FLAGS], args)?;
+    let metres = "a number of metres";
+    let degrees = "a number of degrees";
+    let (days, step) = clock_flags(&m)?;
+    let parsed = Args {
+        width: m.get("--width", metres)?.unwrap_or(12.0),
+        depth: m.get("--depth", metres)?.unwrap_or(5.0),
+        tilt: m.get("--tilt", degrees)?.unwrap_or(26.0),
+        azimuth: m.get("--azimuth", degrees)?.unwrap_or(180.0),
+        series: m.get("--series", "a module count")?.unwrap_or(4),
+        strings: m.get("--strings", "a string count")?.unwrap_or(2),
+        days: days.unwrap_or(365),
+        step: step.unwrap_or(60),
+        seed: m.get("--seed", "an integer")?.unwrap_or(42),
+        threads: threads_flag(&m)?,
+        portrait: m.has("--portrait"),
+        chimneys: obstacle_flags(&m, "--chimney")?,
+        hvacs: obstacle_flags(&m, "--hvac")?,
+        help: m.help,
     };
-    let mut it = std::env::args().skip(1);
-    while let Some(flag) = it.next() {
-        let mut value = |name: &str| -> Result<String, String> {
-            it.next().ok_or_else(|| format!("{name} needs a value"))
-        };
-        match flag.as_str() {
-            "--width" => args.width = value("--width")?.parse().map_err(|e| format!("{e}"))?,
-            "--depth" => args.depth = value("--depth")?.parse().map_err(|e| format!("{e}"))?,
-            "--tilt" => args.tilt = value("--tilt")?.parse().map_err(|e| format!("{e}"))?,
-            "--azimuth" => {
-                args.azimuth = value("--azimuth")?.parse().map_err(|e| format!("{e}"))?;
-            }
-            "--series" => args.series = value("--series")?.parse().map_err(|e| format!("{e}"))?,
-            "--strings" => {
-                args.strings = value("--strings")?.parse().map_err(|e| format!("{e}"))?;
-            }
-            "--days" => args.days = value("--days")?.parse().map_err(|e| format!("{e}"))?,
-            "--step" => args.step = value("--step")?.parse().map_err(|e| format!("{e}"))?,
-            "--seed" => args.seed = value("--seed")?.parse().map_err(|e| format!("{e}"))?,
-            "--threads" => {
-                let spec = value("--threads")?;
-                match pvfloorplan::runtime::parse_threads(&spec) {
-                    Some(n) => args.threads = Some(n),
-                    None => {
-                        return Err(format!(
-                            "--threads expects a positive integer, got '{spec}'"
-                        ))
-                    }
-                }
-            }
-            "--portrait" => args.portrait = true,
-            "--chimney" | "--hvac" => {
-                let spec = value(&flag)?;
-                let parts: Vec<f64> = spec
-                    .split(',')
-                    .map(|p| p.trim().parse().map_err(|e| format!("{spec}: {e}")))
-                    .collect::<Result<_, _>>()?;
-                let &[x, y, h] = parts.as_slice() else {
-                    return Err(format!("{flag} expects X,Y,H (metres), got '{spec}'"));
-                };
-                let triple = (x, y, h);
-                if flag == "--chimney" {
-                    args.chimneys.push(triple);
-                } else {
-                    args.hvacs.push(triple);
-                }
-            }
-            "--help" | "-h" => {
-                println!("{HELP}");
-                std::process::exit(0);
-            }
-            other => return Err(format!("unknown flag '{other}' (try --help)")),
-        }
-    }
-    if !(args.width > 0.0 && args.width.is_finite() && args.depth > 0.0 && args.depth.is_finite()) {
-        return Err(format!(
-            "--width and --depth must be positive metres, got {} x {}",
-            args.width, args.depth
-        ));
-    }
-    if args.days == 0 || args.step == 0 {
-        return Err("--days and --step must be positive".to_string());
-    }
-    if args.days > 365 {
-        return Err(format!(
-            "--days is capped at one year (365), got {}",
-            args.days
-        ));
-    }
-    if !(1440u32).is_multiple_of(args.step) {
-        return Err(format!(
-            "--step must divide the 1440-minute day evenly, got {}",
-            args.step
-        ));
-    }
-    Ok(args)
+    check_roof(parsed.width, parsed.depth, parsed.tilt, parsed.azimuth)
+        .map_err(|(key, e)| format!("--{key} {e}"))?;
+    Ok(parsed)
 }
 
 /// Parsed `pvplan suite` flags.
@@ -241,47 +269,26 @@ struct SuiteArgs {
     help: bool,
 }
 
-/// Parses the `suite` flags (everything after `suite`). Pure — no I/O, no
-/// exits — so the error paths are unit-testable.
+/// Parses the `suite` flags (everything after `suite`).
 fn parse_suite_args(args: &[String]) -> Result<SuiteArgs, String> {
-    let mut parsed = SuiteArgs {
-        preset: CorpusPreset::Smoke,
-        seed: CORPUS_SEED,
-        threads: None,
-        full: false,
-        out: None,
-        help: false,
+    let m = cli::parse("suite", &[SUITE_FLAGS], args)?;
+    let preset = match m.value("--preset") {
+        None => CorpusPreset::Smoke,
+        Some(name) => CorpusPreset::from_name(name).ok_or_else(|| {
+            format!(
+                "--preset: unknown preset '{name}' (expected one of {})",
+                CorpusPreset::all().map(|p| p.name()).join(", ")
+            )
+        })?,
     };
-    let mut it = args.iter();
-    while let Some(flag) = it.next() {
-        let mut value = |name: &str| -> Result<&String, String> {
-            it.next().ok_or_else(|| format!("{name} needs a value"))
-        };
-        match flag.as_str() {
-            "--preset" => {
-                let name = value("--preset")?;
-                parsed.preset = CorpusPreset::from_name(name)
-                    .ok_or_else(|| format!("unknown preset '{name}' (try smoke)"))?;
-            }
-            "--seed" => {
-                parsed.seed = value("--seed")?
-                    .parse()
-                    .map_err(|e| format!("--seed: {e}"))?;
-            }
-            "--threads" => {
-                let spec = value("--threads")?;
-                parsed.threads =
-                    Some(pvfloorplan::runtime::parse_threads(spec).ok_or_else(|| {
-                        format!("--threads expects a positive integer, got '{spec}'")
-                    })?);
-            }
-            "--full" => parsed.full = true,
-            "--out" => parsed.out = Some(value("--out")?.clone()),
-            "--help" | "-h" => parsed.help = true,
-            other => return Err(format!("unknown suite flag '{other}' (try --help)")),
-        }
-    }
-    Ok(parsed)
+    Ok(SuiteArgs {
+        preset,
+        seed: m.get("--seed", "an integer")?.unwrap_or(CORPUS_SEED),
+        threads: threads_flag(&m)?,
+        full: m.has("--full"),
+        out: m.value("--out").map(str::to_string),
+        help: m.help,
+    })
 }
 
 /// Runs the `suite` subcommand.
@@ -322,14 +329,12 @@ struct ServeArgs {
 }
 
 /// The base [`ServiceConfig`] for a `--profile` name.
-fn base_config(profile: &str) -> Result<ServiceConfig, String> {
+fn base_config(profile: &str) -> Option<ServiceConfig> {
     match profile {
-        "standard" => Ok(ServiceConfig::standard()),
-        "smoke" => Ok(ServiceConfig::smoke()),
-        "tiny" => Ok(ServiceConfig::tiny()),
-        other => Err(format!(
-            "--profile expects standard|smoke|tiny, got '{other}'"
-        )),
+        "standard" => Some(ServiceConfig::standard()),
+        "smoke" => Some(ServiceConfig::smoke()),
+        "tiny" => Some(ServiceConfig::tiny()),
+        _ => None,
     }
 }
 
@@ -340,7 +345,8 @@ fn resolve_config(
     step: Option<u32>,
     cache_mb: Option<usize>,
 ) -> Result<ServiceConfig, String> {
-    let base = base_config(profile)?;
+    let base = base_config(profile)
+        .ok_or_else(|| format!("--profile expects standard|smoke|tiny, got '{profile}'"))?;
     let config = ServiceConfig {
         days: days.unwrap_or(base.days),
         step_minutes: step.unwrap_or(base.step_minutes),
@@ -350,103 +356,38 @@ fn resolve_config(
     Ok(config.with_cache_bytes(cache_mb << 20))
 }
 
-/// Parses the `serve` flags (everything after `serve`). Pure, like
-/// [`parse_suite_args`].
+/// Parses the `serve` flags (everything after `serve`).
 fn parse_serve_args(args: &[String]) -> Result<ServeArgs, String> {
-    let mut parsed = ServeArgs {
-        port: 8080,
-        threads: None,
-        profile: "standard".to_string(),
-        cache_mb: None,
-        days: None,
-        step: None,
-        store_dir: None,
-        port_file: None,
-        trace_log: None,
-        watch_stdin: false,
-        help: false,
-    };
-    let mut it = args.iter();
-    while let Some(flag) = it.next() {
-        let mut value = |name: &str| -> Result<&String, String> {
-            it.next().ok_or_else(|| format!("{name} needs a value"))
-        };
-        match flag.as_str() {
-            "--port" => {
-                let spec = value("--port")?;
-                parsed.port = spec
-                    .parse()
-                    .map_err(|_| format!("--port expects 0..=65535, got '{spec}'"))?;
-            }
-            "--threads" => {
-                let spec = value("--threads")?;
-                parsed.threads =
-                    Some(pvfloorplan::runtime::parse_threads(spec).ok_or_else(|| {
-                        format!("--threads expects a positive integer, got '{spec}'")
-                    })?);
-            }
-            "--profile" => {
-                let name = value("--profile")?;
-                base_config(name)?; // validate early, fail with the flag name
-                parsed.profile = name.clone();
-            }
-            "--trace-log" => parsed.trace_log = Some(value("--trace-log")?.clone()),
-            "--cache-mb" => {
-                let spec = value("--cache-mb")?;
-                // The upper bound keeps `cache_mb << 20` from silently
-                // overflowing usize into a tiny (or zero) byte budget.
-                parsed.cache_mb = match spec.parse() {
-                    Ok(mb) if mb > 0 && mb <= usize::MAX >> 20 => Some(mb),
-                    Ok(mb) if mb > 0 => {
-                        return Err(format!("--cache-mb is out of range, got {mb}"));
-                    }
-                    _ => {
-                        return Err(format!(
-                            "--cache-mb expects a positive integer, got '{spec}'"
-                        ))
-                    }
-                };
-            }
-            "--days" => {
-                parsed.days = Some(
-                    value("--days")?
-                        .parse()
-                        .map_err(|e| format!("--days: {e}"))?,
-                );
-            }
-            "--step" => {
-                parsed.step = Some(
-                    value("--step")?
-                        .parse()
-                        .map_err(|e| format!("--step: {e}"))?,
-                );
-            }
-            "--store-dir" => parsed.store_dir = Some(value("--store-dir")?.clone()),
-            "--port-file" => parsed.port_file = Some(value("--port-file")?.clone()),
-            "--watch-stdin" => parsed.watch_stdin = true,
-            "--help" | "-h" => parsed.help = true,
-            other => return Err(format!("unknown serve flag '{other}' (try --help)")),
-        }
-    }
-    validate_clock_overrides(parsed.days, parsed.step)?;
-    Ok(parsed)
+    serve_args(&cli::parse("serve", &[SERVING_FLAGS], args)?)
 }
 
-/// Shared `--days`/`--step` validation for the serving subcommands.
-fn validate_clock_overrides(days: Option<u32>, step: Option<u32>) -> Result<(), String> {
-    if let Some(days) = days {
-        if days == 0 || days > 365 {
-            return Err(format!("--days must be in 1..=365, got {days}"));
-        }
+/// The [`SERVING_FLAGS`] of a `serve` or `route` invocation.
+fn serve_args(m: &Matches) -> Result<ServeArgs, String> {
+    let cache_mb = m.parse("--cache-mb", "a positive integer", |v| {
+        v.parse().ok().filter(|&mb: &usize| mb > 0)
+    })?;
+    // The upper bound keeps `cache_mb << 20` from silently overflowing
+    // usize into a tiny (or zero) byte budget.
+    if let Some(mb) = cache_mb.filter(|&mb| mb > usize::MAX >> 20) {
+        return Err(format!("--cache-mb is out of range, got {mb}"));
     }
-    if let Some(step) = step {
-        if step == 0 || !1440u32.is_multiple_of(step) {
-            return Err(format!(
-                "--step must divide the 1440-minute day evenly, got {step}"
-            ));
-        }
-    }
-    Ok(())
+    let profile = m.parse("--profile", "standard|smoke|tiny", |v| {
+        base_config(v).map(|_| v.to_string())
+    })?;
+    let (days, step) = clock_flags(m)?;
+    Ok(ServeArgs {
+        port: m.get("--port", "0..=65535")?.unwrap_or(8080),
+        threads: threads_flag(m)?,
+        profile: profile.unwrap_or_else(|| "standard".to_string()),
+        cache_mb,
+        days,
+        step,
+        store_dir: m.value("--store-dir").map(str::to_string),
+        port_file: m.value("--port-file").map(str::to_string),
+        trace_log: m.value("--trace-log").map(str::to_string),
+        watch_stdin: m.has("--watch-stdin"),
+        help: m.help,
+    })
 }
 
 /// Blocks until stdin reaches EOF. With `--watch-stdin` the supervising
@@ -547,86 +488,66 @@ struct RouteArgs {
     help: bool,
 }
 
-/// Parses the `route` flags (everything after `route`). Pure, like
-/// [`parse_serve_args`].
+/// Parses the `route` flags (everything after `route`): the serving
+/// flags plus `--shards`.
 fn parse_route_args(args: &[String]) -> Result<RouteArgs, String> {
-    let mut parsed = RouteArgs {
-        shards: 0,
-        port: 8080,
-        threads: None,
-        profile: "standard".to_string(),
-        cache_mb: None,
-        days: None,
-        step: None,
-        store_dir: "target/router_store".to_string(),
-        port_file: None,
-        trace_log: None,
-        watch_stdin: false,
-        help: false,
-    };
-    let mut it = args.iter();
-    while let Some(flag) = it.next() {
-        let mut value = |name: &str| -> Result<&String, String> {
-            it.next().ok_or_else(|| format!("{name} needs a value"))
-        };
-        match flag.as_str() {
-            "--shards" => {
-                parsed.shards = match value("--shards")?.parse() {
-                    Ok(n) if (1..=64).contains(&n) => n,
-                    _ => return Err("--shards expects an integer in 1..=64".to_string()),
-                };
-            }
-            "--port" => {
-                let spec = value("--port")?;
-                parsed.port = spec
-                    .parse()
-                    .map_err(|_| format!("--port expects 0..=65535, got '{spec}'"))?;
-            }
-            "--threads" => {
-                let spec = value("--threads")?;
-                parsed.threads =
-                    Some(pvfloorplan::runtime::parse_threads(spec).ok_or_else(|| {
-                        format!("--threads expects a positive integer, got '{spec}'")
-                    })?);
-            }
-            "--profile" => {
-                let name = value("--profile")?;
-                base_config(name)?;
-                parsed.profile = name.clone();
-            }
-            "--cache-mb" => {
-                parsed.cache_mb = match value("--cache-mb")?.parse() {
-                    Ok(mb) if mb > 0 && mb <= usize::MAX >> 20 => Some(mb),
-                    _ => return Err("--cache-mb expects a positive integer in range".to_string()),
-                };
-            }
-            "--days" => {
-                parsed.days = Some(
-                    value("--days")?
-                        .parse()
-                        .map_err(|e| format!("--days: {e}"))?,
-                );
-            }
-            "--step" => {
-                parsed.step = Some(
-                    value("--step")?
-                        .parse()
-                        .map_err(|e| format!("--step: {e}"))?,
-                );
-            }
-            "--store-dir" => parsed.store_dir = value("--store-dir")?.clone(),
-            "--port-file" => parsed.port_file = Some(value("--port-file")?.clone()),
-            "--trace-log" => parsed.trace_log = Some(value("--trace-log")?.clone()),
-            "--watch-stdin" => parsed.watch_stdin = true,
-            "--help" | "-h" => parsed.help = true,
-            other => return Err(format!("unknown route flag '{other}' (try --help)")),
-        }
-    }
-    validate_clock_overrides(parsed.days, parsed.step)?;
-    if !parsed.help && parsed.shards == 0 {
+    let m = cli::parse("route", &[SERVING_FLAGS, ROUTE_FLAGS], args)?;
+    let shards = m.parse("--shards", "an integer in 1..=64", |v| {
+        v.parse().ok().filter(|n| (1..=64).contains(n))
+    })?;
+    let ServeArgs {
+        port,
+        threads,
+        profile,
+        cache_mb,
+        days,
+        step,
+        store_dir,
+        port_file,
+        trace_log,
+        watch_stdin,
+        help,
+    } = serve_args(&m)?;
+    if !help && shards.is_none() {
         return Err("route requires --shards N (1..=64)".to_string());
     }
-    Ok(parsed)
+    Ok(RouteArgs {
+        shards: shards.unwrap_or(0),
+        port,
+        threads,
+        profile,
+        cache_mb,
+        days,
+        step,
+        store_dir: store_dir.unwrap_or_else(|| "target/router_store".to_string()),
+        port_file,
+        trace_log,
+        watch_stdin,
+        help,
+    })
+}
+
+/// The `serve` argv `route` gives every worker (the router appends the
+/// per-shard port, store and stdin flags): the route's own profile,
+/// threads, cache and clock flags.
+fn worker_args(route: &RouteArgs) -> Vec<String> {
+    let mut args = vec![
+        "serve".to_string(),
+        "--profile".to_string(),
+        route.profile.clone(),
+    ];
+    let forwarded = [
+        ("--threads", route.threads.map(|n| n.to_string())),
+        ("--cache-mb", route.cache_mb.map(|mb| mb.to_string())),
+        ("--days", route.days.map(|d| d.to_string())),
+        ("--step", route.step.map(|s| s.to_string())),
+    ];
+    for (flag, value) in forwarded {
+        if let Some(value) = value {
+            args.extend([flag.to_string(), value]);
+        }
+    }
+    args
 }
 
 /// Runs the `route` subcommand: spawns the worker fleet behind a
@@ -640,25 +561,8 @@ fn run_route(args: &[String]) -> Result<(), String> {
     let exe = std::env::current_exe()
         .map_err(|e| format!("locating the pvplan executable for workers: {e}"))?;
 
-    let mut worker_args = vec![
-        "serve".to_string(),
-        "--profile".to_string(),
-        parsed.profile.clone(),
-    ];
-    if let Some(threads) = parsed.threads {
-        worker_args.extend(["--threads".to_string(), threads.to_string()]);
-    }
-    if let Some(cache_mb) = parsed.cache_mb {
-        worker_args.extend(["--cache-mb".to_string(), cache_mb.to_string()]);
-    }
-    if let Some(days) = parsed.days {
-        worker_args.extend(["--days".to_string(), days.to_string()]);
-    }
-    if let Some(step) = parsed.step {
-        worker_args.extend(["--step".to_string(), step.to_string()]);
-    }
     let mut config = pvfloorplan::server::RouterConfig::new(parsed.shards, exe, &parsed.store_dir);
-    config.worker_args = worker_args;
+    config.worker_args = worker_args(&parsed);
     if let Some(path) = &parsed.trace_log {
         config.trace_log_base = Some(path.into());
     }
@@ -713,59 +617,23 @@ struct ExtractArgs {
     help: bool,
 }
 
-/// Parses the `extract` flags (everything after `extract`). Pure, like
-/// [`parse_serve_args`].
+/// Parses the `extract` flags (everything after `extract`).
 fn parse_extract_args(args: &[String]) -> Result<ExtractArgs, String> {
+    let m = cli::parse("extract", &[EXTRACT_FLAGS], args)?;
     let defaults = ServiceConfig::standard();
-    let mut parsed = ExtractArgs {
-        store_dir: None,
-        sites: 4,
-        seed: CORPUS_SEED,
-        days: defaults.days,
-        step: defaults.step_minutes,
-        help: false,
+    let (days, step) = clock_flags(&m)?;
+    let parsed = ExtractArgs {
+        store_dir: m.value("--store-dir").map(str::to_string),
+        sites: m
+            .parse("--sites", "a positive integer", |v| {
+                v.parse().ok().filter(|&n: &u32| n > 0)
+            })?
+            .unwrap_or(4),
+        seed: m.get("--seed", "an integer")?.unwrap_or(CORPUS_SEED),
+        days: days.unwrap_or(defaults.days),
+        step: step.unwrap_or(defaults.step_minutes),
+        help: m.help,
     };
-    let mut it = args.iter();
-    while let Some(flag) = it.next() {
-        let mut value = |name: &str| -> Result<&String, String> {
-            it.next().ok_or_else(|| format!("{name} needs a value"))
-        };
-        match flag.as_str() {
-            "--store-dir" => parsed.store_dir = Some(value("--store-dir")?.clone()),
-            "--sites" => {
-                parsed.sites = match value("--sites")?.parse() {
-                    Ok(n) if n > 0 => n,
-                    _ => return Err("--sites expects a positive integer".to_string()),
-                };
-            }
-            "--seed" => {
-                parsed.seed = value("--seed")?
-                    .parse()
-                    .map_err(|e| format!("--seed: {e}"))?;
-            }
-            "--days" => {
-                parsed.days = value("--days")?
-                    .parse()
-                    .map_err(|e| format!("--days: {e}"))?;
-            }
-            "--step" => {
-                parsed.step = value("--step")?
-                    .parse()
-                    .map_err(|e| format!("--step: {e}"))?;
-            }
-            "--help" | "-h" => parsed.help = true,
-            other => return Err(format!("unknown extract flag '{other}' (try --help)")),
-        }
-    }
-    if parsed.days == 0 || parsed.days > 365 {
-        return Err(format!("--days must be in 1..=365, got {}", parsed.days));
-    }
-    if parsed.step == 0 || !1440u32.is_multiple_of(parsed.step) {
-        return Err(format!(
-            "--step must divide the 1440-minute day evenly, got {}",
-            parsed.step
-        ));
-    }
     if !parsed.help && parsed.store_dir.is_none() {
         return Err("extract requires --store-dir PATH".to_string());
     }
@@ -832,16 +700,20 @@ fn main() {
 /// Dispatches the subcommands; every error path funnels through
 /// [`main`]'s `Error:`-prefixed exit-1 convention.
 fn run() -> Result<(), String> {
-    let cli: Vec<String> = std::env::args().collect();
-    let rest = cli.get(2..).unwrap_or_default();
-    match cli.get(1).map(String::as_str) {
+    let argv: Vec<String> = std::env::args().collect();
+    let rest = argv.get(2..).unwrap_or_default();
+    match argv.get(1).map(String::as_str) {
         Some("suite") => return run_suite(rest),
         Some("serve") => return run_serve(rest),
         Some("route") => return run_route(rest),
         Some("extract") => return run_extract(rest),
         _ => {}
     }
-    let args = parse_args()?;
+    let args = parse_args(argv.get(1..).unwrap_or_default())?;
+    if args.help {
+        println!("{HELP}");
+        return Ok(());
+    }
 
     let mut builder = RoofBuilder::new(Meters::new(args.width), Meters::new(args.depth))
         .tilt(Degrees::new(args.tilt))
@@ -923,53 +795,21 @@ fn run() -> Result<(), String> {
 
 #[cfg(test)]
 mod tests {
-    use super::{parse_extract_args, parse_route_args, parse_serve_args, parse_suite_args, HELP};
+    use super::{
+        parse_args, parse_extract_args, parse_route_args, parse_serve_args, parse_suite_args,
+        worker_args, EXTRACT_FLAGS, HELP, ROOF_FLAGS, ROUTE_FLAGS, SERVING_FLAGS, SUITE_FLAGS,
+    };
+    use pvfloorplan::gis::synth::CorpusPreset;
 
-    /// Every flag the three parsers accept, by subcommand. Adding a flag
-    /// to `parse_args`/`parse_suite_args`/`parse_serve_args` without
-    /// listing it here (and in `HELP`) fails the pin below.
-    const MAIN_FLAGS: &[&str] = &[
-        "--width",
-        "--depth",
-        "--tilt",
-        "--azimuth",
-        "--series",
-        "--strings",
-        "--days",
-        "--step",
-        "--seed",
-        "--threads",
-        "--portrait",
-        "--chimney",
-        "--hvac",
+    /// Every flag table, so a flag added to one but missing from `HELP`
+    /// fails the pin below.
+    const TABLES: &[&[pv_bench::cli::Flag]] = &[
+        ROOF_FLAGS,
+        SUITE_FLAGS,
+        SERVING_FLAGS,
+        ROUTE_FLAGS,
+        EXTRACT_FLAGS,
     ];
-    const SUITE_FLAGS: &[&str] = &["--preset", "--seed", "--threads", "--full", "--out"];
-    const SERVE_FLAGS: &[&str] = &[
-        "--port",
-        "--threads",
-        "--cache-mb",
-        "--days",
-        "--step",
-        "--profile",
-        "--store-dir",
-        "--port-file",
-        "--trace-log",
-        "--watch-stdin",
-    ];
-    const ROUTE_FLAGS: &[&str] = &[
-        "--shards",
-        "--port",
-        "--threads",
-        "--cache-mb",
-        "--days",
-        "--step",
-        "--profile",
-        "--store-dir",
-        "--port-file",
-        "--trace-log",
-        "--watch-stdin",
-    ];
-    const EXTRACT_FLAGS: &[&str] = &["--store-dir", "--sites", "--seed", "--days", "--step"];
 
     fn strings(args: &[&str]) -> Vec<String> {
         args.iter().map(ToString::to_string).collect()
@@ -989,13 +829,7 @@ mod tests {
 
     #[test]
     fn help_documents_every_flag_and_subcommand() {
-        for flag in MAIN_FLAGS
-            .iter()
-            .chain(SUITE_FLAGS)
-            .chain(ROUTE_FLAGS)
-            .chain(SERVE_FLAGS)
-            .chain(EXTRACT_FLAGS)
-        {
+        for flag in TABLES.iter().flat_map(|t| t.iter()).map(|f| f.name) {
             assert!(HELP.contains(flag), "--help is missing {flag}");
         }
         assert!(HELP.contains("pvplan suite"));
@@ -1239,6 +1073,131 @@ mod tests {
         ] {
             let err = parse_serve_args(&strings(&args)).unwrap_err();
             assert!(err.contains(needle), "{args:?}: {err}");
+        }
+    }
+    /// An argv from one line of whitespace-separated words.
+    fn argv(line: &str) -> Vec<String> {
+        line.split_whitespace().map(String::from).collect()
+    }
+
+    #[test]
+    fn suite_defaults_match_the_portfolio_smoke_invocation() {
+        // `suite` without `--full` is the CI portfolio smoke.
+        let parsed = parse_suite_args(&[]).unwrap();
+        assert_eq!(parsed.preset, CorpusPreset::Smoke);
+        assert_eq!(parsed.seed, pvfloorplan::gis::synth::CORPUS_SEED);
+        assert_eq!((parsed.threads, parsed.out), (None, None));
+        assert!(!parsed.full && !parsed.help);
+    }
+
+    #[test]
+    fn suite_parser_rejects_the_portfolio_error_cases() {
+        for (args, needle) in [
+            ("--threads -3", "--threads expects a positive"),
+            ("--threads", "--threads needs a value"),
+            ("--seed NaN", "--seed expects an integer"),
+            ("--cache x", "unknown suite flag '--cache'"),
+        ] {
+            let err = parse_suite_args(&argv(args)).unwrap_err();
+            assert!(err.contains(needle), "{args}: {err}");
+        }
+        // The unknown-preset message lists every valid preset.
+        let err = parse_suite_args(&argv("--preset x")).unwrap_err();
+        for preset in CorpusPreset::all() {
+            assert!(err.contains(preset.name()), "{err}");
+        }
+    }
+
+    #[test]
+    fn roof_parser_defaults_and_help_are_pure() {
+        let parsed = parse_args(&[]).unwrap();
+        assert_eq!((parsed.width, parsed.depth), (12.0, 5.0));
+        assert_eq!((parsed.tilt, parsed.azimuth), (26.0, 180.0));
+        assert_eq!((parsed.series, parsed.strings), (4, 2));
+        assert_eq!((parsed.days, parsed.step, parsed.seed), (365, 60, 42));
+        assert!(!parsed.help && !parsed.portrait);
+        let line = "--chimney 5,2,1.8 --hvac 1,1,2 --chimney 7,3,1 --portrait -h";
+        let parsed = parse_args(&argv(line)).unwrap();
+        assert_eq!(parsed.chimneys, [(5.0, 2.0, 1.8), (7.0, 3.0, 1.0)]);
+        assert_eq!(parsed.hvacs, [(1.0, 1.0, 2.0)]);
+        assert!(parsed.portrait && parsed.help);
+    }
+
+    #[test]
+    fn roof_parser_range_checks_the_roof_like_a_served_spec() {
+        for (args, needle) in [
+            ("--tilt 95", "--tilt must be in [0, 90)"),
+            ("--tilt NaN", "--tilt must be in [0, 90)"),
+            ("--width 1e9", "--width must keep the roof within"),
+            ("--depth 1e4", "--depth must keep the roof within"),
+            ("--width 0", "--width must be"),
+            ("--depth -2", "--depth must be"),
+            ("--azimuth inf", "--azimuth must be finite"),
+            (
+                "--width abc",
+                "--width expects a number of metres, got 'abc'",
+            ),
+            ("--series x", "--series expects"),
+            ("--chimney 1,2", "--chimney expects X,Y,H"),
+            ("--hvac 1,2,-1", "--hvac expects X,Y,H"),
+            ("--days 400", "--days must be in 1..=365"),
+            ("--step 7", "--step must divide"),
+            ("--threads 0", "--threads expects a positive"),
+            ("--bogus", "unknown flag '--bogus'"),
+        ] {
+            let Err(err) = parse_args(&argv(args)) else {
+                panic!("{args} parsed");
+            };
+            assert!(err.contains(needle), "{args}: {err}");
+        }
+    }
+
+    #[test]
+    fn the_argv_the_benchmark_passes_still_parses() {
+        // `perfbench/src/serve.rs` spawns `pvplan serve`/`route` with these
+        // argvs (its `Proc::spawn` appends the port and stdin flags), and
+        // hands the router the `traced` worker args in its traced run.
+        let tail = "--port 0 --port-file x/serve0.port --watch-stdin";
+        let serve = parse_serve_args(&argv(&format!("--profile standard --threads 2 {tail}")));
+        let serve = serve.unwrap();
+        assert_eq!(serve.profile, "standard");
+        assert_eq!((serve.threads, serve.port), (Some(2), 0));
+        assert_eq!(serve.port_file.as_deref(), Some("x/serve0.port"));
+        assert_eq!((serve.days, serve.step, serve.cache_mb), (None, None, None));
+        assert!(serve.watch_stdin);
+
+        let route = "--shards 2 --threads 1 --profile standard --store-dir x/store";
+        let route = parse_route_args(&argv(&format!("{route} {tail}"))).unwrap();
+        assert_eq!((route.shards, route.threads, route.port), (2, Some(1), 0));
+        assert_eq!(
+            (route.profile.as_str(), route.store_dir.as_str()),
+            ("standard", "x/store")
+        );
+        assert!(route.watch_stdin);
+
+        let traced = parse_serve_args(&argv("--profile standard --threads 1")).unwrap();
+        assert_eq!(
+            (traced.profile.as_str(), traced.threads),
+            ("standard", Some(1))
+        );
+    }
+
+    #[test]
+    fn worker_args_parse_back_to_the_route_settings() {
+        let tuned = "--shards 3 --profile tiny --threads 2 --cache-mb 16 --days 3 --step 30";
+        for route in ["--shards 2", tuned] {
+            let route = parse_route_args(&argv(route)).unwrap();
+            let mut worker = worker_args(&route);
+            assert_eq!(worker.remove(0), "serve");
+            // What `Router::start` appends for each shard.
+            worker.extend(argv("--port 0 --port-file p --store-dir s --watch-stdin"));
+            let serve = parse_serve_args(&worker).unwrap();
+            assert_eq!(serve.profile, route.profile);
+            assert_eq!(
+                (serve.threads, serve.cache_mb),
+                (route.threads, route.cache_mb)
+            );
+            assert_eq!((serve.days, serve.step), (route.days, route.step));
         }
     }
 }
