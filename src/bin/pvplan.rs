@@ -1091,6 +1091,19 @@ mod tests {
     }
 
     #[test]
+    fn suite_parser_accepts_the_portfolio_flags() {
+        // The old portfolio `--smoke` is the suite default, so it is not passed.
+        let parsed =
+            parse_suite_args(&argv("--preset paper3 --seed 9 --threads 4 --out artifact.json"))
+                .unwrap();
+        assert_eq!(parsed.preset, CorpusPreset::Paper3);
+        assert_eq!(parsed.seed, 9);
+        assert_eq!(parsed.threads, Some(4));
+        assert!(!parsed.full);
+        assert_eq!(parsed.out.as_deref(), Some("artifact.json"));
+    }
+
+    #[test]
     fn suite_parser_rejects_the_portfolio_error_cases() {
         for (args, needle) in [
             ("--threads -3", "--threads expects a positive"),
