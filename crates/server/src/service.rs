@@ -1095,6 +1095,7 @@ mod tests {
         assert!(warm.prewarm(&spec).unwrap());
         assert!(!warm.prewarm(&spec).unwrap(), "second pre-warm is a no-op");
         warm.drain_store();
+        assert_eq!(store.counters().writes(), 1, "pre-warm commits once");
         drop(warm);
         drop(store);
 
