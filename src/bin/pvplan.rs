@@ -1093,9 +1093,10 @@ mod tests {
     #[test]
     fn suite_parser_accepts_the_portfolio_flags() {
         // The old portfolio `--smoke` is the suite default, so it is not passed.
-        let parsed =
-            parse_suite_args(&argv("--preset paper3 --seed 9 --threads 4 --out artifact.json"))
-                .unwrap();
+        let parsed = parse_suite_args(&argv(
+            "--preset paper3 --seed 9 --threads 4 --out artifact.json",
+        ))
+        .unwrap();
         assert_eq!(parsed.preset, CorpusPreset::Paper3);
         assert_eq!(parsed.seed, 9);
         assert_eq!(parsed.threads, Some(4));
