@@ -7,11 +7,29 @@
 //! Runs at a deliberately tiny clock/horizon resolution so the full
 //! 64-scenario sweep stays cheap in debug builds; determinism and
 //! coverage are resolution-independent.
+//!
+//! The records are also pinned across versions: one FNV-1a hash over
+//! every `deterministic_line`, captured before the portfolio runner and
+//! the placement service were folded onto one site-solve path. A change
+//! that moves a single bit of any scenario's topology or energies fails
+//! here.
 
 use pv_bench::portfolio::{run_portfolio, PortfolioOptions, PortfolioRecord};
 use pvfloorplan::gis::synth::LATITUDE_BANDS;
 use pvfloorplan::prelude::*;
 use std::collections::BTreeSet;
+
+/// The pinned hash of the `diverse64` records at [`tiny_options`].
+const DIVERSE64_FINGERPRINT: u64 = 0x3D32_BE4D_F8E5_4A96;
+
+/// FNV-1a over `bytes`, continuing from `hash`.
+fn fnv1a(mut hash: u64, bytes: &[u8]) -> u64 {
+    for &b in bytes {
+        hash ^= u64::from(b);
+        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    hash
+}
 
 fn tiny_options(threads: usize) -> PortfolioOptions {
     PortfolioOptions {
@@ -42,6 +60,13 @@ fn diverse64_is_thread_count_invariant_and_diverse() {
             .collect::<Vec<_>>()
     };
     assert_eq!(lines(&seq), lines(&par));
+    let fingerprint = lines(&seq).iter().fold(0xcbf2_9ce4_8422_2325, |h, line| {
+        fnv1a(h, format!("{line}\n").as_bytes())
+    });
+    assert_eq!(
+        fingerprint, DIVERSE64_FINGERPRINT,
+        "diverse64 records moved: {fingerprint:#018X}"
+    );
 
     // Every scenario produced a real site and a real placement score.
     for record in &seq {
