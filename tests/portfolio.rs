@@ -13,10 +13,16 @@
 //! the placement service were folded onto one site-solve path. A change
 //! that moves a single bit of any scenario's topology or energies fails
 //! here.
+//!
+//! Finally, the two front ends of the site solve must not fork: the
+//! placement service answers a generated site with the same topology and
+//! energy the portfolio runner records for it.
 
-use pv_bench::portfolio::{run_portfolio, PortfolioOptions, PortfolioRecord};
+use pv_bench::portfolio::{run_portfolio, run_scenario, PortfolioOptions, PortfolioRecord};
 use pvfloorplan::gis::synth::LATITUDE_BANDS;
+use pvfloorplan::json::{self, JsonValue};
 use pvfloorplan::prelude::*;
+use pvfloorplan::server::{PlacementService, ServiceConfig};
 use std::collections::BTreeSet;
 
 /// The pinned hash of the `diverse64` records at [`tiny_options`].
@@ -97,4 +103,33 @@ fn diverse64_is_thread_count_invariant_and_diverse() {
     }
     assert!(archetypes.len() >= 4, "archetypes seen: {archetypes:?}");
     assert_eq!(pairs.len(), 12, "4 archetypes x 3 bands: {pairs:?}");
+}
+
+#[test]
+fn service_and_portfolio_agree_on_the_first_diverse64_sites() {
+    let corpus = ScenarioCorpus::preset(CorpusPreset::Diverse64);
+    let options = PortfolioOptions::smoke(Runtime::sequential());
+    let service = PlacementService::new(ServiceConfig::smoke());
+    for scenario in &corpus.scenarios()[..16] {
+        let record = run_scenario(scenario, &options);
+        let spec = scenario
+            .spec
+            .as_ref()
+            .expect("diverse64 sites are generated");
+        for (placer, wh) in [("greedy", record.greedy_wh), ("anneal", record.anneal_wh)] {
+            let body = format!(
+                r#"{{"spec": "{}", "placer": "{placer}"}}"#,
+                spec.to_spec_string()
+            );
+            let (response, _) = service
+                .place(&body)
+                .unwrap_or_else(|e| panic!("{} {placer}: {e:?}", record.scenario));
+            let response = json::parse(&response).expect("response is JSON");
+            let field = |key: &str| response.get(key).and_then(JsonValue::as_number);
+            let what = format!("{} {placer}", record.scenario);
+            assert_eq!(field("series"), Some(record.series as f64), "{what}");
+            assert_eq!(field("strings"), Some(record.strings as f64), "{what}");
+            assert_eq!(field("energy_wh"), Some(json::rounded(wh, 3)), "{what}");
+        }
+    }
 }
