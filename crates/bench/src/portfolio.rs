@@ -1,12 +1,17 @@
 //! The portfolio runner: fan a [`ScenarioCorpus`] across the parallel
 //! runtime and score every site with the full placer ensemble.
 //!
-//! Each scenario is one *work unit*: extract its solar dataset, pick the
-//! largest topology of a fixed ladder that fits, run the greedy placer,
-//! refine with simulated annealing, and — where the search space is small
-//! enough — compute the exhaustive optimum. All placer runs on a site
-//! share one warm per-anchor [`TraceMemo`], so the annealer and the exact
-//! search start from the traces the greedy evaluation already paid for.
+//! Each scenario is one *work unit* on the same site-solve path the
+//! placement service takes: extract its solar dataset, compute the
+//! topology-free [`SuitabilityMap::paper`], pick the first
+//! [`TOPOLOGY_LADDER`](pv_floorplan::TOPOLOGY_LADDER) entry within
+//! [`PortfolioOptions::max_modules`] whose greedy placement fits
+//! ([`fit_topology`]), then score the site with every [`Placer`] in
+//! [`Placer::all`] order: greedy, simulated annealing from
+//! the greedy start, and — where the search space is small enough — the
+//! exhaustive optimum. All placer runs on a site share one warm per-anchor
+//! [`TraceMemo`], so the annealer and the exact search start from the
+//! traces the greedy evaluation already paid for.
 //!
 //! # Work distribution and determinism
 //!
@@ -25,22 +30,12 @@
 //! `name` core, validated offline by the `check_bench_json` bin).
 
 use crate::json;
-use pv_floorplan::{
-    anneal_with_memo, greedy_placement_with_map, optimal_placement_with_memo, AnnealConfig,
-    EnergyEvaluator, FloorplanConfig, SuitabilityMap, TraceMemo,
-};
+use pv_floorplan::{fit_topology, Placer, PlacerOptions, SuitabilityMap, TraceMemo};
 use pv_gis::{CorpusPreset, ScenarioCorpus, SiteScenario};
-use pv_model::Topology;
 use pv_runtime::Runtime;
 use pv_units::SimulationClock;
 use std::path::PathBuf;
 use std::time::Instant;
-
-/// Topology ladder tried largest-first on every scenario (series ×
-/// strings). The first entry whose compact and greedy placements both fit
-/// the site wins, so big roofs are scored at paper scale while small
-/// generated roofs degrade gracefully instead of failing.
-pub const TOPOLOGY_LADDER: [(usize, usize); 6] = [(8, 2), (4, 2), (4, 1), (2, 2), (2, 1), (1, 1)];
 
 /// Tuning knobs of a portfolio run.
 #[derive(Clone, Copy, Debug)]
@@ -57,7 +52,7 @@ pub struct PortfolioOptions {
     /// Horizon azimuth sectors for extraction (trade precision for
     /// speed at smoke scale).
     pub horizon_sectors: usize,
-    /// Upper bound on modules per scenario (caps [`TOPOLOGY_LADDER`]).
+    /// Upper bound on modules per scenario (caps [`TOPOLOGY_LADDER`](pv_floorplan::TOPOLOGY_LADDER)).
     pub max_modules: usize,
 }
 
@@ -214,58 +209,32 @@ pub fn run_scenario(scenario: &SiteScenario, opts: &PortfolioOptions) -> Portfol
         wall_ms: 0.0,
     };
 
-    // Largest ladder topology whose greedy placement fits this site. The
-    // suitability map depends only on percentile/module/temperature
-    // settings — identical for every ladder entry — so compute it once.
-    let map = {
-        let probe = Topology::new(1, 1).expect("non-empty");
-        let config = FloorplanConfig::paper(probe).expect("paper module fits 20 cm grid");
-        SuitabilityMap::compute_with(&dataset, &config, sequential)
-    };
-    let fitted = TOPOLOGY_LADDER
-        .iter()
-        .filter(|(m, n)| m * n <= opts.max_modules)
-        .find_map(|&(m, n)| {
-            let topology = Topology::new(m, n).expect("ladder entries are non-empty");
-            let config = FloorplanConfig::paper(topology).expect("paper module fits 20 cm grid");
-            let plan = greedy_placement_with_map(&dataset, &config, &map).ok()?;
-            Some((config, plan))
+    // One map serves every ladder entry. A roof too encumbered for even
+    // one module keeps a zero record.
+    let map = SuitabilityMap::paper(&dataset, sequential);
+    if let Some(config) = fit_topology(&dataset, &map, opts.max_modules) {
+        record.series = config.topology().series();
+        record.strings = config.topology().strings();
+        // One warm per-anchor memo for every placer run on this site: the
+        // greedy evaluation seeds it, the annealing chain and the exact
+        // search reuse and extend it.
+        let memo = TraceMemo::new();
+        let options = PlacerOptions {
+            anneal_iterations: opts.anneal_iterations,
+            seed,
+            exact_budget: opts.exact_budget,
+        };
+        let [greedy_wh, anneal_wh, exact_wh] = Placer::all().map(|placer| {
+            placer
+                .place_with_memo(&dataset, &config, &map, &options, sequential, &memo)
+                .ok()
+                .map(|(_, report)| report.energy.as_wh())
         });
-    let Some((config, greedy_plan)) = fitted else {
-        record.wall_ms = t0.elapsed().as_secs_f64() * 1e3;
-        return record; // roof too encumbered for even one module
-    };
-    record.series = config.topology().series();
-    record.strings = config.topology().strings();
-
-    // One warm per-anchor memo for every placer run on this site: the
-    // greedy evaluation seeds it, the annealing chain and the exact
-    // search reuse and extend it (PR 3's trace caches, shared across
-    // same-site runs).
-    let memo = TraceMemo::new();
-    let evaluator = EnergyEvaluator::new(&config).with_runtime(sequential);
-    record.greedy_wh = evaluator
-        .context_with_memo(&dataset, &greedy_plan, &memo)
-        .expect("plan sized by construction")
-        .evaluate()
-        .energy
-        .as_wh();
-
-    let params = AnnealConfig {
-        iterations: opts.anneal_iterations,
-        seed,
-        ..AnnealConfig::default()
-    };
-    let (_, anneal_energy) =
-        anneal_with_memo(&dataset, &config, &greedy_plan, params, sequential, &memo)
-            .expect("initial plan is feasible");
-    record.anneal_wh = anneal_energy.as_wh();
-
-    record.exact_wh =
-        optimal_placement_with_memo(&dataset, &config, opts.exact_budget, sequential, &memo)
-            .ok()
-            .map(|(_, energy)| energy.as_wh());
-
+        record.greedy_wh = greedy_wh.expect("the ladder fit is a greedy fit");
+        record.anneal_wh = anneal_wh.expect("annealing starts from the fitting greedy plan");
+        // The exhaustive search records nothing beyond its node budget.
+        record.exact_wh = exact_wh;
+    }
     record.wall_ms = t0.elapsed().as_secs_f64() * 1e3;
     record
 }

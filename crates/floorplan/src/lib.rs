@@ -61,7 +61,7 @@ pub use evaluate::{
 };
 pub use exact::{optimal_placement, optimal_placement_with_memo};
 pub use greedy::{greedy_placement, greedy_placement_with_map, FloorplanResult};
-pub use placer::{Placer, PlacerOptions};
+pub use placer::{fit_topology, Placer, PlacerOptions, TOPOLOGY_LADDER};
 pub use report::{ComparisonRow, Table1Report};
 pub use suitability::SuitabilityMap;
 pub use traditional::{traditional_placement, traditional_placement_with_map};

@@ -12,7 +12,8 @@
 //! Every path is a pure function of its inputs (dataset, config, options,
 //! memo contents only affect *speed*, never values — the PR 3 bit-identity
 //! contract), so two identical requests produce identical results on any
-//! thread count.
+//! thread count. Callers that do not pin a topology take it from
+//! [`fit_topology`], on one [`SuitabilityMap::paper`] per site.
 
 use crate::anneal::{anneal_with_memo, AnnealConfig};
 use crate::evaluate::{EnergyEvaluator, EnergyReport, TraceMemo};
@@ -21,7 +22,31 @@ use crate::greedy::{greedy_placement_with_map, FloorplanResult};
 use crate::suitability::SuitabilityMap;
 use crate::{FloorplanConfig, FloorplanError};
 use pv_gis::SolarDataset;
+use pv_model::Topology;
 use pv_runtime::Runtime;
+
+/// Topology ladder (series × strings), tried largest-first when a caller
+/// does not pin the topology: big roofs are scored at paper scale, small
+/// ones degrade gracefully instead of failing. See [`fit_topology`] for
+/// the rule that picks an entry.
+pub const TOPOLOGY_LADDER: [(usize, usize); 6] = [(8, 2), (4, 2), (4, 1), (2, 2), (2, 1), (1, 1)];
+
+/// The paper configuration of the first [`TOPOLOGY_LADDER`] entry with at
+/// most `max_modules` modules whose greedy placement fits `dataset`
+/// (ranked by `map`, a [`SuitabilityMap::paper`] of the same dataset), or
+/// `None` when not even one module fits.
+#[must_use]
+pub fn fit_topology(
+    dataset: &SolarDataset,
+    map: &SuitabilityMap,
+    max_modules: usize,
+) -> Option<FloorplanConfig> {
+    TOPOLOGY_LADDER
+        .iter()
+        .filter(|(m, n)| m * n <= max_modules)
+        .filter_map(|&(m, n)| FloorplanConfig::paper(Topology::new(m, n).ok()?).ok())
+        .find(|config| greedy_placement_with_map(dataset, config, map).is_ok())
+}
 
 /// Which placement algorithm to run.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -147,7 +172,6 @@ impl Default for PlacerOptions {
 mod tests {
     use super::*;
     use pv_gis::{RoofBuilder, Site, SolarExtractor};
-    use pv_model::Topology;
     use pv_units::{Meters, SimulationClock};
 
     fn tiny_site() -> SolarDataset {
@@ -164,6 +188,40 @@ mod tests {
             assert_eq!(Placer::from_name(placer.name()), Some(placer));
         }
         assert_eq!(Placer::from_name("oracle"), None);
+    }
+
+    #[test]
+    fn fit_topology_takes_the_largest_fitting_entry_under_the_cap() {
+        let dataset = tiny_site();
+        let map = SuitabilityMap::paper(&dataset, Runtime::sequential());
+        let fitted = |dataset: &SolarDataset, map: &SuitabilityMap, max_modules| {
+            fit_topology(dataset, map, max_modules).map(|config| {
+                let topology = config.topology();
+                (topology.series(), topology.strings())
+            })
+        };
+        assert_eq!(
+            fitted(&dataset, &map, 3),
+            Some((2, 1)),
+            "the cap skips (2, 2)"
+        );
+        assert_eq!(fitted(&dataset, &map, 1), Some((1, 1)));
+        assert_eq!(
+            fitted(&dataset, &map, 0),
+            None,
+            "nothing fits under a zero cap"
+        );
+
+        // A roof barely two modules wide steps down the ladder to the
+        // first entry whose greedy placement fits.
+        let roof = RoofBuilder::new(Meters::new(3.6), Meters::new(1.2)).build();
+        let narrow = SolarExtractor::new(Site::turin(), SimulationClock::days_at_minutes(1, 240))
+            .runtime(Runtime::sequential())
+            .extract(&roof);
+        let narrow_map = SuitabilityMap::paper(&narrow, Runtime::sequential());
+        assert_eq!(fitted(&narrow, &narrow_map, 16), Some((2, 1)));
+        let config = FloorplanConfig::paper(Topology::new(2, 2).unwrap()).unwrap();
+        assert!(greedy_placement_with_map(&narrow, &config, &narrow_map).is_err());
     }
 
     #[test]

@@ -10,6 +10,7 @@
 use crate::config::FloorplanConfig;
 use pv_geom::{CellCoord, Footprint, Grid};
 use pv_gis::{GatherScratch, SolarDataset};
+use pv_model::Topology;
 use pv_runtime::Runtime;
 use pv_units::Celsius;
 
@@ -139,6 +140,16 @@ impl SuitabilityMap {
             g_percentile,
             percentile,
         }
+    }
+
+    /// The map under [`FloorplanConfig::paper`]'s metric settings. It
+    /// does not depend on the topology, so it ranks `dataset` for every
+    /// [`TOPOLOGY_LADDER`](crate::TOPOLOGY_LADDER) entry alike.
+    #[must_use]
+    pub fn paper(dataset: &SolarDataset, runtime: Runtime) -> Self {
+        let topology = Topology::new(1, 1).expect("a single module is a valid topology");
+        let config = FloorplanConfig::paper(topology).expect("the paper module fits its grid");
+        Self::compute_with(dataset, &config, runtime)
     }
 
     /// Reassembles a map from its parts (the three getters), validating
@@ -277,7 +288,6 @@ fn percentile_with_implicit_zeros(samples: &mut [f64], num_zeros: usize, percent
 mod tests {
     use super::*;
     use pv_gis::{Obstacle, RoofBuilder, Site, SolarExtractor};
-    use pv_model::Topology;
     use pv_units::{Meters, SimulationClock};
 
     fn config() -> FloorplanConfig {
@@ -336,6 +346,18 @@ mod tests {
         // A chimney-footprint cell is invalid -> NaN score.
         assert!(map.score(CellCoord::new(6, 4)).is_nan());
         assert!(!map.score(CellCoord::new(0, 0)).is_nan());
+
+        // The topology-free paper map equals the map of any paper topology,
+        // bit for bit.
+        let paper = SuitabilityMap::paper(&data, Runtime::sequential());
+        let bits = |m: &SuitabilityMap| -> Vec<u64> {
+            m.scores()
+                .iter()
+                .chain(m.irradiance_percentile().iter())
+                .map(|v| v.to_bits())
+                .collect()
+        };
+        assert_eq!(bits(&paper), bits(&map));
     }
 
     #[test]

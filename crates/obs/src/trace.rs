@@ -63,8 +63,9 @@ pub fn parse_trace_id(text: &str) -> Option<u64> {
 ///
 /// `CacheLookup` covers the warm-cache probe, `StoreHydrate` the
 /// snapshot-store read on a cache miss, `Extract` the cold GIS
-/// extraction, `MemoWarm` the ladder-choice memoization, `Solve` the
-/// placement solve itself, and `Encode` response rendering. `Read` runs
+/// extraction, `Suitability` the cold site's suitability map, `MemoWarm`
+/// the ladder-choice memoization, `Solve` the placement solve itself, and
+/// `Encode` response rendering. `Read` runs
 /// from `accept` until the whole request is parsed, and `QueueWait` from
 /// the parsed request's hand-off to the worker pool until a worker takes
 /// it.
@@ -72,6 +73,8 @@ pub fn parse_trace_id(text: &str) -> Option<u64> {
 pub enum Stage {
     /// Cold GIS extraction of a site.
     Extract,
+    /// The cold site's suitability map.
+    Suitability,
     /// Warm per-site cache probe.
     CacheLookup,
     /// Snapshot-store read on a cache miss.
@@ -90,8 +93,9 @@ pub enum Stage {
 
 impl Stage {
     /// Every stage, in declaration order.
-    pub const ALL: [Stage; 8] = [
+    pub const ALL: [Stage; 9] = [
         Stage::Extract,
+        Stage::Suitability,
         Stage::CacheLookup,
         Stage::StoreHydrate,
         Stage::MemoWarm,
@@ -110,6 +114,7 @@ impl Stage {
     pub fn name(self) -> &'static str {
         match self {
             Stage::Extract => "extract",
+            Stage::Suitability => "suitability",
             Stage::CacheLookup => "cache_lookup",
             Stage::StoreHydrate => "store_hydrate",
             Stage::MemoWarm => "memo_warm",

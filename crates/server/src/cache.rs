@@ -12,7 +12,7 @@
 //! (see `PlacementService`), so two requests reach the same entry exactly
 //! when extraction would produce identical data.
 
-use pv_floorplan::{SuitabilityMap, TraceMemo};
+use pv_floorplan::{FloorplanConfig, SuitabilityMap, TraceMemo};
 use pv_gis::SolarDataset;
 use std::sync::{Arc, OnceLock};
 
@@ -26,18 +26,41 @@ pub struct CachedSite {
     pub map: Arc<SuitabilityMap>,
     /// Warm per-anchor module traces, shared across requests.
     pub memo: Arc<TraceMemo>,
-    /// Memoized topology-ladder outcome for default-topology requests:
-    /// the largest fitting `(series, strings)`, or `None` when nothing
-    /// fits. A pure function of the site and the service's module limit,
-    /// so the first request computes it and warm requests skip the
-    /// fit probe entirely.
-    pub ladder_choice: Arc<OnceLock<Option<(usize, usize)>>>,
+    /// Memoized `pv_floorplan::fit_topology` outcome for default-topology
+    /// requests: a pure function of the site and the service's module
+    /// limit, so only the first request on a site pays the fit probe.
+    pub ladder_choice: Arc<OnceLock<Option<FloorplanConfig>>>,
     /// Budget accounting: the entry's estimated footprint.
     pub bytes: usize,
     /// Whether this entry was hydrated from the snapshot store rather than
     /// extracted cold; hits on hydrated entries are `store_hits` in
     /// `/v1/stats`. Never affects response bytes.
     pub from_store: bool,
+}
+
+impl CachedSite {
+    /// A fresh entry with an empty ladder choice; `from_store` marks
+    /// entries hydrated from the snapshot store.
+    #[must_use]
+    pub(crate) fn new(
+        dataset: SolarDataset,
+        map: SuitabilityMap,
+        memo: TraceMemo,
+        from_store: bool,
+    ) -> Self {
+        let steps = dataset.num_steps() as usize;
+        let cells = dataset.dims().num_cells();
+        Self {
+            // Footprint estimate: per-step shadow words + per-cell
+            // statics + per-step conditions + the memo's own budget.
+            bytes: cells * steps / 8 + cells * 12 + steps * 48 + memo.byte_budget(),
+            dataset: Arc::new(dataset),
+            map: Arc::new(map),
+            memo: Arc::new(memo),
+            ladder_choice: Arc::default(),
+            from_store,
+        }
+    }
 }
 
 /// A small LRU keyed by `u64`, evicting least-recently-used entries once
@@ -114,9 +137,8 @@ impl SiteCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pv_floorplan::{FloorplanConfig, SuitabilityMap, TraceMemo};
     use pv_gis::{RoofBuilder, Site, SolarExtractor};
-    use pv_model::Topology;
+    use pv_runtime::Runtime;
     use pv_units::{Meters, SimulationClock};
 
     fn entry(bytes: usize) -> CachedSite {
@@ -124,15 +146,10 @@ mod tests {
         let roof = RoofBuilder::new(Meters::new(2.0), Meters::new(1.2)).build();
         let dataset = SolarExtractor::new(Site::turin(), SimulationClock::days_at_minutes(1, 720))
             .extract(&roof);
-        let config = FloorplanConfig::paper(Topology::new(1, 1).unwrap()).unwrap();
-        let map = SuitabilityMap::compute(&dataset, &config);
+        let map = SuitabilityMap::paper(&dataset, Runtime::sequential());
         CachedSite {
-            dataset: Arc::new(dataset),
-            map: Arc::new(map),
-            memo: Arc::new(TraceMemo::new()),
-            ladder_choice: Arc::new(OnceLock::new()),
             bytes,
-            from_store: false,
+            ..CachedSite::new(dataset, map, TraceMemo::new(), false)
         }
     }
 

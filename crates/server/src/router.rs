@@ -53,7 +53,7 @@
 
 use crate::http::{send_request, send_request_traced};
 use crate::ring::HashRing;
-use crate::server::{Handler, RequestContext};
+use crate::server::{route_path, Handler, RequestContext};
 use crate::service::{error_body, PlaceRequest};
 use crate::stats::{Fleet, StatsSnapshot};
 use pv_gis::synth::fnv1a;
@@ -406,7 +406,7 @@ impl Handler for Router {
         let trace = ctx.trace.unwrap_or_else(|| {
             derive_trace_id(body, self.trace_seq.fetch_add(1, Ordering::Relaxed))
         });
-        let path = target.split('?').next().unwrap_or(target);
+        let path = route_path(target);
         let (status, answer) = match (method, path) {
             // Answered locally with the exact bytes a single-process
             // server produces, so health checks and error probes are

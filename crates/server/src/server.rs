@@ -46,6 +46,12 @@ const WAKE_TIMEOUT: Duration = Duration::from_secs(1);
 /// The one route that solves, and so the only one queued on the pool.
 const SOLVE_ROUTE: &str = "/v1/place";
 
+/// A request target without its query string: what every route is matched
+/// on, by the handlers and the transport alike.
+pub(crate) fn route_path(target: &str) -> &str {
+    target.split_once('?').map_or(target, |(path, _)| path)
+}
+
 /// What the transport serves: anything that can turn a parsed request
 /// into a `(status, JSON body)` pair.
 ///
@@ -315,7 +321,7 @@ impl Transport {
                 );
             }
         };
-        if request.target.split('?').next() != Some(SOLVE_ROUTE) {
+        if route_path(&request.target) != SOLVE_ROUTE {
             let ctx = RequestContext {
                 queue_depth: self.backlog.fetch_sub(1, Ordering::AcqRel) - 1,
                 trace: request.trace,
@@ -385,7 +391,7 @@ fn respond(stream: &TcpStream, handler: &dyn Handler, request: &HttpRequest, ctx
     let (status, body) = handler.handle(&request.method, &request.target, &request.body, ctx);
     // `/v1/metrics` is the one non-JSON endpoint: Prometheus exposition
     // text. Everything else keeps the fixed JSON content type.
-    let content_type = if request.target == "/v1/metrics" && status == 200 {
+    let content_type = if route_path(&request.target) == "/v1/metrics" && status == 200 {
         pv_obs::EXPOSITION_CONTENT_TYPE
     } else {
         "application/json"
@@ -432,6 +438,32 @@ mod tests {
         let mut response = String::new();
         stream.read_to_string(&mut response).unwrap();
         assert!(response.starts_with("HTTP/1.1 400"), "{response}");
+        server.shutdown();
+    }
+
+    #[test]
+    fn metrics_with_a_query_string_is_served_as_exposition_text() {
+        use std::io::{Read, Write};
+        let server = start(1);
+        let get = |target: &str| {
+            let mut stream = TcpStream::connect(server.local_addr()).unwrap();
+            write!(stream, "GET {target} HTTP/1.1\r\nHost: pv\r\n\r\n").unwrap();
+            let mut response = String::new();
+            stream.read_to_string(&mut response).unwrap();
+            response
+        };
+        let exposition = format!("Content-Type: {}\r\n", pv_obs::EXPOSITION_CONTENT_TYPE);
+        for target in ["/v1/metrics", "/v1/metrics?x=1"] {
+            let response = get(target);
+            assert!(response.starts_with("HTTP/1.1 200"), "{target}: {response}");
+            assert!(response.contains(&exposition), "{target}: {response}");
+            assert!(response.contains("# HELP"), "{target}: {response}");
+        }
+        let response = get("/v1/stats?x=1");
+        assert!(
+            response.contains("Content-Type: application/json\r\n"),
+            "{response}"
+        );
         server.shutdown();
     }
 

@@ -4,10 +4,11 @@
 //! [`PlacementService::handle`] directly) or served by [`crate::Server`].
 
 use crate::cache::{CachedSite, SiteCache};
-use crate::server::RequestContext;
+use crate::server::{route_path, RequestContext};
 use crate::stats::{ServiceStats, StatsSnapshot};
 use pv_floorplan::{
-    FloorplanConfig, FloorplanResult, Placer, PlacerOptions, SuitabilityMap, TraceMemo,
+    fit_topology, EnergyReport, FloorplanConfig, FloorplanResult, Placer, PlacerOptions,
+    SuitabilityMap, TraceMemo,
 };
 use pv_gis::synth::fnv1a;
 use pv_gis::ScenarioSpec;
@@ -19,11 +20,6 @@ use pv_store::{SiteStore, SnapshotMeta};
 use pv_units::SimulationClock;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
-
-/// Topology ladder tried largest-first when a request does not pin
-/// `series`/`strings`: big roofs get paper-scale panels, small ones
-/// degrade gracefully (the portfolio runner's convention).
-pub const SERVICE_LADDER: [(usize, usize); 6] = [(8, 2), (4, 2), (4, 1), (2, 2), (2, 1), (1, 1)];
 
 /// Deterministic tuning of a [`PlacementService`].
 ///
@@ -118,7 +114,8 @@ pub struct PlaceRequest {
     pub spec: ScenarioSpec,
     /// Which placer to run (default greedy).
     pub placer: Placer,
-    /// Explicit `(series, strings)` topology; `None` walks the ladder.
+    /// Explicit `(series, strings)` topology; `None` walks
+    /// `pv_floorplan::TOPOLOGY_LADDER`.
     pub topology: Option<(usize, usize)>,
     /// Annealing seed override; default is the spec's own seed.
     pub seed: Option<u64>,
@@ -218,9 +215,11 @@ fn uint_field(value: &JsonValue, key: &str) -> Result<Option<u64>, String> {
 /// The site-cache key: a hash of the canonical spec string and the full
 /// extraction configuration, so two requests share an entry exactly when
 /// extraction would produce identical data. Snapshot hydration recomputes
-/// the same key from a [`SnapshotMeta`], which carries the same fields.
-fn cache_key(spec_string: &str, days: u32, step: u32, horizon_sectors: usize) -> u64 {
-    fnv1a(format!("{spec_string} days={days} step={step} horizon={horizon_sectors}").as_bytes())
+/// the same key from the [`SnapshotMeta`] a site is persisted under.
+fn cache_key(meta: &SnapshotMeta) -> u64 {
+    let SnapshotMeta { spec, days, .. } = meta;
+    let (step, horizon) = (meta.step_minutes, meta.horizon_sectors);
+    fnv1a(format!("{spec} days={days} step={step} horizon={horizon}").as_bytes())
 }
 
 /// The embeddable placement service (see the crate docs for the
@@ -322,26 +321,12 @@ impl PlacementService {
                 store.counters().note_skipped();
                 continue;
             }
-            let key = cache_key(
-                &snap.meta.spec,
-                snap.meta.days,
-                snap.meta.step_minutes,
-                self.config.horizon_sectors,
-            );
-            let steps = snap.dataset.num_steps() as usize;
-            let cells = snap.dataset.dims().num_cells();
+            let key = cache_key(&snap.meta);
             let memo = TraceMemo::with_byte_budget(snap.memo_budget);
             for (anchor, trace) in &snap.memo_entries {
                 memo.seed(*anchor, Arc::clone(trace));
             }
-            let site = CachedSite {
-                bytes: cells * steps / 8 + cells * 12 + steps * 48 + snap.memo_budget,
-                dataset: Arc::new(snap.dataset),
-                map: Arc::new(snap.map),
-                memo: Arc::new(memo),
-                ladder_choice: Arc::new(std::sync::OnceLock::new()),
-                from_store: true,
-            };
+            let site = CachedSite::new(snap.dataset, snap.map, memo, true);
             self.cache
                 .lock()
                 .map_err(|_| "site cache lock poisoned".to_string())?
@@ -356,8 +341,8 @@ impl PlacementService {
 
     /// Pre-warms the store for one site at the service's default clock:
     /// solves a greedy placement (which warms the memo with real traces)
-    /// and commits the snapshot synchronously. Returns `false` without
-    /// doing any work when a committed snapshot already exists.
+    /// and commits the snapshot synchronously, once. Returns `false`
+    /// without doing any work when a committed snapshot already exists.
     ///
     /// # Errors
     ///
@@ -366,25 +351,21 @@ impl PlacementService {
         let Some(store) = &self.store else {
             return Err("pre-warming needs a snapshot store (--store-dir)".into());
         };
-        let spec_string = spec.to_spec_string();
-        let days = self.config.days;
-        let step = self.config.step_minutes;
-        let key = cache_key(&spec_string, days, step, self.config.horizon_sectors);
+        let (days, step) = (self.config.days, self.config.step_minutes);
+        let meta = self.snapshot_meta(spec, days, step);
+        let key = cache_key(&meta);
         if store.contains(key) {
             return Ok(false);
         }
         // The solve both validates the site end-to-end and fills the memo,
         // so the snapshot carries warm traces rather than an empty budget.
-        self.place(&spec_string).map_err(|(_, body)| body)?;
+        // The bare spec string parses as the default greedy request.
+        let (request, mut spans) = (PlaceRequest::parse(&meta.spec)?, StageTimes::default());
         let (site, _) = self
-            .site_for(spec, days, step, &mut StageTimes::default())
+            .site_for(spec, days, step, &mut spans)
             .map_err(|(_, body)| body)?;
-        let meta = SnapshotMeta {
-            spec: spec_string,
-            days,
-            step_minutes: step,
-            horizon_sectors: self.config.horizon_sectors as u32,
-        };
+        self.solve(&request, days, step, &site, &mut spans)
+            .map_err(|(_, body)| body)?;
         store
             .save(key, &meta, &site.dataset, &site.map, &site.memo)
             .map_err(|e| e.to_string())?;
@@ -417,7 +398,7 @@ impl PlacementService {
         self.stats.update(|stats| stats.requests += 1);
         let timer = Timer::start();
         let mut spans = ctx.spans();
-        let path = target.split('?').next().unwrap_or(target);
+        let path = route_path(target);
         let (status, response) = match (method, path) {
             ("GET", "/v1/healthz") => (200, r#"{"status": "ok"}"#.to_string()),
             ("GET", "/v1/stats") => (200, self.snapshot(ctx.queue_depth).to_json(None)),
@@ -494,8 +475,37 @@ impl PlacementService {
         }
 
         let (site, cache_hit) = self.site_for(&request.spec, days, step, spans)?;
+        // Persist a cold build behind the response. The memo is shared
+        // live with the cache entry, so by the time the single writer
+        // thread encodes it, traces from this request are usually already
+        // in — and an emptier snapshot only costs warmth, never
+        // correctness.
+        if let (Some(store), false) = (&self.store, cache_hit) {
+            let meta = self.snapshot_meta(&request.spec, days, step);
+            store.save_behind(
+                cache_key(&meta),
+                meta,
+                Arc::clone(&site.dataset),
+                Arc::clone(&site.map),
+                Arc::clone(&site.memo),
+            );
+        }
+        let response = self.solve(&request, days, step, &site, spans)?;
+        Ok((response, cache_hit))
+    }
+
+    /// Resolves `request`'s topology, runs its placer on `site`'s warm
+    /// memo and renders the response body for the `days`/`step` clock.
+    fn solve(
+        &self,
+        request: &PlaceRequest,
+        days: u32,
+        step: u32,
+        site: &CachedSite,
+        spans: &mut StageTimes,
+    ) -> Result<String, (u16, String)> {
         let memo_timer = Timer::start();
-        let config = self.choose_config(&site, request.topology)?;
+        let config = self.choose_config(site, request.topology)?;
         spans.add(Stage::MemoWarm, memo_timer.elapsed_us());
         let options = PlacerOptions {
             anneal_iterations: self.config.anneal_iterations,
@@ -505,7 +515,7 @@ impl PlacementService {
             exact_budget: self.config.exact_budget,
         };
         let solve_timer = Timer::start();
-        let (plan, report) = request
+        let solved = request
             .placer
             .place_with_memo(
                 &site.dataset,
@@ -519,22 +529,24 @@ impl PlacementService {
         spans.add(Stage::Solve, solve_timer.elapsed_us());
 
         let encode_timer = Timer::start();
-        let response = render_place_response(
-            &request.spec,
-            request.placer,
-            days,
-            step,
-            options.seed,
-            &config,
-            &site,
-            &plan,
-            &report,
-        );
+        let response =
+            render_place_response(request, days, step, options.seed, &config, site, &solved);
         spans.add(Stage::Encode, encode_timer.elapsed_us());
-        Ok((response, cache_hit))
+        Ok(response)
     }
 
-    /// Warm lookup or cold build of a site's cached state.
+    /// The identity a site is cached and persisted under.
+    fn snapshot_meta(&self, spec: &ScenarioSpec, days: u32, step: u32) -> SnapshotMeta {
+        SnapshotMeta {
+            spec: spec.to_spec_string(),
+            days,
+            step_minutes: step,
+            horizon_sectors: self.config.horizon_sectors as u32,
+        }
+    }
+
+    /// Warm lookup or cold build (cached, not persisted) of a site's state;
+    /// the flag says whether it was warm.
     ///
     /// Two racing cold requests for the same site may both extract; the
     /// later insert replaces the earlier identical entry, and both
@@ -543,9 +555,8 @@ impl PlacementService {
     ///
     /// # Errors
     ///
-    /// `500` when a cache lock is poisoned or the 1×1 probe topology
-    /// cannot be built — internal states a request must answer, not
-    /// panic on.
+    /// `500` when a cache lock is poisoned — an internal state a request
+    /// must answer, not panic on.
     fn site_for(
         &self,
         spec: &ScenarioSpec,
@@ -554,12 +565,7 @@ impl PlacementService {
         spans: &mut StageTimes,
     ) -> Result<(CachedSite, bool), (u16, String)> {
         let lookup_timer = Timer::start();
-        let key = cache_key(
-            &spec.to_spec_string(),
-            days,
-            step,
-            self.config.horizon_sectors,
-        );
+        let key = cache_key(&self.snapshot_meta(spec, days, step));
         let warm = self
             .cache
             .lock()
@@ -581,53 +587,21 @@ impl PlacementService {
             .runtime(Runtime::sequential())
             .extract(&scenario.dsm);
         spans.add(Stage::Extract, extract_timer.elapsed_us());
-        let probe =
-            Topology::new(1, 1).map_err(|e| internal_error(&format!("probe topology: {e}")))?;
-        let probe_config = FloorplanConfig::paper(probe)
-            .map_err(|e| internal_error(&format!("probe config: {e}")))?;
-        let map = SuitabilityMap::compute_with(&dataset, &probe_config, Runtime::sequential());
+        let suitability_timer = Timer::start();
+        let map = SuitabilityMap::paper(&dataset, Runtime::sequential());
+        spans.add(Stage::Suitability, suitability_timer.elapsed_us());
         let steps = dataset.num_steps() as usize;
-        let memo_budget = (steps * 8 * 1024).clamp(256 << 10, 64 << 20);
-        let cells = dataset.dims().num_cells();
-        let site = CachedSite {
-            // Footprint estimate: per-step shadow words + per-cell
-            // statics + per-step conditions + the memo's own budget.
-            bytes: cells * steps / 8 + cells * 12 + steps * 48 + memo_budget,
-            dataset: Arc::new(dataset),
-            map: Arc::new(map),
-            memo: Arc::new(TraceMemo::with_byte_budget(memo_budget)),
-            ladder_choice: Arc::new(std::sync::OnceLock::new()),
-            from_store: false,
-        };
+        let memo = TraceMemo::with_byte_budget((steps * 8 * 1024).clamp(256 << 10, 64 << 20));
+        let site = CachedSite::new(dataset, map, memo, false);
         self.cache
             .lock()
             .map_err(|_| internal_error("site cache lock poisoned"))?
             .insert(key, site.clone());
-        // Persist the cold extraction behind the response. The memo is
-        // shared live with the cache entry, so by the time the single
-        // writer thread encodes it, traces from this request are usually
-        // already in — and an emptier snapshot only costs warmth, never
-        // correctness.
-        if let Some(store) = &self.store {
-            let meta = SnapshotMeta {
-                spec: spec.to_spec_string(),
-                days,
-                step_minutes: step,
-                horizon_sectors: self.config.horizon_sectors as u32,
-            };
-            store.save_behind(
-                key,
-                meta,
-                Arc::clone(&site.dataset),
-                Arc::clone(&site.map),
-                Arc::clone(&site.memo),
-            );
-        }
         Ok((site, false))
     }
 
-    /// Resolves the request's topology: explicit pair, or the largest
-    /// ladder entry whose greedy placement fits the site.
+    /// Resolves the request's topology: explicit pair, or the ladder
+    /// topology [`fit_topology`] picks for the site.
     fn choose_config(
         &self,
         site: &CachedSite,
@@ -651,39 +625,15 @@ impl PlacementService {
         // The ladder outcome is a pure function of (site, max_modules);
         // memoize it in the cache entry so only the first request on a
         // site pays the greedy fit probe.
-        let choice = *site.ladder_choice.get_or_init(|| {
-            SERVICE_LADDER
-                .iter()
-                .filter(|(m, n)| m * n <= self.config.max_modules)
-                .find(|&&(m, n)| {
-                    // Ladder entries are static positive pairs; anything
-                    // unbuildable simply does not fit.
-                    Topology::new(m, n)
-                        .ok()
-                        .and_then(|topology| FloorplanConfig::paper(topology).ok())
-                        .is_some_and(|config| {
-                            pv_floorplan::greedy_placement_with_map(
-                                &site.dataset,
-                                &config,
-                                &site.map,
-                            )
-                            .is_ok()
-                        })
-                })
-                .copied()
-        });
-        match choice {
-            Some((m, n)) => Topology::new(m, n)
-                .map_err(|e| internal_error(&format!("ladder topology {m}x{n}: {e}")))
-                .and_then(|topology| {
-                    FloorplanConfig::paper(topology)
-                        .map_err(|e| internal_error(&format!("ladder config {m}x{n}: {e}")))
-                }),
-            None => Err((
-                422,
-                error_body("no ladder topology fits this site (roof too encumbered)"),
-            )),
-        }
+        site.ladder_choice
+            .get_or_init(|| fit_topology(&site.dataset, &site.map, self.config.max_modules))
+            .clone()
+            .ok_or_else(|| {
+                (
+                    422,
+                    error_body("no ladder topology fits this site (roof too encumbered)"),
+                )
+            })
     }
 
     /// Fills the one stats snapshot both `/v1/stats` and `/v1/metrics`
@@ -755,9 +705,9 @@ pub(crate) fn error_body(msg: &str) -> String {
 }
 
 /// `500` with a structured body, for states that should be unreachable
-/// (poisoned locks, unbuildable static topologies): the client still
-/// gets an answer instead of the worker panicking mid-connection. Like
-/// every error body, it carries no timing or cache metadata.
+/// (a poisoned cache lock): the client still gets an answer instead of
+/// the worker panicking mid-connection. Like every error body, it
+/// carries no timing or cache metadata.
 fn internal_error(msg: &str) -> (u16, String) {
     (500, error_body(&format!("internal: {msg}")))
 }
@@ -766,17 +716,14 @@ fn internal_error(msg: &str) -> (u16, String) {
 /// (spec key, placer, clock, seed), chosen topology, energy report, and
 /// every module anchor. **No timing, no cache state** — the body must be
 /// a pure function of the request.
-#[allow(clippy::too_many_arguments)]
 fn render_place_response(
-    spec: &ScenarioSpec,
-    placer: Placer,
+    request: &PlaceRequest,
     days: u32,
     step: u32,
     seed: u64,
     config: &FloorplanConfig,
     site: &CachedSite,
-    plan: &FloorplanResult,
-    report: &pv_floorplan::EnergyReport,
+    (plan, report): &(FloorplanResult, EnergyReport),
 ) -> String {
     let modules: Vec<JsonValue> = plan
         .placement
@@ -785,9 +732,12 @@ fn render_place_response(
         .map(|m| JsonValue::Array(vec![m.anchor.x.into(), m.anchor.y.into()]))
         .collect();
     ObjectBuilder::new()
-        .field("name", spec.name())
-        .field("spec_key", format!("{:016x}", spec.canonical_hash()))
-        .field("placer", placer.name())
+        .field("name", request.spec.name())
+        .field(
+            "spec_key",
+            format!("{:016x}", request.spec.canonical_hash()),
+        )
+        .field("placer", request.placer.name())
         .field("days", days)
         .field("step", step)
         // Seeds are full u64s; a JSON number (f64) cannot carry them
@@ -895,6 +845,26 @@ mod tests {
         // No timing or cache fields in the deterministic body.
         assert!(parsed.get("wall_ms").is_none());
         assert!(parsed.get("cache").is_none());
+    }
+
+    #[test]
+    fn cold_requests_span_the_suitability_map_and_warm_ones_do_not() {
+        let service = service();
+        let body = spec_body(0);
+        let mut cold = StageTimes::default();
+        let (_, hit) = service.place_traced(&body, &mut cold).unwrap();
+        assert!(!hit);
+        assert!(cold.get(Stage::Extract).is_some());
+        assert!(cold.get(Stage::Suitability).is_some(), "cold map unspanned");
+        let mut warm = StageTimes::default();
+        let (_, hit) = service.place_traced(&body, &mut warm).unwrap();
+        assert!(hit);
+        assert_eq!(
+            warm.get(Stage::Suitability),
+            None,
+            "warm request rebuilt the map"
+        );
+        assert_eq!(warm.get(Stage::Extract), None);
     }
 
     fn depth(queue_depth: usize) -> RequestContext {

@@ -29,17 +29,16 @@
 //!
 //! ```
 //! use pv_store::{SiteSnapshot, SiteStore, SnapshotMeta};
-//! use pv_floorplan::{FloorplanConfig, SuitabilityMap, TraceMemo};
+//! use pv_floorplan::{SuitabilityMap, TraceMemo};
 //! use pv_gis::{RoofBuilder, SolarExtractor, Site};
-//! use pv_model::Topology;
+//! use pv_runtime::Runtime;
 //! use pv_units::{Meters, SimulationClock};
 //!
 //! // Extract a site and snapshot its warm state.
 //! let roof = RoofBuilder::new(Meters::new(4.0), Meters::new(2.0)).build();
 //! let clock = SimulationClock::days_at_minutes(1, 240);
 //! let dataset = SolarExtractor::new(Site::turin(), clock).seed(7).extract(&roof);
-//! let config = FloorplanConfig::paper(Topology::new(1, 1)?)?;
-//! let map = SuitabilityMap::compute(&dataset, &config);
+//! let map = SuitabilityMap::paper(&dataset, Runtime::sequential());
 //! let memo = TraceMemo::new();
 //!
 //! let dir = std::env::temp_dir().join(format!("pvstore-doc-{}", std::process::id()));
