@@ -7,9 +7,9 @@
 //! [`TOPOLOGY_LADDER`](pv_floorplan::TOPOLOGY_LADDER) entry within
 //! [`PortfolioOptions::max_modules`] whose greedy placement fits
 //! ([`fit_topology`]), then score the site with every [`Placer`] in
-//! [`Placer::all`] order: greedy, simulated annealing from
-//! the greedy start, and — where the search space is small enough — the
-//! exhaustive optimum. All placer runs on a site share one warm per-anchor
+//! [`Placer::all`] order: greedy, simulated annealing from the greedy
+//! start, and — where the search space is small enough — the exhaustive
+//! optimum. All placer runs on a site share one warm per-anchor
 //! [`TraceMemo`], so the annealer and the exact search start from the
 //! traces the greedy evaluation already paid for.
 //!
@@ -52,7 +52,8 @@ pub struct PortfolioOptions {
     /// Horizon azimuth sectors for extraction (trade precision for
     /// speed at smoke scale).
     pub horizon_sectors: usize,
-    /// Upper bound on modules per scenario (caps [`TOPOLOGY_LADDER`](pv_floorplan::TOPOLOGY_LADDER)).
+    /// Upper bound on modules per scenario (caps
+    /// [`TOPOLOGY_LADDER`](pv_floorplan::TOPOLOGY_LADDER)).
     pub max_modules: usize,
 }
 
