@@ -261,6 +261,19 @@ impl SuitabilityMap {
     }
 }
 
+/// Anchors (top-left cells) of every `footprint` placement that lies
+/// entirely on valid cells of `dataset`, in row-major order: exactly the
+/// cells where [`SuitabilityMap::anchor_scores`] is finite, read from the
+/// validity mask without computing a map.
+pub(crate) fn fitting_anchors(dataset: &SolarDataset, footprint: Footprint) -> Vec<CellCoord> {
+    let valid = dataset.valid();
+    let (w, h) = (footprint.width_cells(), footprint.height_cells());
+    valid
+        .iter_set()
+        .filter(|&anchor| valid.rect_is_set(anchor, w, h))
+        .collect()
+}
+
 /// Nearest-rank percentile of a sample buffer (mutates the buffer order).
 ///
 /// Returns 0 for an empty buffer.
@@ -406,6 +419,47 @@ mod tests {
         }
         let mean = sum / fp.num_cells() as f64;
         assert!((anchors[anchor] - mean).abs() < 1e-9);
+    }
+
+    #[test]
+    fn fitting_anchors_are_the_finite_anchor_scores() {
+        let chimney = RoofBuilder::new(Meters::new(4.0), Meters::new(2.0))
+            .obstacle(Obstacle::chimney(
+                Meters::new(2.0),
+                Meters::new(0.8),
+                Meters::new(0.4),
+                Meters::new(0.4),
+                Meters::new(1.0),
+            ))
+            .build();
+        let mut roofs = vec![
+            chimney,
+            RoofBuilder::new(Meters::new(3.0), Meters::new(2.0)).build(),
+        ];
+        for index in 0..4 {
+            let mut spec = pv_gis::synth::ScenarioSpec::generate(2018, index);
+            spec.obstacle_density = 1.0;
+            roofs.push(spec.build().dsm);
+        }
+        let clock = SimulationClock::days_at_minutes(1, 240);
+        for roof in &roofs {
+            let data = SolarExtractor::new(Site::turin(), clock)
+                .seed(5)
+                .runtime(Runtime::sequential())
+                .extract(roof);
+            let map = SuitabilityMap::compute_with(&data, &config(), Runtime::sequential());
+            let portrait = config().with_portrait_modules();
+            for footprint in [config().footprint(), portrait.footprint()] {
+                let finite: Vec<CellCoord> = map
+                    .anchor_scores(footprint)
+                    .enumerate()
+                    .filter(|(_, s)| s.is_finite())
+                    .map(|(c, _)| c)
+                    .collect();
+                assert!(!finite.is_empty());
+                assert_eq!(fitting_anchors(&data, footprint), finite);
+            }
+        }
     }
 
     #[test]
