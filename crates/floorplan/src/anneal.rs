@@ -10,7 +10,7 @@ use crate::config::FloorplanConfig;
 use crate::error::FloorplanError;
 use crate::evaluate::{EnergyEvaluator, TraceMemo};
 use crate::greedy::FloorplanResult;
-use crate::suitability::SuitabilityMap;
+use crate::suitability::fitting_anchors;
 use pv_geom::{CellCoord, Placement};
 use pv_gis::SolarDataset;
 use pv_units::WattHours;
@@ -126,13 +126,7 @@ pub fn anneal_with_memo(
     let mut rng = StdRng::seed_from_u64(params.seed);
 
     // Feasible anchors for relocation moves.
-    let map = SuitabilityMap::compute(dataset, config);
-    let anchors: Vec<CellCoord> = map
-        .anchor_scores(footprint)
-        .enumerate()
-        .filter(|(_, s)| s.is_finite())
-        .map(|(c, _)| c)
-        .collect();
+    let anchors = fitting_anchors(dataset, footprint);
     if anchors.is_empty() {
         return Err(FloorplanError::NotEnoughSpace {
             placed: 0,

@@ -11,7 +11,7 @@ use crate::config::FloorplanConfig;
 use crate::error::FloorplanError;
 use crate::evaluate::{EnergyEvaluator, TraceMemo};
 use crate::greedy::FloorplanResult;
-use crate::suitability::SuitabilityMap;
+use crate::suitability::fitting_anchors;
 use pv_geom::{CellCoord, Placement};
 use pv_gis::SolarDataset;
 use pv_runtime::Runtime;
@@ -88,13 +88,7 @@ pub fn optimal_placement_with_memo(
     let n_modules = topology.num_modules();
 
     // Candidate anchors: positions where the footprint fits fully.
-    let map = SuitabilityMap::compute(dataset, config);
-    let anchor_scores = map.anchor_scores(footprint);
-    let candidates: Vec<CellCoord> = anchor_scores
-        .enumerate()
-        .filter(|(_, s)| s.is_finite())
-        .map(|(c, _)| c)
-        .collect();
+    let candidates = fitting_anchors(dataset, footprint);
 
     let combos = binomial(candidates.len() as u64, n_modules as u64);
     if combos > node_budget {
