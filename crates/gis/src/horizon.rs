@@ -6,6 +6,11 @@
 //! plane-local elevation with the interpolated horizon at the sun's
 //! plane-local azimuth — the classic r.sun-style approach, which is what
 //! makes a year at 15-minute resolution over ~12,000 cells tractable.
+//!
+//! Rays skip ahead over floor-height cells and four sectors of a cell
+//! march in lockstep; [`HorizonMap::compute_with`] states why neither
+//! changes a bit of the one-step march, which the tests keep as the
+//! oracle.
 
 use crate::dsm::Dsm;
 use pv_geom::{CellCoord, GridDims};
@@ -17,6 +22,9 @@ use pv_units::Radians;
 /// Fixed (never derived from the thread count), like every chunk size in
 /// the workspace, so the work layout is the same on any [`Runtime`].
 const HORIZON_CHUNK_CELLS: usize = 256;
+
+/// Sectors of one cell whose rays are marched together.
+const LOCKSTEP_RAYS: usize = 4;
 
 /// Precomputed horizon elevation angles for every cell and azimuth sector.
 ///
@@ -73,6 +81,33 @@ impl HorizonMap {
     /// [`compute`](Self::compute) on an explicit [`Runtime`]: cells are
     /// ray-marched independently, in fixed chunks of cells.
     ///
+    /// A sector's horizon comes from marching a ray from the cell centre
+    /// in whole-cell steps `t`, keeping the steepest tangent `dh / dist`
+    /// of any sample above the observer, until the ray leaves the grid or
+    /// the stop rule `(max − h0) / dist <= best_tan` says no farther
+    /// sample can beat it. Most samples land on bare roof, so rays jump
+    /// over them: every cell carries its Chebyshev distance to the nearest
+    /// cell above the DSM's minimum height (at least 1), and a ray
+    /// advances `t` by the distance stored at the sample it just read
+    /// (the observer's own cell is the sample at `t = 0`). Four sectors of
+    /// a cell march in lockstep, so the loads their jumps wait on overlap.
+    /// The map is bit-identical to the one-step march, because:
+    ///
+    /// - one step moves a sample at most one cell in x and in y
+    ///   (`|cos|, |sin| <= 1`), so every sample a jump passes over lies on
+    ///   a floor-height cell, whose `dh = floor − h0 <= 0` never raises
+    ///   `best_tan` for any observer;
+    /// - a passed-over sample could only have ended the march. If it was
+    ///   off the grid, so is every later one: a straight ray leaves the
+    ///   rectangle once. If it met the stop rule, the rule holds at every
+    ///   later `dist` and bounds every later `dh / dist` (rounding of `−`,
+    ///   `*` and `/` is monotone), so the next visited sample cannot raise
+    ///   `best_tan` and the march ends with the same value;
+    /// - `t` stays an integer-valued `f64`, so every visited sample
+    ///   computes `px`, `py`, `dh / dist` and the stop test from the same
+    ///   operands as the one-step march, and `atan` and the sky-view sum
+    ///   see the same tangents in the same sector order.
+    ///
     /// # Panics
     ///
     /// Panics if `num_sectors < 4`.
@@ -105,33 +140,65 @@ impl HorizonMap {
                 (psi.cos(), psi.sin())
             })
             .collect();
-        // One sector's horizon elevation at one cell.
-        let sector_angle = |cell: CellCoord, h0: f64, (dx, dy): (f64, f64)| -> f64 {
-            let mut best_tan = 0.0f64;
-            // March in one-cell steps along the sector direction.
-            let mut t = 1.0f64;
-            while t <= max_extent {
-                let px = cell.x as f64 + 0.5 + dx * t;
-                let py = cell.y as f64 + 0.5 + dy * t;
-                if px < 0.0 || py < 0.0 || px >= dims.width() as f64 || py >= dims.height() as f64 {
-                    break;
+        // Each cell's height next to the skip a ray may take from it.
+        let samples: Vec<[f64; 2]> = heights
+            .iter()
+            .zip(skip_distances(heights))
+            .map(|(&h, skip)| [h, skip])
+            .collect();
+        let (width, height) = (dims.width() as f64, dims.height() as f64);
+        // One sample of the ray from `(cx, cy)` along `(dx, dy)` at `t`
+        // cells: raises `best_tan` if the sample does, and returns the
+        // next `t`, or `None` once the ray has left the grid or no
+        // further sample can beat `best_tan`.
+        let sample =
+            |(cx, cy): (f64, f64), h0: f64, (dx, dy): (f64, f64), t: f64, best_tan: &mut f64| {
+                if t > max_extent {
+                    return None;
                 }
-                let sample = CellCoord::new(px as usize, py as usize);
-                let dh = heights[sample] - h0;
+                let px = cx + dx * t;
+                let py = cy + dy * t;
+                if px < 0.0 || py < 0.0 || px >= width || py >= height {
+                    return None;
+                }
+                let [h, skip] = samples[py as usize * dims.width() + px as usize];
+                let dh = h - h0;
                 let dist = t * pitch;
                 if dh > 0.0 {
                     let tan = dh / dist;
-                    if tan > best_tan {
-                        best_tan = tan;
+                    if tan > *best_tan {
+                        *best_tan = tan;
                     }
                 }
                 // Early exit: no remaining sample can beat best_tan.
-                if (global_max - h0) / dist <= best_tan {
-                    break;
+                if (global_max - h0) / dist <= *best_tan {
+                    return None;
                 }
-                t += 1.0;
+                Some(t + skip)
+            };
+        // The horizon tangents of up to `LOCKSTEP_RAYS` sectors of one
+        // cell, marched in lockstep so their load chains overlap.
+        let march = |idx: usize, rays: &[(f64, f64)]| {
+            let cell = dims.coord_of(idx);
+            let origin = (cell.x as f64 + 0.5, cell.y as f64 + 0.5);
+            let [h0, first] = samples[idx];
+            let mut best_tan = [0.0f64; LOCKSTEP_RAYS];
+            // The observer's cell is the sample at t = 0, so its skip is
+            // the first sample's t.
+            let mut t = [first; LOCKSTEP_RAYS];
+            let mut live = [false; LOCKSTEP_RAYS];
+            live[..rays.len()].fill(true);
+            while live.contains(&true) {
+                for (ray, &direction) in rays.iter().enumerate() {
+                    if live[ray] {
+                        match sample(origin, h0, direction, t[ray], &mut best_tan[ray]) {
+                            Some(next) => t[ray] = next,
+                            None => live[ray] = false,
+                        }
+                    }
+                }
             }
-            best_tan.atan()
+            best_tan
         };
 
         // Each chunk returns its cells' angles cell-major plus their SVFs;
@@ -140,13 +207,13 @@ impl HorizonMap {
             let mut chunk_angles = Vec::with_capacity(cells.len() * num_sectors);
             let mut chunk_svf = Vec::with_capacity(cells.len());
             for idx in cells {
-                let cell = dims.coord_of(idx);
-                let h0 = heights[cell];
                 let mut svf_acc = 0.0f64;
-                for &direction in &directions {
-                    let angle = sector_angle(cell, h0, direction);
-                    chunk_angles.push(angle as f32);
-                    svf_acc += angle.cos() * angle.cos();
+                for rays in directions.chunks(LOCKSTEP_RAYS) {
+                    for best_tan in &march(idx, rays)[..rays.len()] {
+                        let angle = best_tan.atan();
+                        chunk_angles.push(angle as f32);
+                        svf_acc += angle.cos() * angle.cos();
+                    }
                 }
                 chunk_svf.push((svf_acc / num_sectors as f64) as f32);
             }
@@ -267,12 +334,73 @@ impl HorizonMap {
     }
 }
 
+/// Each cell's Chebyshev distance, in cells, to the nearest cell above
+/// the DSM's minimum height, at least 1: how far a horizon ray may jump
+/// from a sample in that cell without passing anything but floor-height
+/// cells. Without any raised cell every jump leaves the grid.
+fn skip_distances(heights: &pv_geom::Grid<f64>) -> Vec<f64> {
+    let dims = heights.dims();
+    let (w, h) = (dims.width(), dims.height());
+    let floor = heights.iter().copied().fold(f64::INFINITY, f64::min);
+    let mut dist: Vec<u32> = heights
+        .iter()
+        .map(|&z| if z > floor { 0 } else { u32::MAX })
+        .collect();
+    // Two chamfer passes with unit weights on all 8 neighbours, exact for
+    // the Chebyshev metric: the forward pass takes the neighbours above
+    // and to the left, the backward pass those below and to the right.
+    let relax = |dist: &mut [u32], i: usize, x: usize, y: usize, forward: bool| {
+        let mut best = dist[i];
+        let mut offer = |j: usize| best = best.min(dist[j].saturating_add(1));
+        if forward {
+            if x > 0 {
+                offer(i - 1);
+            }
+            if y > 0 {
+                offer(i - w);
+                if x > 0 {
+                    offer(i - w - 1);
+                }
+                if x + 1 < w {
+                    offer(i - w + 1);
+                }
+            }
+        } else {
+            if x + 1 < w {
+                offer(i + 1);
+            }
+            if y + 1 < h {
+                offer(i + w);
+                if x + 1 < w {
+                    offer(i + w + 1);
+                }
+                if x > 0 {
+                    offer(i + w - 1);
+                }
+            }
+        }
+        dist[i] = best;
+    };
+    for i in 0..w * h {
+        relax(&mut dist, i, i % w, i / w, true);
+    }
+    for i in (0..w * h).rev() {
+        relax(&mut dist, i, i % w, i / w, false);
+    }
+    dist.into_iter().map(|d| f64::from(d.max(1))).collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::dsm::RoofBuilder;
     use crate::obstacle::Obstacle;
+    use crate::synth::ScenarioSpec;
+    use proptest::prelude::*;
+    use pv_geom::Grid;
     use pv_units::Meters;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     fn roof_with_wall() -> Dsm {
         // 10 x 4 m roof with a 2 m tall, full-depth wall at x in [8, 8.4].
@@ -437,6 +565,217 @@ mod tests {
                     assert!(same, "{sectors} sectors, {threads} thread(s)");
                 }
             }
+        }
+    }
+
+    /// The sequential march's sky-view factors: the SVF companion of
+    /// [`sequential_march_angles`], one step at a time and summing `cos²`
+    /// of each sector's angle in sector order.
+    fn sequential_march_svf(dsm: &Dsm, num_sectors: usize) -> Vec<f32> {
+        let dims = dsm.dims();
+        let pitch = dsm.geometry().pitch().value();
+        let heights = dsm.heights();
+        let global_max = heights.iter().copied().fold(0.0, f64::max);
+        let max_extent =
+            ((dims.width() * dims.width() + dims.height() * dims.height()) as f64).sqrt();
+        let mut svf = Vec::with_capacity(dims.num_cells());
+        for cell in dims.iter() {
+            let h0 = heights[cell];
+            let mut acc = 0.0f64;
+            for k in 0..num_sectors {
+                let psi = core::f64::consts::TAU * k as f64 / num_sectors as f64;
+                let (dx, dy) = (psi.cos(), psi.sin());
+                let mut best_tan = 0.0f64;
+                let mut t = 1.0f64;
+                while t <= max_extent {
+                    let px = cell.x as f64 + 0.5 + dx * t;
+                    let py = cell.y as f64 + 0.5 + dy * t;
+                    if px < 0.0
+                        || py < 0.0
+                        || px >= dims.width() as f64
+                        || py >= dims.height() as f64
+                    {
+                        break;
+                    }
+                    let dh = heights[CellCoord::new(px as usize, py as usize)] - h0;
+                    let dist = t * pitch;
+                    if dh > 0.0 && dh / dist > best_tan {
+                        best_tan = dh / dist;
+                    }
+                    if (global_max - h0) / dist <= best_tan {
+                        break;
+                    }
+                    t += 1.0;
+                }
+                let angle = best_tan.atan();
+                acc += angle.cos() * angle.cos();
+            }
+            svf.push((acc / num_sectors as f64) as f32);
+        }
+        svf
+    }
+
+    /// The first sector count, thread count and output whose bits differ
+    /// from the sequential march, at 4, 7 and 64 sectors on 1 and 3
+    /// threads.
+    fn sequential_march_mismatch(dsm: &Dsm) -> Option<String> {
+        let bits = |v: &[f32]| v.iter().map(|a| a.to_bits()).collect::<Vec<_>>();
+        for sectors in [4, 7, 64] {
+            let angles = bits(&sequential_march_angles(dsm, sectors));
+            let svf = bits(&sequential_march_svf(dsm, sectors));
+            for threads in [1usize, 3] {
+                let got = HorizonMap::compute_with(dsm, sectors, Runtime::with_threads(threads));
+                if bits(&got.angles) != angles {
+                    return Some(format!("angles, {sectors} sectors, {threads} thread(s)"));
+                }
+                if bits(&got.svf) != svf {
+                    return Some(format!("SVF, {sectors} sectors, {threads} thread(s)"));
+                }
+            }
+        }
+        None
+    }
+
+    /// A roof covered wall to wall by a 1.5 m block, so the DSM's floor
+    /// is above 0; `chimney` adds a 3 m chimney on top of it.
+    fn covered_roof(chimney: bool) -> Dsm {
+        let block = Obstacle::off_roof_block(
+            Meters::ZERO,
+            Meters::ZERO,
+            Meters::new(3.0),
+            Meters::new(2.0),
+            Meters::new(1.5),
+        );
+        let mut roof = RoofBuilder::new(Meters::new(3.0), Meters::new(2.0)).obstacle(block);
+        if chimney {
+            roof = roof.obstacle(Obstacle::chimney(
+                Meters::new(1.2),
+                Meters::new(0.6),
+                Meters::new(0.4),
+                Meters::new(0.4),
+                Meters::new(3.0),
+            ));
+        }
+        roof.build()
+    }
+
+    #[test]
+    fn skip_march_matches_sequential_march_on_flat_and_covered_roofs() {
+        let flat = RoofBuilder::new(Meters::new(3.0), Meters::new(2.0)).build();
+        for dsm in [flat, covered_roof(false), covered_roof(true)] {
+            let floor = dsm.heights().iter().copied().fold(f64::INFINITY, f64::min);
+            let mismatch = sequential_march_mismatch(&dsm);
+            assert!(mismatch.is_none(), "floor {floor}: {mismatch:?}");
+        }
+        // The covered roofs really do have a floor above 0.
+        assert_eq!(covered_roof(true).heights()[CellCoord::new(0, 0)], 1.5);
+    }
+
+    /// Brute force: each cell's Chebyshev distance to the nearest cell
+    /// above the grid's minimum, at least 1, or `u32::MAX` without any.
+    fn brute_force_skips(heights: &Grid<f64>) -> Vec<f64> {
+        let dims = heights.dims();
+        let floor = heights.iter().copied().fold(f64::INFINITY, f64::min);
+        let raised: Vec<CellCoord> = dims.iter().filter(|&c| heights[c] > floor).collect();
+        dims.iter()
+            .map(|c| {
+                raised
+                    .iter()
+                    .map(|r| r.x.abs_diff(c.x).max(r.y.abs_diff(c.y)).max(1))
+                    .min()
+                    .map_or(f64::from(u32::MAX), |d| d as f64)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn skip_distances_match_brute_force_on_roofs() {
+        for dsm in [roof_with_wall(), covered_roof(false), covered_roof(true)] {
+            assert_eq!(
+                skip_distances(dsm.heights()),
+                brute_force_skips(dsm.heights())
+            );
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The chamfer skip table equals brute-force Chebyshev distances
+        /// on random grids: 1-cell-wide strips, sparse and dense raised
+        /// cells, and grids with none (every skip leaves the grid).
+        #[test]
+        fn skip_distances_match_brute_force(
+            width in 1usize..24,
+            height in 1usize..24,
+            raised_one_in in 1u64..40,
+            floor in -1.0..2.0f64,
+            seed in 0u64..1_000_000,
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let heights = Grid::from_fn(GridDims::new(width, height), |_| {
+                if rng.gen_range(0..raised_one_in) == 0 { floor + rng.gen_range(0.1..3.0) } else { floor }
+            });
+            prop_assert_eq!(skip_distances(&heights), brute_force_skips(&heights));
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(4))]
+
+        /// Generated corpus sites, as drawn and again with mountain-valley
+        /// terrain (horizon class 2) and every obstacle slot filled, give
+        /// the sequential march's bits.
+        #[test]
+        fn skip_march_matches_sequential_march_on_corpus_sites(
+            corpus_seed in 0u64..1_000_000,
+            index in 0u32..512,
+        ) {
+            let drawn = ScenarioSpec::generate(corpus_seed, index);
+            let mut dense = drawn.clone();
+            dense.horizon_class = 2;
+            dense.obstacle_density = 1.0;
+            for spec in [drawn, dense] {
+                let mismatch = sequential_march_mismatch(&spec.build().dsm);
+                prop_assert!(mismatch.is_none(), "{}: {:?}", spec.to_spec_string(), mismatch);
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(16))]
+
+        /// Small roofs whose obstacles touch the grid border (a jump may
+        /// land right on the edge, or past it) give the sequential march's
+        /// bits.
+        #[test]
+        fn skip_march_matches_sequential_march_with_border_obstacles(
+            width_m in 1.0..5.0f64,
+            depth_m in 1.0..4.0f64,
+            obstacles in prop::collection::vec(
+                (0u8..4, 0.0..1.0f64, 0.2..1.2f64, 0.2..1.2f64, 0.3..4.0f64),
+                1..5,
+            ),
+        ) {
+            let mut roof = RoofBuilder::new(Meters::new(width_m), Meters::new(depth_m));
+            for (side, along, w, d, height) in obstacles {
+                let (w, d) = (w.min(width_m), d.min(depth_m));
+                let (x, y) = match side {
+                    0 => (0.0, along * (depth_m - d)),
+                    1 => (width_m - w, along * (depth_m - d)),
+                    2 => (along * (width_m - w), 0.0),
+                    _ => (along * (width_m - w), depth_m - d),
+                };
+                roof = roof.obstacle(Obstacle::off_roof_block(
+                    Meters::new(x),
+                    Meters::new(y),
+                    Meters::new(w),
+                    Meters::new(d),
+                    Meters::new(height),
+                ));
+            }
+            let mismatch = sequential_march_mismatch(&roof.build());
+            prop_assert!(mismatch.is_none(), "{:?}", mismatch);
         }
     }
 
