@@ -92,10 +92,10 @@ fn run(args: &HarnessArgs) -> Result<(), String> {
     Ok(())
 }
 
-/// Times the solar extractor, the horizon map and the energy evaluator
-/// (sequential vs parallel) on Roof 2, 30 days at hourly steps, N = 32;
-/// then the E7 placement scaling sweep, the proposal loop and the lane
-/// kernels.
+/// Times the solar extractor, the horizon map (64 sectors, also in ns per
+/// cell-sector) and the energy evaluator, each on one thread and on
+/// `runtime`, on Roof 2, 30 days at hourly steps, N = 32; then the E7
+/// placement scaling sweep, the proposal loop and the lane kernels.
 fn timings(runtime: Runtime) -> Result<(), String> {
     let scenario = RoofScenario::build(PaperRoof::Roof2);
     let clock = Resolution::Smoke.clock();
@@ -131,9 +131,14 @@ fn timings(runtime: Runtime) -> Result<(), String> {
         std::hint::black_box(par_extractor.extract(&scenario.dsm));
     });
 
-    let t_horizon = time(&mut || {
-        std::hint::black_box(HorizonMap::compute_with(&scenario.dsm, 64, runtime));
-    });
+    let horizon_on = |runtime: Runtime| {
+        time(&mut || {
+            std::hint::black_box(HorizonMap::compute_with(&scenario.dsm, 64, runtime));
+        })
+    };
+    let t_horizon_seq = horizon_on(Runtime::sequential());
+    let t_horizon_par = horizon_on(runtime);
+    let ns_per_cell_sector = |ms: f64| ms * 1e6 / (scenario.dsm.dims().num_cells() * 64) as f64;
 
     let dataset = par_extractor.extract(&scenario.dsm);
     let map = SuitabilityMap::compute_with(&dataset, &config, runtime);
@@ -154,8 +159,14 @@ fn timings(runtime: Runtime) -> Result<(), String> {
         t_extract_seq / t_extract_par
     );
     println!(
-        "horizon    {} thread(s)       {t_horizon:9.1} ms  (64 sectors)",
-        runtime.threads()
+        "horizon    1 thread          {t_horizon_seq:9.1} ms  (64 sectors, {:.1} ns per cell-sector)",
+        ns_per_cell_sector(t_horizon_seq)
+    );
+    println!(
+        "horizon    {} thread(s)       {t_horizon_par:9.1} ms  ({:.2}x, {:.1} ns per cell-sector)",
+        runtime.threads(),
+        t_horizon_seq / t_horizon_par,
+        ns_per_cell_sector(t_horizon_par)
     );
     println!("evaluator  1 thread          {t_eval_seq:9.1} ms");
     println!(
