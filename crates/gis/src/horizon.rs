@@ -13,7 +13,7 @@
 //! oracle.
 
 use crate::dsm::Dsm;
-use pv_geom::{CellCoord, GridDims};
+use pv_geom::{CellCoord, Grid, GridDims};
 use pv_runtime::Runtime;
 use pv_units::Radians;
 
@@ -338,54 +338,31 @@ impl HorizonMap {
 /// the DSM's minimum height, at least 1: how far a horizon ray may jump
 /// from a sample in that cell without passing anything but floor-height
 /// cells. Without any raised cell every jump leaves the grid.
-fn skip_distances(heights: &pv_geom::Grid<f64>) -> Vec<f64> {
+fn skip_distances(heights: &Grid<f64>) -> Vec<f64> {
     let dims = heights.dims();
-    let (w, h) = (dims.width(), dims.height());
     let floor = heights.iter().copied().fold(f64::INFINITY, f64::min);
     let mut dist: Vec<u32> = heights
         .iter()
         .map(|&z| if z > floor { 0 } else { u32::MAX })
         .collect();
     // Two chamfer passes with unit weights on all 8 neighbours, exact for
-    // the Chebyshev metric: the forward pass takes the neighbours above
-    // and to the left, the backward pass those below and to the right.
-    let relax = |dist: &mut [u32], i: usize, x: usize, y: usize, forward: bool| {
-        let mut best = dist[i];
-        let mut offer = |j: usize| best = best.min(dist[j].saturating_add(1));
-        if forward {
-            if x > 0 {
-                offer(i - 1);
-            }
-            if y > 0 {
-                offer(i - w);
-                if x > 0 {
-                    offer(i - w - 1);
-                }
-                if x + 1 < w {
-                    offer(i - w + 1);
-                }
-            }
-        } else {
-            if x + 1 < w {
-                offer(i + 1);
-            }
-            if y + 1 < h {
-                offer(i + w);
-                if x + 1 < w {
-                    offer(i + w + 1);
-                }
-                if x > 0 {
-                    offer(i + w - 1);
-                }
+    // the Chebyshev metric: forward over the four neighbours a row-major
+    // walk has already visited, then backward over the other four.
+    let relax = |dist: &mut [u32], i: usize, offsets: &[(isize, isize); 4]| {
+        let cell = dims.coord_of(i);
+        for &(dx, dy) in offsets {
+            if let Some(n) = cell.checked_offset(dx, dy).filter(|&n| dims.contains(n)) {
+                dist[i] = dist[i].min(dist[dims.linear_index(n)].saturating_add(1));
             }
         }
-        dist[i] = best;
     };
-    for i in 0..w * h {
-        relax(&mut dist, i, i % w, i / w, true);
+    let forward = [(-1, 0), (-1, -1), (0, -1), (1, -1)];
+    let backward = forward.map(|(dx, dy)| (-dx, -dy));
+    for i in 0..dims.num_cells() {
+        relax(&mut dist, i, &forward);
     }
-    for i in (0..w * h).rev() {
-        relax(&mut dist, i, i % w, i / w, false);
+    for i in (0..dims.num_cells()).rev() {
+        relax(&mut dist, i, &backward);
     }
     dist.into_iter().map(|d| f64::from(d.max(1))).collect()
 }
@@ -397,7 +374,6 @@ mod tests {
     use crate::obstacle::Obstacle;
     use crate::synth::ScenarioSpec;
     use proptest::prelude::*;
-    use pv_geom::Grid;
     use pv_units::Meters;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
