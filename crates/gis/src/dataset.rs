@@ -35,9 +35,9 @@ pub struct StepConditions {
 /// Per-cell irradiance and temperature traces, stored compactly.
 ///
 /// Constructed by [`SolarExtractor`](crate::SolarExtractor); queried by the
-/// floorplanner via [`irradiance`](Self::irradiance) /
-/// [`temperature`](Self::temperature) or the streaming
-/// [`cell_view`](Self::cell_view).
+/// floorplanner via [`irradiance`](Self::irradiance) per cell and
+/// [`conditions`](Self::conditions) per step (the ambient temperature is
+/// uniform across the roof).
 ///
 /// ```
 /// use pv_geom::CellCoord;
@@ -50,15 +50,13 @@ pub struct StepConditions {
 /// assert_eq!(data.num_steps(), 24);
 /// assert_eq!(data.valid().count(), 20 * 10);
 ///
-/// // Point queries and the streaming per-cell view agree.
+/// // A cell is lit exactly while the sun is up.
 /// let cell = CellCoord::new(3, 3);
 /// let lit = (0..data.num_steps())
 ///     .find(|&i| data.conditions(i).sun_up)
 ///     .expect("the sun rises within two days");
-/// let (g, t) = data.cell_view(cell).nth(lit as usize).unwrap();
-/// assert_eq!(g, data.irradiance(cell, lit));
-/// assert_eq!(t, data.temperature(cell, lit));
-/// assert!(g.as_w_per_m2() > 0.0);
+/// assert!(data.irradiance(cell, lit).as_w_per_m2() > 0.0);
+/// assert_eq!(data.irradiance(cell, 0).as_w_per_m2(), 0.0); // midnight
 /// ```
 #[derive(Clone, Debug)]
 #[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
@@ -92,7 +90,10 @@ impl SolarDataset {
     ///
     /// # Panics
     ///
-    /// Panics if array lengths are inconsistent with `clock`/`dims`.
+    /// Panics with the message of
+    /// [`try_from_parts`](Self::try_from_parts) if the parts are
+    /// inconsistent: array lengths that disagree with `clock`/`dims`, or a
+    /// beam-row index past the end of `shadow_rows`.
     #[must_use]
     #[allow(clippy::too_many_arguments)]
     pub fn from_parts(
@@ -106,20 +107,7 @@ impl SolarDataset {
         base_normal: [f64; 3],
         cell_normals: Option<Vec<[f32; 3]>>,
     ) -> Self {
-        assert_eq!(steps.len(), clock.num_steps() as usize, "steps length");
-        assert_eq!(svf.len(), dims.num_cells(), "svf length");
-        assert_eq!(
-            beam_row_of_step.len(),
-            clock.num_steps() as usize,
-            "row map length"
-        );
-        let row_words = dims.num_cells().div_ceil(64);
-        assert_eq!(shadow_rows.len() % row_words.max(1), 0, "shadow rows");
-        assert_eq!(valid.dims(), dims, "valid mask dims");
-        if let Some(normals) = &cell_normals {
-            assert_eq!(normals.len(), dims.num_cells(), "cell normals length");
-        }
-        Self {
+        Self::try_from_parts(
             clock,
             dims,
             valid,
@@ -127,17 +115,17 @@ impl SolarDataset {
             svf,
             beam_row_of_step,
             shadow_rows,
-            row_words,
             base_normal,
             cell_normals,
-        }
+        )
+        .unwrap_or_else(|part| panic!("inconsistent dataset parts: {part}"))
     }
 
     /// Non-panicking [`from_parts`](Self::from_parts) for decoders of
     /// untrusted bytes (`pv_store`): returns a description of the first
-    /// inconsistency instead of panicking, and additionally validates that
-    /// every beam-row index points inside `shadow_rows`, so all shadow
-    /// queries on the result are in-bounds by construction.
+    /// inconsistency instead of panicking. Besides the array lengths it
+    /// validates that every beam-row index points inside `shadow_rows`, so
+    /// all shadow queries on the result are in-bounds by construction.
     ///
     /// # Errors
     ///
@@ -414,36 +402,6 @@ impl SolarDataset {
         beam + cond.diffuse_poa * self.sky_view_factor(cell) + cond.ground_poa
     }
 
-    /// Ambient temperature `T(cell, t)` — the paper's `T[i,j,t]` input.
-    ///
-    /// The synthetic weather model has no microclimate gradient across a
-    /// single roof, so this is uniform per step; the *module* temperature
-    /// seen by the power model still varies per cell through `Tact = T + k·G`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i` is out of range.
-    #[inline]
-    #[must_use]
-    pub fn temperature(&self, _cell: CellCoord, i: u32) -> Celsius {
-        self.steps[i as usize].ambient
-    }
-
-    /// Streaming view over one cell's `(G, T)` trace.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cell` is outside the grid.
-    #[must_use]
-    pub fn cell_view(&self, cell: CellCoord) -> CellWeatherView<'_> {
-        assert!(self.dims.contains(cell), "cell outside grid");
-        CellWeatherView {
-            dataset: self,
-            cell,
-            next: 0,
-        }
-    }
-
     /// Fraction of beam steps during which `cell` is shadowed — a useful
     /// diagnostic for scenario design.
     ///
@@ -485,39 +443,6 @@ impl SolarDataset {
             .sum()
     }
 }
-
-/// Iterator over one cell's per-step `(irradiance, temperature)` samples.
-///
-/// Produced by [`SolarDataset::cell_view`].
-#[derive(Clone, Debug)]
-pub struct CellWeatherView<'a> {
-    dataset: &'a SolarDataset,
-    cell: CellCoord,
-    next: u32,
-}
-
-impl Iterator for CellWeatherView<'_> {
-    type Item = (Irradiance, Celsius);
-
-    fn next(&mut self) -> Option<Self::Item> {
-        if self.next >= self.dataset.num_steps() {
-            return None;
-        }
-        let i = self.next;
-        self.next += 1;
-        Some((
-            self.dataset.irradiance(self.cell, i),
-            self.dataset.temperature(self.cell, i),
-        ))
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        let rem = (self.dataset.num_steps() - self.next) as usize;
-        (rem, Some(rem))
-    }
-}
-
-impl ExactSizeIterator for CellWeatherView<'_> {}
 
 #[cfg(test)]
 mod tests {
@@ -583,15 +508,6 @@ mod tests {
         assert!(!d.is_shadowed(CellCoord::new(0, 0), 1));
         assert_eq!(d.shadow_fraction(CellCoord::new(0, 0)), 1.0);
         assert_eq!(d.shadow_fraction(CellCoord::new(1, 1)), 0.0);
-    }
-
-    #[test]
-    fn cell_view_streams_all_steps() {
-        let d = tiny();
-        let v: Vec<_> = d.cell_view(CellCoord::new(1, 0)).collect();
-        assert_eq!(v.len(), 2);
-        assert_eq!(v[0].1, Celsius::new(20.0));
-        assert_eq!(v[1].0, Irradiance::ZERO);
     }
 
     #[test]
@@ -712,26 +628,23 @@ mod tests {
     }
 
     #[test]
-    fn cell_view_is_consistent_with_scalar_queries() {
-        let d = tiny();
-        for cell in [
-            CellCoord::new(0, 0),
-            CellCoord::new(1, 0),
-            CellCoord::new(1, 1),
-        ] {
-            let streamed: Vec<_> = d.cell_view(cell).collect();
-            assert_eq!(streamed.len(), d.num_steps() as usize);
-            for (i, &(g, t)) in streamed.iter().enumerate() {
-                assert_eq!(g, d.irradiance(cell, i as u32), "cell {cell:?} step {i}");
-                assert_eq!(t, d.temperature(cell, i as u32), "cell {cell:?} step {i}");
-            }
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "cell outside grid")]
-    fn cell_view_rejects_out_of_grid_cell() {
-        let _ = tiny().cell_view(CellCoord::new(2, 0));
+    #[should_panic(expected = "beam row index out of range")]
+    fn out_of_range_beam_row_rejected() {
+        // Row 1 of a one-row shadow table: the first shadow query of
+        // step 0 would index past the table.
+        let clock = SimulationClock::days_at_minutes(1, 720);
+        let dims = GridDims::new(2, 2);
+        let _ = SolarDataset::from_parts(
+            clock,
+            dims,
+            CellMask::full(dims),
+            vec![StepConditions::default(); 2],
+            vec![1.0; 4],
+            vec![1, u32::MAX], // wrong
+            vec![0u64],
+            [0.0, 0.0, 1.0],
+            None,
+        );
     }
 
     #[test]
@@ -768,9 +681,8 @@ mod tests {
         .unwrap_err();
         assert_eq!(err, "svf length");
 
-        // Extra check from_parts does not make: a beam-row index pointing
-        // past the shadow table is rejected instead of panicking later in
-        // `is_shadowed`.
+        // A beam-row index pointing past the shadow table is rejected
+        // instead of panicking later in `is_shadowed`.
         let err = SolarDataset::try_from_parts(
             clock,
             dims,
@@ -804,7 +716,7 @@ mod tests {
         for cell in [CellCoord::new(0, 0), CellCoord::new(1, 0)] {
             for i in 0..d.num_steps() {
                 assert_eq!(rebuilt.irradiance(cell, i), d.irradiance(cell, i));
-                assert_eq!(rebuilt.temperature(cell, i), d.temperature(cell, i));
+                assert_eq!(rebuilt.conditions(i).ambient, d.conditions(i).ambient);
             }
         }
     }

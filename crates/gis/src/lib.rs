@@ -74,7 +74,7 @@ mod weather;
 
 pub use batch::IrradianceGroup;
 pub use clearsky::ClearSky;
-pub use dataset::{CellWeatherView, SolarDataset, StepConditions};
+pub use dataset::{SolarDataset, StepConditions};
 pub use dsm::{Dsm, RoofBuilder, RoofGeometry};
 pub use extract::SolarExtractor;
 pub use gather::{GatherScratch, SampleGather};
