@@ -6,8 +6,8 @@
 //! preview resolution, and output-directory handling.
 
 use pv_floorplan::{
-    greedy_placement_with_map, module_lane_params, traditional_placement_with_map, ComparisonRow,
-    EnergyEvaluator, FloorplanConfig, FloorplanResult, SuitabilityMap, TraceMemo,
+    greedy_placement_with_map, traditional_placement_with_map, ComparisonRow, EnergyEvaluator,
+    FloorplanConfig, FloorplanResult, SuitabilityMap, TraceMemo,
 };
 use pv_geom::CellCoord;
 use pv_gis::{lanes, IrradianceGroup, RoofScenario, Site, SolarDataset, SolarExtractor};
@@ -407,9 +407,10 @@ impl KernelTimings {
 /// 1. `kernel_irradiance_census` — the branch-free masked-popcount /
 ///    beam-lane mean-irradiance kernel vs the per-cell scalar
 ///    irradiance recomposition;
-/// 2. `kernel_fused_iv` — the fused per-module means + lane
-///    operating-point sweep vs the scalar per-(step, group) path it
-///    replaced (per-cell recomposition + unit-typed per-step model);
+/// 2. `kernel_fused_iv` — the fused per-module means + the module's
+///    chunked operating-point sweep (`EmpiricalModule::operating_points`)
+///    vs the scalar per-(step, group) path it replaced (per-cell
+///    recomposition + unit-typed per-step model);
 /// 3. `kernel_string_agg` — member-outer elementwise `add_assign` /
 ///    `min_assign` folds vs the step-outer member-inner loop.
 ///
@@ -439,7 +440,6 @@ pub fn kernel_probe_timings(
         .map(|cells| dataset.irradiance_group(cells))
         .collect();
     let module = config.module();
-    let iv = module_lane_params(module);
     let ambient: Vec<f64> = (0..num_steps)
         .map(|i| dataset.conditions(i).ambient.as_celsius())
         .collect();
@@ -490,7 +490,7 @@ pub fn kernel_probe_timings(
         std::hint::black_box(&means);
     });
 
-    // 2. Per-module trace refresh: fused means + lane IV sweep vs the
+    // 2. Per-module trace refresh: fused means + the module's IV sweep vs the
     // scalar per-(step, group) path it replaced — per-cell irradiance
     // recomposition and the unit-typed per-step operating point.
     let mut volts = vec![vec![0.0f64; n]; n_modules];
@@ -499,7 +499,7 @@ pub fn kernel_probe_timings(
     let fused_lane = time(4 * budget, &mut || {
         for (k, group) in groups.iter().enumerate() {
             dataset.mean_irradiance_group_into(group, 0..num_steps, &mut one);
-            lanes::operating_points(&iv, &one, &ambient, &mut volts[k], &mut amps[k]);
+            module.operating_points(&one, &ambient, &mut volts[k], &mut amps[k]);
         }
         std::hint::black_box((&volts, &amps));
     });

@@ -17,10 +17,12 @@
 //!   transposition + operating-point pass: each [`FUSE_TILE`]-step tile
 //!   runs the single-group POA kernel
 //!   ([`pv_gis::SolarDataset::mean_irradiance_group_into`]) and then the
-//!   lane-shaped IV sweep ([`pv_gis::lanes::operating_points`]) while
-//!   the means are still hot in cache — one sweep over the step range
-//!   instead of two, with tiling provably invisible in the bits (both
-//!   kernels are elementwise / sub-range stable);
+//!   module's own operating-point sweep
+//!   ([`EmpiricalModule::operating_points`], bit-identical to its
+//!   [`ModuleModel`] calls) while the means are still hot in cache — one
+//!   sweep over the step range instead of two, with tiling provably
+//!   invisible in the bits (both kernels are elementwise / sub-range
+//!   stable);
 //! - **per-string aggregates** — each string's per-step series voltage sum
 //!   and bottleneck current, so a move touches only the affected string;
 //! - the **undo buffer** of a try/commit/rollback move API
@@ -445,9 +447,6 @@ pub struct EvaluationContext<'d> {
     /// Static irradiance state of each module's covered cells.
     groups: Vec<IrradianceGroup>,
     string_extra: Vec<Meters>,
-    /// The module's empirical coefficients, flattened for the lane-shaped
-    /// operating-point kernel (bit-identical to the `ModuleModel` calls).
-    iv: lanes::IvParams,
     /// Per-step ambient temperature (°C), hoisted once so the fused IV
     /// sweep never chases `StepConditions` per module × step.
     ambient: Vec<f64>,
@@ -501,7 +500,6 @@ impl<'d> EvaluationContext<'d> {
             .collect();
 
         let num_steps = dataset.num_steps() as usize;
-        let iv = module_lane_params(config.module());
         let ambient: Vec<f64> = (0..num_steps)
             .map(|i| dataset.conditions(i as u32).ambient.as_celsius())
             .collect();
@@ -510,9 +508,12 @@ impl<'d> EvaluationContext<'d> {
         // Per-module traces, one contiguous block per module, filled in
         // parallel (each block is an independent pure function of its
         // anchor, so thread count cannot affect the bytes).
+        let module = config.module();
         let mut trace = vec![0.0f64; n_modules * TRACE_FIELDS * num_steps];
         runtime.for_each_chunk_mut(&mut trace, TRACE_FIELDS * num_steps, |k, block| {
-            fill_module_trace(dataset, &groups[k], &iv, &ambient, memo, anchors[k], block);
+            fill_module_trace(
+                dataset, &groups[k], module, &ambient, memo, anchors[k], block,
+            );
         });
 
         // Per-string aggregates over the traces.
@@ -530,7 +531,6 @@ impl<'d> EvaluationContext<'d> {
             string_of: plan.string_of.clone(),
             groups,
             string_extra: vec![Meters::ZERO; topology.strings()],
-            iv,
             ambient,
             trace,
             agg,
@@ -605,7 +605,7 @@ impl<'d> EvaluationContext<'d> {
         fill_module_trace(
             self.dataset,
             &self.groups[k],
-            &self.iv,
+            self.config.module(),
             &self.ambient,
             self.memo,
             anchor,
@@ -876,34 +876,18 @@ const fn agg_block(j: usize, num_steps: usize) -> std::ops::Range<usize> {
     j * AGG_FIELDS * num_steps..(j + 1) * AGG_FIELDS * num_steps
 }
 
-/// Flattens the empirical module's coefficients into the lane kernel's
-/// parameter block ([`pv_gis::lanes::IvParams`]). The kernel replicates
-/// [`ModuleModel for EmpiricalModule`](pv_model::EmpiricalModule)
-/// bit-for-bit — same literals, same evaluation order — which the
-/// evaluator's proptests pin.
-#[must_use]
-pub fn module_lane_params(module: &EmpiricalModule) -> lanes::IvParams {
-    lanes::IvParams {
-        thermal_k: module.thermal_coefficient(),
-        vmp_ref: module.mp_voltage_ref().value(),
-        beta_v: module.voltage_temperature_slope(),
-        p_ref: module.rated_power().as_watts(),
-        gamma_p: module.power_temperature_slope(),
-    }
-}
-
 /// Fills one module's trace block `[mean G | V | I]` for its cell group
 /// at `anchor`, consulting (and feeding) the optional per-anchor memo.
 ///
 /// The fused transposition + operating-point pass: each tile of steps
-/// runs the POA mean kernel and then the lane-shaped IV sweep while the
-/// means are still cache-hot, instead of two full-range sweeps. Sun-down
-/// steps carry `mean G = 0`, for which the kernel yields exact `0.0`
-/// volts and amps — the same bytes the old explicit zeroing wrote.
+/// runs the POA mean kernel and then the module's operating-point sweep
+/// while the means are still cache-hot, instead of two full-range
+/// sweeps. Sun-down steps carry `mean G = 0`, for which the sweep yields
+/// exact `0.0` volts and amps.
 fn fill_module_trace(
     dataset: &SolarDataset,
     group: &IrradianceGroup,
-    iv: &lanes::IvParams,
+    module: &EmpiricalModule,
     ambient: &[f64],
     memo: Option<&TraceMemo>,
     anchor: CellCoord,
@@ -931,8 +915,7 @@ fn fill_module_trace(
             tile.start as u32..tile.end as u32,
             &mut means[tile.clone()],
         );
-        lanes::operating_points(
-            iv,
+        module.operating_points(
             &means[tile.clone()],
             &ambient[tile.clone()],
             &mut volts[tile.clone()],

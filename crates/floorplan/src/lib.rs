@@ -56,9 +56,7 @@ mod traditional;
 pub use anneal::{anneal, anneal_with_memo, AnnealConfig};
 pub use config::FloorplanConfig;
 pub use error::FloorplanError;
-pub use evaluate::{
-    module_lane_params, EnergyEvaluator, EnergyReport, EvaluationContext, TraceMemo,
-};
+pub use evaluate::{EnergyEvaluator, EnergyReport, EvaluationContext, TraceMemo};
 pub use exact::{optimal_placement, optimal_placement_with_memo};
 pub use greedy::{greedy_placement, greedy_placement_with_map, FloorplanResult};
 pub use placer::{fit_topology, Placer, PlacerOptions, TOPOLOGY_LADDER};

@@ -12,7 +12,7 @@ use pv_geom::{CellCoord, Footprint, Grid};
 use pv_gis::{GatherScratch, SolarDataset};
 use pv_model::Topology;
 use pv_runtime::Runtime;
-use pv_units::Celsius;
+use pv_units::{Celsius, Irradiance};
 
 /// Shadow words (64 cells each) per parallel work unit of the suitability
 /// kernel. Fixed, never derived from the thread count.
@@ -102,16 +102,17 @@ impl SuitabilityMap {
         }
         let t_pct = percentile_of(&mut t_buf, percentile);
 
-        let gamma = config.module().power_temperature_slope();
-        let k = config.module().thermal_coefficient();
+        let module = config.module();
         let f_of_t = |g_pct: f64| -> f64 {
             if !config.temperature_correction() {
                 return 1.0;
             }
-            // f(T) tracks dPmax/dT of Fig. 3 (middle plot), normalized to
+            // f(T) tracks dPmax/dT of Fig. 3 (middle plot): the module's
+            // power derating at the percentile conditions, normalized to
             // 1 at the STC cell temperature of 25 degC.
-            let tact = t_pct + k * g_pct;
-            ((1.12 - gamma * tact) / (1.12 - gamma * Celsius::STC.as_celsius())).max(0.0)
+            let tact =
+                module.actual_temperature(Irradiance::from_w_per_m2(g_pct), Celsius::new(t_pct));
+            (module.power_derating(tact) / module.power_derating(Celsius::STC)).max(0.0)
         };
 
         let chunks = runtime.map_chunks(gather.num_words(), SUITABILITY_CHUNK_WORDS, |words| {

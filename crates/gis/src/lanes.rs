@@ -1,12 +1,14 @@
 //! Lane-shaped kernels: fixed-width SoA arithmetic for the hot loops.
 //!
-//! Everything the evaluator does per `(step, group)` bottoms out in three
-//! loop shapes — a masked popcount census over shadow words, a
-//! shadow-gated beam accumulation over per-cell normals, and an
-//! elementwise operating-point sweep.  This module owns all three in a
-//! form the autovectorizer can chew on: structure-of-arrays inputs, no
+//! The evaluator's per-`(step, group)` irradiance work bottoms out in two
+//! loop shapes — a masked popcount census over shadow words and a
+//! shadow-gated beam accumulation over per-cell normals — plus the
+//! elementwise string folds.  This module owns them in a form the
+//! autovectorizer can chew on: structure-of-arrays inputs, no
 //! data-dependent branches, and accumulation split across [`LANES`]
-//! fixed accumulators folded in one canonical tree order.
+//! fixed accumulators folded in one canonical tree order.  The
+//! per-module operating-point sweep is PV physics, not GIS: it lives
+//! with its model, as `pv_model::EmpiricalModule::operating_points`.
 //!
 //! # The bit-identity contract
 //!
@@ -31,9 +33,6 @@
 //! The `*_scalar` twins are not dead code: they are the proptest oracle
 //! (`lane_kernel_is_bit_identical_to_scalar`) and the shape a reviewer
 //! should diff against the lane loops.
-//!
-//! The lane loops are the only fast path: portable, safe Rust (the crate
-//! forbids `unsafe`), with no intrinsics module beside them.
 
 /// Number of parallel f64 accumulator lanes (one 256-bit vector register).
 ///
@@ -115,10 +114,47 @@ pub fn shadowed_beam_sum(
     shadow: Option<&[u64]>,
 ) -> f64 {
     debug_assert!(nx.len() == ny.len() && ny.len() == nz.len() && nz.len() == cells.len());
+    let mut acc = [0.0f64; LANES];
     match shadow {
-        None => beam_sum_portable(sun, nx, ny, nz),
-        Some(words) => shadowed_beam_sum_portable(sun, nx, ny, nz, cells, words),
+        // Nothing shadowed: plain SoA dot products, packed adds.
+        None => {
+            let whole = nx.len() - nx.len() % LANES;
+            let (xs, x_tail) = nx.split_at(whole);
+            let (ys, y_tail) = ny.split_at(whole);
+            let (zs, z_tail) = nz.split_at(whole);
+            for ((x, y), z) in xs
+                .chunks_exact(LANES)
+                .zip(ys.chunks_exact(LANES))
+                .zip(zs.chunks_exact(LANES))
+            {
+                for (a, ((&x, &y), &z)) in acc.iter_mut().zip(x.iter().zip(y).zip(z)) {
+                    let dot = sun[0] * x + sun[1] * y + sun[2] * z;
+                    *a += dot.max(0.0);
+                }
+            }
+            for (a, ((&x, &y), &z)) in acc.iter_mut().zip(x_tail.iter().zip(y_tail).zip(z_tail)) {
+                let dot = sun[0] * x + sun[1] * y + sun[2] * z;
+                *a += dot.max(0.0);
+            }
+        }
+        // The shadow bit becomes a `{0.0, 1.0}` multiplier on the clamped
+        // dot product.
+        Some(words) => {
+            let whole = cells.len() - cells.len() % LANES;
+            for base in (0..whole).step_by(LANES) {
+                for (j, a) in acc.iter_mut().enumerate() {
+                    let i = base + j;
+                    let dot = sun[0] * nx[i] + sun[1] * ny[i] + sun[2] * nz[i];
+                    *a += keep_factor(words, cells[i]) * dot.max(0.0);
+                }
+            }
+            for i in whole..cells.len() {
+                let dot = sun[0] * nx[i] + sun[1] * ny[i] + sun[2] * nz[i];
+                acc[i % LANES] += keep_factor(words, cells[i]) * dot.max(0.0);
+            }
+        }
     }
+    sum_lanes(acc)
 }
 
 /// Scalar reference for [`shadowed_beam_sum`]: per-cell bit test and a
@@ -148,61 +184,11 @@ pub fn shadowed_beam_sum_scalar(
     sum_lanes(acc)
 }
 
-/// Unshadowed portable lane loop: plain SoA dot products, packed adds.
-fn beam_sum_portable(sun: &[f64; 3], nx: &[f64], ny: &[f64], nz: &[f64]) -> f64 {
-    let mut acc = [0.0f64; LANES];
-    let whole = nx.len() - nx.len() % LANES;
-    let (xs, x_tail) = nx.split_at(whole);
-    let (ys, y_tail) = ny.split_at(whole);
-    let (zs, z_tail) = nz.split_at(whole);
-    for ((x, y), z) in xs
-        .chunks_exact(LANES)
-        .zip(ys.chunks_exact(LANES))
-        .zip(zs.chunks_exact(LANES))
-    {
-        for (a, ((&x, &y), &z)) in acc.iter_mut().zip(x.iter().zip(y).zip(z)) {
-            let dot = sun[0] * x + sun[1] * y + sun[2] * z;
-            *a += dot.max(0.0);
-        }
-    }
-    for (a, ((&x, &y), &z)) in acc.iter_mut().zip(x_tail.iter().zip(y_tail).zip(z_tail)) {
-        let dot = sun[0] * x + sun[1] * y + sun[2] * z;
-        *a += dot.max(0.0);
-    }
-    sum_lanes(acc)
-}
-
 /// `1.0` when `cell`'s shadow bit is clear, else `0.0` — pure integer
 /// arithmetic, no branch.
 #[inline]
 fn keep_factor(words: &[u64], cell: u32) -> f64 {
     (1 ^ ((words[cell as usize / 64] >> (cell % 64)) & 1)) as f64
-}
-
-/// Shadowed portable lane loop: the shadow bit becomes a `{0.0, 1.0}`
-/// multiplier on the clamped dot product.
-fn shadowed_beam_sum_portable(
-    sun: &[f64; 3],
-    nx: &[f64],
-    ny: &[f64],
-    nz: &[f64],
-    cells: &[u32],
-    words: &[u64],
-) -> f64 {
-    let mut acc = [0.0f64; LANES];
-    let whole = cells.len() - cells.len() % LANES;
-    for base in (0..whole).step_by(LANES) {
-        for (j, a) in acc.iter_mut().enumerate() {
-            let i = base + j;
-            let dot = sun[0] * nx[i] + sun[1] * ny[i] + sun[2] * nz[i];
-            *a += keep_factor(words, cells[i]) * dot.max(0.0);
-        }
-    }
-    for i in whole..cells.len() {
-        let dot = sun[0] * nx[i] + sun[1] * ny[i] + sun[2] * nz[i];
-        acc[i % LANES] += keep_factor(words, cells[i]) * dot.max(0.0);
-    }
-    sum_lanes(acc)
 }
 
 /// Elementwise `dst[i] += src[i]` — the string-voltage fold, one member
@@ -231,135 +217,6 @@ pub fn min_assign(dst: &mut [f64], src: &[f64]) {
     assert_eq!(dst.len(), src.len(), "lane min: length mismatch");
     for (d, &s) in dst.iter_mut().zip(src) {
         *d = d.min(s);
-    }
-}
-
-/// The empirical module coefficients the operating-point sweep needs,
-/// flattened to raw f64 so the kernel stays unit-free and SoA-shaped.
-/// Built from `pv_model::EmpiricalModule` by the floorplan layer; the
-/// formulas below replicate that model bit-for-bit (same literals, same
-/// evaluation order — see `ModuleModel for EmpiricalModule`).
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct IvParams {
-    /// Roof-heating coefficient `k` (K·m²/W): `Tact = T + k·G`.
-    pub thermal_k: f64,
-    /// Reference maximum-power voltage `Vmp` (V).
-    pub vmp_ref: f64,
-    /// Voltage temperature slope `βv` (1/°C).
-    pub beta_v: f64,
-    /// Rated power at STC (W).
-    pub p_ref: f64,
-    /// Power temperature slope `γp` (1/°C).
-    pub gamma_p: f64,
-}
-
-/// Fused operating-point sweep: given per-step mean irradiance and
-/// ambient temperature lanes, fills the voltage and current lanes in
-/// one elementwise pass.  Night steps (`g ≤ 0`) and clamped voltages
-/// select exact `0.0` through conditional moves, not multiplies, so no
-/// NaN can leak out of the masked division.
-///
-/// Bit-identical to [`operating_points_scalar`] (and therefore to
-/// per-step `EmpiricalModule::operating_point` calls) on every input.
-///
-/// # Panics
-///
-/// Panics if the slices differ in length.
-pub fn operating_points(
-    params: &IvParams,
-    means: &[f64],
-    ambient: &[f64],
-    volts: &mut [f64],
-    amps: &mut [f64],
-) {
-    let n = means.len();
-    assert!(
-        ambient.len() == n && volts.len() == n && amps.len() == n,
-        "operating-point sweep: length mismatch"
-    );
-    operating_points_portable(params, means, ambient, volts, amps);
-}
-
-/// Portable sweep, chunked by [`LANES`]: an all-lit chunk runs the
-/// straight-line lane arithmetic (selects compile to blends, and the
-/// division is made unconditional by substituting a unit denominator on
-/// clamped lanes — the quotient is discarded there, so the bits cannot
-/// differ); any chunk containing a night step falls back to the scalar
-/// early-return shape.  A real clock's night steps come in long runs,
-/// so the chunk test is almost perfectly predicted, and which path a
-/// step takes never changes its output bits.
-fn operating_points_portable(
-    params: &IvParams,
-    means: &[f64],
-    ambient: &[f64],
-    volts: &mut [f64],
-    amps: &mut [f64],
-) {
-    let n = means.len();
-    let whole = n - n % LANES;
-    for c in (0..whole).step_by(LANES) {
-        let all_lit = means[c..c + LANES].iter().all(|&g| g > 0.0);
-        if all_lit {
-            for j in c..c + LANES {
-                let (g, t) = (means[j], ambient[j]);
-                let tact = t + params.thermal_k * g;
-                let v_raw =
-                    (params.vmp_ref * (1.08 - params.beta_v * tact) * (0.875 + 0.000125 * g))
-                        .max(0.0);
-                let p_raw = (params.p_ref * (1.12 - params.gamma_p * tact) * 1e-3 * g).max(0.0);
-                volts[j] = v_raw;
-                let clamped = v_raw <= 0.0;
-                let amp = p_raw / if clamped { 1.0 } else { v_raw };
-                amps[j] = if clamped { 0.0 } else { amp };
-            }
-        } else {
-            operating_points_scalar(
-                params,
-                &means[c..c + LANES],
-                &ambient[c..c + LANES],
-                &mut volts[c..c + LANES],
-                &mut amps[c..c + LANES],
-            );
-        }
-    }
-    operating_points_scalar(
-        params,
-        &means[whole..],
-        &ambient[whole..],
-        &mut volts[whole..],
-        &mut amps[whole..],
-    );
-}
-
-/// Scalar reference for [`operating_points`]: the early-return shape of
-/// `EmpiricalModule::{voltage, current}`, one step at a time.
-pub fn operating_points_scalar(
-    params: &IvParams,
-    means: &[f64],
-    ambient: &[f64],
-    volts: &mut [f64],
-    amps: &mut [f64],
-) {
-    for (((&g, &t), v), a) in means
-        .iter()
-        .zip(ambient)
-        .zip(volts.iter_mut())
-        .zip(amps.iter_mut())
-    {
-        if g <= 0.0 {
-            *v = 0.0;
-            *a = 0.0;
-            continue;
-        }
-        let tact = t + params.thermal_k * g;
-        let vv = (params.vmp_ref * (1.08 - params.beta_v * tact) * (0.875 + 0.000125 * g)).max(0.0);
-        *v = vv;
-        if vv <= 0.0 {
-            *a = 0.0;
-        } else {
-            let p = (params.p_ref * (1.12 - params.gamma_p * tact) * 1e-3 * g).max(0.0);
-            *a = p / vv;
-        }
     }
 }
 
@@ -418,35 +275,6 @@ mod tests {
             let scalar = shadowed_beam_sum_scalar(&sun, &nx, &ny, &nz, &cells, shadow);
             assert_eq!(lane.to_bits(), scalar.to_bits());
         }
-    }
-
-    #[test]
-    fn operating_points_matches_scalar_reference() {
-        let params = IvParams {
-            thermal_k: 0.035,
-            vmp_ref: 24.0,
-            beta_v: 0.0034,
-            p_ref: 165.0,
-            gamma_p: 0.0048,
-        };
-        // Includes night (0.0), negative guard values, and a point hot
-        // enough to clamp the voltage to zero (tact ≈ 318 °C).
-        let means = [0.0, 812.5, -3.0, 1000.0, 42.0, 250.0, 999.9, 1.0, 7000.0];
-        let ambient = [15.0, 25.0, 10.0, 35.0, -5.0, 20.0, 30.0, 12.0, 80.0];
-        let mut volts = [0.0f64; 9];
-        let mut amps = [0.0f64; 9];
-        let mut volts_ref = [0.0f64; 9];
-        let mut amps_ref = [0.0f64; 9];
-        operating_points(&params, &means, &ambient, &mut volts, &mut amps);
-        operating_points_scalar(&params, &means, &ambient, &mut volts_ref, &mut amps_ref);
-        for i in 0..9 {
-            assert_eq!(volts[i].to_bits(), volts_ref[i].to_bits(), "V at {i}");
-            assert_eq!(amps[i].to_bits(), amps_ref[i].to_bits(), "I at {i}");
-            assert!(amps[i].is_finite());
-        }
-        // The hot point really exercises the clamp.
-        assert_eq!(volts[8], 0.0);
-        assert_eq!(amps[8], 0.0);
     }
 
     #[test]

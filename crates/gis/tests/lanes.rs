@@ -189,42 +189,6 @@ proptest! {
         prop_assert_eq!(&one[17..26], &part[..]);
     }
 
-    /// The fused IV sweep equals the early-return scalar reference to
-    /// the bit, including exact-zero night steps and negative inputs
-    /// that exercise the voltage clamp.
-    #[test]
-    fn operating_point_lanes_match_scalar_reference(
-        gs in prop::collection::vec(-50.0..1300.0f64, 0..130),
-        ts in prop::collection::vec(-15.0..45.0f64, 0..130),
-        zero_every in 2usize..7,
-    ) {
-        let n = gs.len().min(ts.len());
-        let mut gs: Vec<f64> = gs[..n].to_vec();
-        // Force exact night-step zeros — the branchless select must
-        // reproduce the scalar early return's exact 0.0 outputs.
-        for g in gs.iter_mut().step_by(zero_every) {
-            *g = 0.0;
-        }
-        let ts = &ts[..n];
-        let params = lanes::IvParams {
-            thermal_k: 0.035,
-            vmp_ref: 24.0,
-            beta_v: 0.0034,
-            p_ref: 165.0,
-            gamma_p: 0.0048,
-        };
-        let (mut v_lane, mut a_lane) = (vec![0.0; n], vec![0.0; n]);
-        let (mut v_ref, mut a_ref) = (vec![0.0; n], vec![0.0; n]);
-        lanes::operating_points(&params, &gs, ts, &mut v_lane, &mut a_lane);
-        lanes::operating_points_scalar(&params, &gs, ts, &mut v_ref, &mut a_ref);
-        for i in 0..n {
-            prop_assert!(v_lane[i].to_bits() == v_ref[i].to_bits(),
-                "volts diverged at {}: {} vs {}", i, v_lane[i], v_ref[i]);
-            prop_assert!(a_lane[i].to_bits() == a_ref[i].to_bits(),
-                "amps diverged at {}: {} vs {}", i, a_lane[i], a_ref[i]);
-        }
-    }
-
     /// The chunked sum is invariant to input length (tail handling) and
     /// bit-equal to the strided scalar reference even under heavy
     /// cancellation.

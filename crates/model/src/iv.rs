@@ -295,15 +295,15 @@ impl ModuleModel for SingleDiodeModule {
     }
 }
 
-/// Scalar reference for the per-step operating-point sweep: one
+/// The per-step operating-point sweep of any [`ModuleModel`]: one
 /// [`ModuleModel::operating_point`] call per step, raw `f64` lanes in
 /// and out (`means` in W/m², `ambient` in °C).
 ///
-/// The evaluator's hot path uses the fused SoA kernel in
-/// `pv_gis::lanes::operating_points` instead; that kernel must be — and
-/// is proptested to be — bit-identical to this sweep for the
-/// [`EmpiricalModule`](crate::EmpiricalModule). This function is the
-/// oracle, kept branchy and step-at-a-time on purpose.
+/// [`EmpiricalModule::operating_points`](crate::EmpiricalModule::operating_points),
+/// the evaluator's hot path, runs this function on every chunk that
+/// holds a dark step and on its tail, and is proptested bit-identical to
+/// it for random module coefficients. Kept branchy and step-at-a-time on
+/// purpose: it is that oracle.
 ///
 /// # Panics
 ///

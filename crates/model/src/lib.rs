@@ -5,7 +5,9 @@
 //! - [`EmpiricalModule`] — the paper's datasheet-derived model of the
 //!   Mitsubishi PV-MF165EB3: `P`, `V`, `I` as functions of irradiance `G`
 //!   and ambient temperature `T`, with the `Tact = T + k·G` roof-heating
-//!   correction;
+//!   correction, plus the evaluator's chunked per-step sweep
+//!   ([`EmpiricalModule::operating_points`]), pinned bit for bit to
+//!   [`operating_point_sweep`];
 //! - [`SingleDiodeModule`] — a physical single-diode I-V model (Fig. 2-(a)),
 //!   used to regenerate I-V curves and as an alternative, finer-grained
 //!   [`ModuleModel`];

@@ -1,6 +1,12 @@
 //! The paper's empirical module power model (Sec. III-B1).
 
+use crate::iv::operating_point_sweep;
 use pv_units::{Amperes, Celsius, Irradiance, Meters, Volts, Watts};
+
+/// Steps per chunk of [`EmpiricalModule::operating_points`]'s all-lit
+/// fast path (one 256-bit vector of `f64`). Every step's output is
+/// independent of the chunking, so this width moves no bit.
+const SWEEP_LANES: usize = 4;
 
 /// A module's electrical operating point at given conditions.
 #[derive(Clone, Copy, Debug, PartialEq, Default)]
@@ -209,20 +215,6 @@ impl EmpiricalModule {
         self.vmp_ref
     }
 
-    /// The voltage-vs-temperature slope `βv` (1/°C) of the empirical
-    /// model. Together with [`mp_voltage_ref`](Self::mp_voltage_ref),
-    /// [`rated_power`](Self::rated_power),
-    /// [`power_temperature_slope`](Self::power_temperature_slope) and
-    /// [`thermal_coefficient`](Self::thermal_coefficient) this exposes
-    /// every coefficient the lane-shaped operating-point sweep
-    /// (`pv_gis::lanes::IvParams`) needs to replicate this model
-    /// bit-for-bit.
-    #[inline]
-    #[must_use]
-    pub const fn voltage_temperature_slope(&self) -> f64 {
-        self.beta_v
-    }
-
     /// The power-vs-temperature slope `γp` (1/°C) of the empirical model,
     /// used by the floorplanner's `f(T)` suitability correction.
     #[inline]
@@ -244,14 +236,106 @@ impl EmpiricalModule {
         Celsius::new(ambient.as_celsius() + self.thermal_k * irradiance.as_w_per_m2())
     }
 
+    /// The power derating `1.12 − γp·Tact` of `Pmodule` at module
+    /// temperature `tact`: `1.12 − 25·γp` at the STC cell temperature.
+    /// The floorplanner's `f(T)` suitability correction is this factor
+    /// normalized to its STC value.
+    #[inline]
+    #[must_use]
+    pub fn power_derating(&self, tact: Celsius) -> f64 {
+        1.12 - self.gamma_p * tact.as_celsius()
+    }
+
+    /// `v_ref · (1.08 − βv·Tact) · (0.875 + 0.000125·G)`, clamped at 0:
+    /// the one voltage expression behind [`voc`](Self::voc), the
+    /// maximum-power voltage and [`operating_points`](Self::operating_points).
+    #[inline]
+    fn scaled_voltage(&self, v_ref: Volts, irradiance: Irradiance, tact: Celsius) -> f64 {
+        let v = v_ref.value()
+            * (1.08 - self.beta_v * tact.as_celsius())
+            * (0.875 + 0.000125 * irradiance.as_w_per_m2());
+        v.max(0.0)
+    }
+
+    /// `Pref · (1.12 − γp·Tact) · 10⁻³ · G`, clamped at 0: the one power
+    /// expression behind [`ModuleModel::power`] and
+    /// [`operating_points`](Self::operating_points).
+    #[inline]
+    fn clamped_power(&self, irradiance: Irradiance, tact: Celsius) -> f64 {
+        let p = self.p_ref.as_watts() * self.power_derating(tact) * 1e-3 * irradiance.as_w_per_m2();
+        p.max(0.0)
+    }
+
     /// Open-circuit voltage at `(G, T)` (Fig. 3 normalization).
     #[must_use]
     pub fn voc(&self, irradiance: Irradiance, ambient: Celsius) -> Volts {
-        let tact = self.actual_temperature(irradiance, ambient).as_celsius();
-        let v = self.voc_ref.value()
-            * (1.08 - self.beta_v * tact)
-            * (0.875 + 0.000125 * irradiance.as_w_per_m2());
-        Volts::new(v.max(0.0))
+        let tact = self.actual_temperature(irradiance, ambient);
+        Volts::new(self.scaled_voltage(self.voc_ref, irradiance, tact))
+    }
+
+    /// Fills `volts[i]`/`amps[i]` with the maximum-power operating point
+    /// at mean irradiance `means[i]` (W/m²) and ambient `ambient[i]` (°C):
+    /// the evaluator's per-module sweep over a step range.
+    ///
+    /// Chunks of four all-lit steps run straight-line
+    /// arithmetic the autovectorizer can lower to packed operations: the
+    /// voltage clamp selects exact `0.0` amps and swaps in a unit
+    /// denominator, whose quotient is discarded, so no NaN can leak out of
+    /// the division. A chunk holding a dark step (`G ≤ 0`) and the tail
+    /// go through [`operating_point_sweep`](crate::operating_point_sweep),
+    /// the step-at-a-time [`ModuleModel`] calls. A real clock's night
+    /// steps come in long runs, so the chunk test is almost perfectly
+    /// predicted. Both paths evaluate the same expressions in the same
+    /// order without FMA contraction, so the output is bit-identical to
+    /// `operating_point_sweep(self, ..)` on every input — which the
+    /// crate's proptests check for random coefficients.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the slices differ in length.
+    pub fn operating_points(
+        &self,
+        means: &[f64],
+        ambient: &[f64],
+        volts: &mut [f64],
+        amps: &mut [f64],
+    ) {
+        let n = means.len();
+        assert!(
+            ambient.len() == n && volts.len() == n && amps.len() == n,
+            "operating-point sweep: length mismatch"
+        );
+        let whole = n - n % SWEEP_LANES;
+        for c in (0..whole).step_by(SWEEP_LANES) {
+            let chunk = c..c + SWEEP_LANES;
+            if means[chunk.clone()].iter().all(|&g| g > 0.0) {
+                for j in chunk {
+                    let g = Irradiance::from_w_per_m2(means[j]);
+                    let tact = self.actual_temperature(g, Celsius::new(ambient[j]));
+                    let v = self.scaled_voltage(self.vmp_ref, g, tact);
+                    let p = self.clamped_power(g, tact);
+                    volts[j] = v;
+                    let clamped = v <= 0.0;
+                    let amp = p / if clamped { 1.0 } else { v };
+                    amps[j] = if clamped { 0.0 } else { amp };
+                }
+            } else {
+                operating_point_sweep(
+                    self,
+                    &means[chunk.clone()],
+                    &ambient[chunk.clone()],
+                    &mut volts[chunk.clone()],
+                    &mut amps[chunk],
+                );
+            }
+        }
+        operating_point_sweep(
+            self,
+            &means[whole..],
+            &ambient[whole..],
+            &mut volts[whole..],
+            &mut amps[whole..],
+        );
     }
 
     /// Short-circuit current at `(G, T)`: proportional to `G` with a small
@@ -270,11 +354,8 @@ impl ModuleModel for EmpiricalModule {
         if irradiance.as_w_per_m2() <= 0.0 {
             return Volts::ZERO;
         }
-        let tact = self.actual_temperature(irradiance, ambient).as_celsius();
-        let v = self.vmp_ref.value()
-            * (1.08 - self.beta_v * tact)
-            * (0.875 + 0.000125 * irradiance.as_w_per_m2());
-        Volts::new(v.max(0.0))
+        let tact = self.actual_temperature(irradiance, ambient);
+        Volts::new(self.scaled_voltage(self.vmp_ref, irradiance, tact))
     }
 
     fn current(&self, irradiance: Irradiance, ambient: Celsius) -> Amperes {
@@ -286,13 +367,11 @@ impl ModuleModel for EmpiricalModule {
     }
 
     fn power(&self, irradiance: Irradiance, ambient: Celsius) -> Watts {
-        let g = irradiance.as_w_per_m2();
-        if g <= 0.0 {
+        if irradiance.as_w_per_m2() <= 0.0 {
             return Watts::ZERO;
         }
-        let tact = self.actual_temperature(irradiance, ambient).as_celsius();
-        let p = self.p_ref.value() * (1.12 - self.gamma_p * tact) * 1e-3 * g;
-        Watts::new(p.max(0.0))
+        let tact = self.actual_temperature(irradiance, ambient);
+        Watts::new(self.clamped_power(irradiance, tact))
     }
 }
 
@@ -404,5 +483,28 @@ mod tests {
         let amb = Celsius::new(25.0 - 0.035 * 1000.0);
         let p = m.power(Irradiance::STC, amb);
         assert!((p.as_watts() - 300.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn operating_points_match_the_sweep_on_edge_inputs() {
+        let m = EmpiricalModule::pv_mf165eb3();
+        // Chunk 0 holds a night step (0.0) and a negative guard value, so
+        // it takes the step-at-a-time path; chunk 1 is all lit and holds
+        // a point hot enough to clamp the voltage (Tact ≈ 318 °C); the
+        // tail is a single lit step.
+        let means = [0.0, 812.5, -3.0, 1000.0, 42.0, 7000.0, 999.9, 1.0, 250.0];
+        let ambient = [15.0, 25.0, 10.0, 35.0, -5.0, 80.0, 30.0, 12.0, 20.0];
+        let (mut volts, mut amps) = ([0.0f64; 9], [0.0f64; 9]);
+        let (mut volts_ref, mut amps_ref) = ([0.0f64; 9], [0.0f64; 9]);
+        m.operating_points(&means, &ambient, &mut volts, &mut amps);
+        crate::operating_point_sweep(&m, &means, &ambient, &mut volts_ref, &mut amps_ref);
+        for i in 0..9 {
+            assert_eq!(volts[i].to_bits(), volts_ref[i].to_bits(), "V at {i}");
+            assert_eq!(amps[i].to_bits(), amps_ref[i].to_bits(), "I at {i}");
+            assert!(amps[i].is_finite());
+        }
+        // The hot point really exercises the clamp.
+        assert_eq!(volts[5], 0.0);
+        assert_eq!(amps[5], 0.0);
     }
 }

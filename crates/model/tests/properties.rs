@@ -2,9 +2,10 @@
 
 use proptest::prelude::*;
 use pv_model::{
-    panel_output, EmpiricalModule, ModuleModel, OperatingPoint, SingleDiodeModule, Topology,
+    operating_point_sweep, panel_output, EmpiricalModule, ModuleModel, OperatingPoint,
+    SingleDiodeModule, Topology,
 };
-use pv_units::{Amperes, Celsius, Irradiance, Volts};
+use pv_units::{Amperes, Celsius, Irradiance, Meters, Volts, Watts};
 
 proptest! {
     /// Empirical module power is non-negative and monotone increasing in G
@@ -99,5 +100,51 @@ proptest! {
         let out = panel_output(&modules, t).unwrap();
         // Strings 1..n still deliver 5 A each; string 0 delivers 0.
         prop_assert!((out.current.value() - 5.0 * (strings as f64 - 1.0)).abs() < 1e-9);
+    }
+
+    /// The empirical module's chunked sweep equals the step-at-a-time
+    /// `operating_point_sweep` over the same module to the bit, for random
+    /// ratings and roof-heating coefficients, on inputs that reach every
+    /// branch: exact-zero nights, negative irradiance, and heat that
+    /// clamps the power (Tact ≥ 233 °C) and then the voltage (Tact ≥
+    /// 318 °C) to zero.
+    #[test]
+    fn operating_points_match_operating_point_sweep(
+        (p_ref, vmp_ref, isc_ref) in (50.0..500.0f64, 10.0..60.0f64, 1.0..15.0f64),
+        thermal_k in 0.0..0.1f64,
+        gs in prop::collection::vec(-50.0..1300.0f64, 0..130),
+        ts in prop::collection::vec(-15.0..45.0f64, 0..130),
+        hot in prop::collection::vec(200.0..450.0f64, 0..130),
+        (zero_every, hot_every) in (2usize..9, 2usize..9),
+    ) {
+        let module = EmpiricalModule::custom(
+            "random",
+            Meters::new(1.6),
+            Meters::new(0.8),
+            Watts::new(p_ref),
+            Volts::new(vmp_ref),
+            Volts::new(vmp_ref * 1.25),
+            Amperes::new(isc_ref),
+        )
+        .thermal_k(thermal_k);
+        let n = gs.len().min(ts.len());
+        let mut gs = gs[..n].to_vec();
+        let mut ts = ts[..n].to_vec();
+        for g in gs.iter_mut().step_by(zero_every) {
+            *g = 0.0;
+        }
+        for (t, &h) in ts.iter_mut().skip(1).step_by(hot_every).zip(&hot) {
+            *t = h;
+        }
+        let (mut v_fast, mut a_fast) = (vec![f64::NAN; n], vec![f64::NAN; n]);
+        let (mut v_ref, mut a_ref) = (vec![f64::NAN; n], vec![f64::NAN; n]);
+        module.operating_points(&gs, &ts, &mut v_fast, &mut a_fast);
+        operating_point_sweep(&module, &gs, &ts, &mut v_ref, &mut a_ref);
+        for i in 0..n {
+            prop_assert!(v_fast[i].to_bits() == v_ref[i].to_bits(),
+                "volts diverged at {}: {} vs {}", i, v_fast[i], v_ref[i]);
+            prop_assert!(a_fast[i].to_bits() == a_ref[i].to_bits(),
+                "amps diverged at {}: {} vs {}", i, a_fast[i], a_ref[i]);
+        }
     }
 }
