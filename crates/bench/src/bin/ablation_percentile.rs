@@ -5,13 +5,28 @@
 //! distributions and picks the 75th percentile with an f(T) correction;
 //! this harness quantifies that choice.
 //!
+//! Percentiles run over every step, nights included, so a low percentile
+//! whose nearest rank lands among the clock's dark steps scores every
+//! cell an exact zero and greedy then ranks nothing. Such a row is
+//! refused (printed with its rank instead of an energy): p25 and p50 both
+//! land there at paper resolution (17,521 of 35,040 steps are dark).
+//!
 //! Usage: `cargo run -p pv_bench --bin ablation_percentile --release [--fast|--smoke] [--threads N]`
 
 use pv_bench::{extract_scenario_with, parse_harness_args, Resolution};
 use pv_floorplan::{greedy_placement_with_map, EnergyEvaluator, FloorplanConfig, SuitabilityMap};
-use pv_gis::{PaperRoof, RoofScenario};
+use pv_gis::{PaperRoof, RoofScenario, SolarDataset};
 use pv_model::Topology;
 use pv_runtime::Runtime;
+
+/// The metric rows in print order: label, percentile, f(T) correction.
+const ROWS: [(&str, f64, bool); 5] = [
+    ("p55 + f(T)", 0.55, true),
+    ("p75 + f(T)  [paper]", 0.75, true),
+    ("p90 + f(T)", 0.9, true),
+    ("p95 + f(T)", 0.95, true),
+    ("p75, no T correction", 0.75, false),
+];
 
 fn main() {
     let cli: Vec<String> = std::env::args().skip(1).collect();
@@ -31,42 +46,17 @@ fn main() {
     );
     println!("{:<28} {:>12} {:>9}", "metric", "energy MWh", "vs p75+fT");
 
-    let reference = run(
-        &dataset,
-        FloorplanConfig::paper(topology).expect("config"),
-        runtime,
-    );
-    for (label, config) in [
-        (
-            "p50 (median) + f(T)",
-            FloorplanConfig::paper(topology)
-                .expect("config")
-                .with_percentile(0.5),
-        ),
-        (
-            "p75 + f(T)  [paper]",
-            FloorplanConfig::paper(topology).expect("config"),
-        ),
-        (
-            "p90 + f(T)",
-            FloorplanConfig::paper(topology)
-                .expect("config")
-                .with_percentile(0.9),
-        ),
-        (
-            "p75, no T correction",
-            FloorplanConfig::paper(topology)
-                .expect("config")
-                .with_temperature_correction(false),
-        ),
-        (
-            "p25 (avg-like proxy)",
-            FloorplanConfig::paper(topology)
-                .expect("config")
-                .with_percentile(0.25),
-        ),
-    ] {
-        let energy = run(&dataset, config, runtime);
+    let reference = run(&dataset, row_config(topology, 0.75, true), runtime);
+    for (label, percentile, correction) in ROWS {
+        if let Some(why) = dark_rank(&dataset, percentile) {
+            println!("{label:<28} {:>12} refused: {why}", "-");
+            continue;
+        }
+        let energy = run(
+            &dataset,
+            row_config(topology, percentile, correction),
+            runtime,
+        );
         println!(
             "{:<28} {:>12.3} {:>+8.2}%",
             label,
@@ -76,8 +66,27 @@ fn main() {
     }
 }
 
-fn run(dataset: &pv_gis::SolarDataset, config: FloorplanConfig, runtime: Runtime) -> f64 {
-    let map = SuitabilityMap::compute(dataset, &config);
+/// Why `percentile` measures nothing on `dataset`'s clock, if it does
+/// not: its nearest rank (the suitability map's) falls among the dark
+/// steps, whose samples are exact zeros in every cell.
+fn dark_rank(dataset: &SolarDataset, percentile: f64) -> Option<String> {
+    let total = dataset.num_steps() as usize;
+    let dark = (0..dataset.num_steps())
+        .filter(|&i| !dataset.conditions(i).sun_up)
+        .count();
+    let rank = ((total as f64 * percentile).ceil() as usize).clamp(1, total);
+    (rank <= dark).then(|| format!("nearest rank {rank} of {total} is among {dark} dark steps"))
+}
+
+fn row_config(topology: Topology, percentile: f64, correction: bool) -> FloorplanConfig {
+    FloorplanConfig::paper(topology)
+        .expect("config")
+        .with_percentile(percentile)
+        .with_temperature_correction(correction)
+}
+
+fn run(dataset: &SolarDataset, config: FloorplanConfig, runtime: Runtime) -> f64 {
+    let map = SuitabilityMap::compute_with(dataset, &config, runtime);
     let plan = greedy_placement_with_map(dataset, &config, &map).expect("fits");
     EnergyEvaluator::new(&config)
         .with_runtime(runtime)
@@ -85,4 +94,34 @@ fn run(dataset: &pv_gis::SolarDataset, config: FloorplanConfig, runtime: Runtime
         .expect("sized")
         .energy
         .as_mwh()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use pv_gis::{RoofBuilder, Site, SolarExtractor};
+    use pv_units::{Meters, SimulationClock};
+
+    #[test]
+    fn every_row_ranks_a_lit_sample_or_is_refused() {
+        // Ten January days: well over half the steps are dark, so p55
+        // lands among them and the higher rows do not.
+        let roof = RoofBuilder::new(Meters::new(4.0), Meters::new(2.0)).build();
+        let data = SolarExtractor::new(Site::turin(), SimulationClock::days_at_minutes(10, 60))
+            .seed(5)
+            .extract(&roof);
+        let topology = Topology::new(1, 1).unwrap();
+        let mut refused = Vec::new();
+        for (label, percentile, correction) in ROWS {
+            let config = row_config(topology, percentile, correction);
+            let map = SuitabilityMap::compute_with(&data, &config, Runtime::sequential());
+            let lit = map.scores().iter().any(|&s| s > 0.0);
+            let dark = dark_rank(&data, percentile);
+            assert_eq!(lit, dark.is_none(), "{label}: {dark:?}");
+            if dark.is_some() {
+                refused.push(label);
+            }
+        }
+        assert_eq!(refused, ["p55 + f(T)"]);
+    }
 }
