@@ -277,11 +277,10 @@ impl EmpiricalModule {
     /// at mean irradiance `means[i]` (W/m²) and ambient `ambient[i]` (°C):
     /// the evaluator's per-module sweep over a step range.
     ///
-    /// Chunks of four all-lit steps run straight-line
-    /// arithmetic the autovectorizer can lower to packed operations: the
-    /// voltage clamp selects exact `0.0` amps and swaps in a unit
-    /// denominator, whose quotient is discarded, so no NaN can leak out of
-    /// the division. A chunk holding a dark step (`G ≤ 0`) and the tail
+    /// Chunks of four all-lit steps run straight-line arithmetic the
+    /// autovectorizer can lower to packed operations: the voltage clamp
+    /// selects exact `0.0` amps and swaps in a unit denominator, whose
+    /// quotient is discarded, so no NaN can leak out of the division. A chunk holding a dark step (`G ≤ 0`) and the tail
     /// go through [`operating_point_sweep`](crate::operating_point_sweep),
     /// the step-at-a-time [`ModuleModel`] calls. A real clock's night
     /// steps come in long runs, so the chunk test is almost perfectly
@@ -490,7 +489,7 @@ mod tests {
         let m = EmpiricalModule::pv_mf165eb3();
         // Chunk 0 holds a night step (0.0) and a negative guard value, so
         // it takes the step-at-a-time path; chunk 1 is all lit and holds
-        // a point hot enough to clamp the voltage (Tact ≈ 318 °C); the
+        // a point hot enough to clamp the voltage (Tact = 325 °C); the
         // tail is a single lit step.
         let means = [0.0, 812.5, -3.0, 1000.0, 42.0, 7000.0, 999.9, 1.0, 250.0];
         let ambient = [15.0, 25.0, 10.0, 35.0, -5.0, 80.0, 30.0, 12.0, 20.0];
