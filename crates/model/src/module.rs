@@ -215,8 +215,8 @@ impl EmpiricalModule {
         self.vmp_ref
     }
 
-    /// The power-vs-temperature slope `γp` (1/°C) of the empirical model,
-    /// used by the floorplanner's `f(T)` suitability correction.
+    /// The power-vs-temperature slope `γp` (1/°C) of the empirical model
+    /// (see [`power_derating`](Self::power_derating)).
     #[inline]
     #[must_use]
     pub const fn power_temperature_slope(&self) -> f64 {
