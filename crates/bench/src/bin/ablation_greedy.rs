@@ -23,6 +23,8 @@ fn main() {
     let scenario = RoofScenario::build(PaperRoof::Roof2);
     let dataset = extract_scenario_with(&scenario, resolution, runtime);
     let topology = Topology::new(8, 4).expect("valid topology");
+    // No variant changes the metric, so they all rank by one map.
+    let map = SuitabilityMap::paper(&dataset, runtime);
 
     println!(
         "A2: greedy-structure ablation — {} (Roof 2, N = 32)\n",
@@ -64,7 +66,6 @@ fn main() {
                 .with_distance_threshold(Some(1.0)),
         ),
     ] {
-        let map = SuitabilityMap::compute(&dataset, &config);
         let plan = greedy_placement_with_map(&dataset, &config, &map).expect("fits");
         let report = EnergyEvaluator::new(&config)
             .with_runtime(runtime)

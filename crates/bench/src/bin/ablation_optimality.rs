@@ -3,15 +3,16 @@
 //!
 //! The paper cannot compare against an exhaustive algorithm at roof scale
 //! (Sec. V-B); at toy scale we can, quantifying the greedy heuristic's gap.
+//! Every placer runs through [`Placer::place_with_memo`], the dispatch the
+//! portfolio runner and the placement service use.
 //!
 //! Usage: `cargo run -p pv_bench --bin ablation_optimality --release [--threads N]`
 
 use pv_bench::parse_harness_args;
-use pv_floorplan::anneal::{anneal_with_runtime, AnnealConfig};
-use pv_floorplan::exact::optimal_placement_with_runtime;
-use pv_floorplan::{greedy_placement, EnergyEvaluator, FloorplanConfig};
-use pv_gis::{Obstacle, RoofBuilder, Site, SolarExtractor};
+use pv_floorplan::{FloorplanConfig, Placer, PlacerOptions, SuitabilityMap, TraceMemo};
+use pv_gis::{Obstacle, RoofBuilder, Site, SolarDataset, SolarExtractor};
 use pv_model::Topology;
+use pv_runtime::Runtime;
 use pv_units::{Degrees, Meters, SimulationClock};
 
 fn main() {
@@ -26,14 +27,37 @@ fn main() {
     anneal_study(runtime);
 }
 
+/// Yearly Wh of each of `placers` on `data`, sharing one suitability map
+/// and one trace memo.
+fn energies<const K: usize>(
+    data: &SolarDataset,
+    config: &FloorplanConfig,
+    placers: [Placer; K],
+    options: &PlacerOptions,
+    runtime: Runtime,
+) -> [f64; K] {
+    let map = SuitabilityMap::paper(data, runtime);
+    let memo = TraceMemo::new();
+    placers.map(|placer| {
+        let (_, report) = placer
+            .place_with_memo(data, config, &map, options, runtime, &memo)
+            .unwrap_or_else(|e| panic!("{placer}: {e}"));
+        report.energy.as_wh()
+    })
+}
+
 /// Greedy vs exhaustive optimum on a family of tiny shaded roofs.
-fn exact_study(runtime: pv_runtime::Runtime) {
+fn exact_study(runtime: Runtime) {
     println!("-- greedy vs exhaustive optimum (tiny roofs, 2 modules in series) --");
     println!(
         "{:<26} {:>12} {:>12} {:>8}",
         "scenario", "greedy Wh", "optimal Wh", "gap"
     );
     let clock = SimulationClock::days_at_minutes(6, 120);
+    let options = PlacerOptions {
+        exact_budget: 5_000_000,
+        ..PlacerOptions::default()
+    };
     for (label, wall_x) in [
         ("wall on the east edge", 0.0),
         ("wall mid-roof", 2.4),
@@ -55,27 +79,21 @@ fn exact_study(runtime: pv_runtime::Runtime) {
             .extract(&roof);
         let config =
             FloorplanConfig::paper(Topology::new(2, 1).expect("topology")).expect("config");
-        let greedy = greedy_placement(&data, &config).expect("fits");
-        let greedy_wh = EnergyEvaluator::new(&config)
-            .evaluate(&data, &greedy)
-            .expect("sized")
-            .energy;
-        let (_, optimal_wh) = optimal_placement_with_runtime(&data, &config, 5_000_000, runtime)
-            .expect("search feasible");
-        let gap = (1.0 - greedy_wh.as_wh() / optimal_wh.as_wh()) * 100.0;
-        println!(
-            "{:<26} {:>12.1} {:>12.1} {:>7.2}%",
-            label,
-            greedy_wh.as_wh(),
-            optimal_wh.as_wh(),
-            gap
+        let [greedy_wh, optimal_wh] = energies(
+            &data,
+            &config,
+            [Placer::Greedy, Placer::Exact],
+            &options,
+            runtime,
         );
+        let gap = (1.0 - greedy_wh / optimal_wh) * 100.0;
+        println!("{label:<26} {greedy_wh:>12.1} {optimal_wh:>12.1} {gap:>7.2}%");
     }
     println!();
 }
 
 /// Greedy vs annealing refinement on a mid-size obstructed roof.
-fn anneal_study(runtime: pv_runtime::Runtime) {
+fn anneal_study(runtime: Runtime) {
     println!("-- greedy vs simulated-annealing refinement (12x5 m roof, 8 modules) --");
     let roof = RoofBuilder::new(Meters::new(12.0), Meters::new(5.0))
         .obstacle(Obstacle::chimney(
@@ -99,27 +117,20 @@ fn anneal_study(runtime: pv_runtime::Runtime) {
         .runtime(runtime)
         .extract(&roof);
     let config = FloorplanConfig::paper(Topology::new(4, 2).expect("topology")).expect("config");
-    let greedy = greedy_placement(&data, &config).expect("fits");
-    let greedy_wh = EnergyEvaluator::new(&config)
-        .evaluate(&data, &greedy)
-        .expect("sized")
-        .energy;
-    let (_, annealed_wh) = anneal_with_runtime(
+    let options = PlacerOptions {
+        anneal_iterations: 400,
+        seed: 7,
+        ..PlacerOptions::default()
+    };
+    let [greedy_wh, annealed_wh] = energies(
         &data,
         &config,
-        &greedy,
-        AnnealConfig {
-            iterations: 400,
-            seed: 7,
-            ..AnnealConfig::default()
-        },
+        [Placer::Greedy, Placer::Anneal],
+        &options,
         runtime,
-    )
-    .expect("anneal");
+    );
     println!(
-        "greedy {:.1} Wh, +400 annealing moves {:.1} Wh ({:+.2}% headroom found)",
-        greedy_wh.as_wh(),
-        annealed_wh.as_wh(),
-        (annealed_wh.as_wh() / greedy_wh.as_wh() - 1.0) * 100.0
+        "greedy {greedy_wh:.1} Wh, +400 annealing moves {annealed_wh:.1} Wh ({:+.2}% headroom found)",
+        (annealed_wh / greedy_wh - 1.0) * 100.0
     );
 }

@@ -122,6 +122,7 @@ mod tests {
         let roof = RoofBuilder::new(Meters::new(4.0), Meters::new(2.0)).build();
         let data = SolarExtractor::new(Site::turin(), SimulationClock::days_at_minutes(10, 60))
             .seed(5)
+            .runtime(Runtime::sequential())
             .extract(&roof);
         let topology = Topology::new(1, 1).unwrap();
         let mut refused = Vec::new();

@@ -7,9 +7,8 @@
 //! Usage: `cargo run -p pv_bench --bin fig6_irradiance --release [--fast|--smoke] [--threads N]`
 
 use pv_bench::{extract_scenario_with, figures_dir, parse_harness_args, Resolution};
-use pv_floorplan::{render, FloorplanConfig, SuitabilityMap};
+use pv_floorplan::{render, SuitabilityMap};
 use pv_gis::paper_roofs;
-use pv_model::Topology;
 
 fn main() {
     let cli: Vec<String> = std::env::args().skip(1).collect();
@@ -19,14 +18,12 @@ fn main() {
     });
     let resolution = args.resolution_or(Resolution::Paper);
     let runtime = args.runtime();
-    let config =
-        FloorplanConfig::paper(Topology::new(8, 2).expect("valid topology")).expect("paper config");
     let dir = figures_dir();
     println!("Fig 6-(b) reproduction — {}\n", resolution.label());
 
     for scenario in paper_roofs() {
         let dataset = extract_scenario_with(&scenario, resolution, runtime);
-        let map = SuitabilityMap::compute(&dataset, &config);
+        let map = SuitabilityMap::paper(&dataset, runtime);
         let g75 = map.irradiance_percentile();
 
         let (lo, hi) = g75.finite_range().unwrap_or((0.0, 0.0));

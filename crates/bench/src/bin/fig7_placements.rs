@@ -30,7 +30,7 @@ fn main() {
 
     for scenario in paper_roofs() {
         let dataset = extract_scenario_with(&scenario, resolution, runtime);
-        let map = SuitabilityMap::compute(&dataset, &config);
+        let map = SuitabilityMap::paper(&dataset, runtime);
         let evaluator = EnergyEvaluator::new(&config).with_runtime(runtime);
 
         let traditional =

@@ -44,10 +44,10 @@ fn main() {
     );
     for scenario in paper_roofs() {
         let dataset = extract_scenario_with(&scenario, resolution, runtime);
+        let map = SuitabilityMap::paper(&dataset, runtime);
         for n in [16usize, 32] {
             let topology = Topology::new(8, n / 8).expect("paper topology");
             let config = FloorplanConfig::paper(topology).expect("paper config");
-            let map = SuitabilityMap::compute(&dataset, &config);
             let plan = greedy_placement_with_map(&dataset, &config, &map).expect("fits");
             let report = EnergyEvaluator::new(&config)
                 .with_runtime(runtime)

@@ -4,8 +4,7 @@
 //! Usage: `cargo run -p pv_bench --bin table1 --release [--fast|--smoke] [--threads N]`
 
 use pv_bench::{
-    compare_row_with_map, extract_scenario_with, paper_config, parse_harness_args, HarnessArgs,
-    Resolution,
+    compare_row_with_map, extract_scenario_with, parse_harness_args, HarnessArgs, Resolution,
 };
 use pv_floorplan::{SuitabilityMap, Table1Report};
 use pv_gis::paper_roofs;
@@ -37,7 +36,7 @@ fn run(args: &HarnessArgs) {
         let extract_s = t0.elapsed().as_secs_f64();
         // The suitability map does not depend on N: one map per roof.
         let t1 = Instant::now();
-        let map = SuitabilityMap::compute_with(&dataset, &paper_config(16), runtime);
+        let map = SuitabilityMap::paper(&dataset, runtime);
         let suitability_s = t1.elapsed().as_secs_f64();
         for n in [16usize, 32] {
             let t2 = Instant::now();
@@ -50,7 +49,7 @@ fn run(args: &HarnessArgs) {
         }
     }
     println!("{report}");
-    println!("total wall time: {:.1}s", start.elapsed().as_secs_f64());
+    eprintln!("total wall time: {:.1}s", start.elapsed().as_secs_f64());
 }
 
 #[cfg(test)]

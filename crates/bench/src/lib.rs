@@ -145,14 +145,8 @@ pub fn parse_harness_args(
     })
 }
 
-/// Extracts the solar dataset of a paper roof at the given resolution,
-/// on [`Runtime::from_env`] workers.
-#[must_use]
-pub fn extract_scenario(scenario: &RoofScenario, resolution: Resolution) -> SolarDataset {
-    extract_scenario_with(scenario, resolution, Runtime::from_env())
-}
-
-/// [`extract_scenario`] on an explicit [`Runtime`] (the `--threads` path).
+/// Extracts the solar dataset of a paper roof at the given resolution on
+/// `runtime` (the `--threads` path).
 #[must_use]
 pub fn extract_scenario_with(
     scenario: &RoofScenario,
@@ -177,22 +171,7 @@ pub fn paper_config(n_modules: usize) -> FloorplanConfig {
 }
 
 /// Runs the traditional-vs-proposed comparison of one roof for one module
-/// count, producing a Table I row.
-///
-/// # Panics
-///
-/// Panics when a placement fails on a paper roof (cannot happen for the
-/// published `N`; the roofs have ample space).
-#[must_use]
-pub fn compare_row(
-    scenario: &RoofScenario,
-    dataset: &SolarDataset,
-    n_modules: usize,
-) -> ComparisonRow {
-    compare_row_with(scenario, dataset, n_modules, Runtime::from_env())
-}
-
-/// [`compare_row`] on an explicit [`Runtime`] (the `--threads` path).
+/// count on `runtime` (the `--threads` path), producing a Table I row.
 ///
 /// # Panics
 ///
@@ -717,8 +696,9 @@ mod tests {
     #[test]
     fn smoke_row_has_positive_energies() {
         let scenario = RoofScenario::build(PaperRoof::Roof1);
-        let dataset = extract_scenario(&scenario, Resolution::Smoke);
-        let row = compare_row(&scenario, &dataset, 16);
+        let runtime = Runtime::sequential();
+        let dataset = extract_scenario_with(&scenario, Resolution::Smoke, runtime);
+        let row = compare_row_with(&scenario, &dataset, 16, runtime);
         assert!(row.traditional.as_wh() > 0.0);
         assert!(row.proposed.as_wh() > 0.0);
         assert_eq!(row.n_modules, 16);

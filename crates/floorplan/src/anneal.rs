@@ -17,16 +17,18 @@ use pv_units::WattHours;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+/// Initial temperature as a fraction of the initial energy (1% of the
+/// start's Wh).
+const INITIAL_TEMPERATURE: f64 = 0.01;
+
+/// Geometric cooling factor per proposal.
+const COOLING: f64 = 0.985;
+
 /// Annealing parameters.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct AnnealConfig {
     /// Number of proposed moves.
     pub iterations: u32,
-    /// Initial temperature as a fraction of the initial energy
-    /// (e.g. 0.01 = 1% of yearly Wh).
-    pub initial_temperature: f64,
-    /// Geometric cooling factor per iteration, in `(0, 1)`.
-    pub cooling: f64,
     /// RNG seed.
     pub seed: u64,
 }
@@ -35,8 +37,6 @@ impl Default for AnnealConfig {
     fn default() -> Self {
         Self {
             iterations: 300,
-            initial_temperature: 0.01,
-            cooling: 0.985,
             seed: 0,
         }
     }
@@ -47,16 +47,29 @@ impl Default for AnnealConfig {
 ///
 /// Each move relocates one random module to a random feasible anchor; the
 /// full energy model scores every state (use a coarse-clock dataset for
-/// speed, then re-evaluate the winner on the full clock).
+/// speed, then re-evaluate the winner on the full clock). Energy
+/// evaluations run time-chunk parallel on `runtime`; the chain itself is
+/// inherently sequential, and results are identical for every thread
+/// count.
+///
+/// `memo` is a caller-owned per-anchor [`TraceMemo`]: anchors already
+/// traced by an earlier run on the *same* `(dataset, config)` pair — a
+/// prior greedy evaluation, another placer, an earlier chain — are
+/// lookups instead of kernel passes, and the anchors this chain visits
+/// are published back for whoever runs next. Memo hits are bit-identical
+/// to recomputation, so sharing never changes the result; a fresh
+/// `TraceMemo::new()` serves a one-off run.
 ///
 /// # Errors
 ///
 /// Propagates evaluation errors (e.g. a size-mismatched initial plan).
 ///
 /// ```
-/// use pv_floorplan::{anneal::{anneal, AnnealConfig}, greedy_placement, FloorplanConfig};
+/// use pv_floorplan::{anneal::{anneal_with_memo, AnnealConfig}, greedy_placement};
+/// use pv_floorplan::{FloorplanConfig, TraceMemo};
 /// use pv_gis::{RoofBuilder, SolarExtractor, Site};
 /// use pv_model::Topology;
+/// use pv_runtime::Runtime;
 /// use pv_units::{Meters, SimulationClock};
 /// let roof = RoofBuilder::new(Meters::new(6.0), Meters::new(2.0)).build();
 /// let data = SolarExtractor::new(Site::turin(), SimulationClock::days_at_minutes(1, 240))
@@ -64,55 +77,13 @@ impl Default for AnnealConfig {
 /// let config = FloorplanConfig::paper(Topology::new(2, 1)?)?;
 /// let start = greedy_placement(&data, &config)?;
 /// let params = AnnealConfig { iterations: 30, ..AnnealConfig::default() };
-/// let (refined, energy) = anneal(&data, &config, &start, params)?;
+/// let memo = TraceMemo::new();
+/// let (refined, energy) =
+///     anneal_with_memo(&data, &config, &start, params, Runtime::sequential(), &memo)?;
 /// assert_eq!(refined.placement.len(), 2);
 /// assert!(energy.as_wh() > 0.0);
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
-pub fn anneal(
-    dataset: &SolarDataset,
-    config: &FloorplanConfig,
-    initial: &FloorplanResult,
-    params: AnnealConfig,
-) -> Result<(FloorplanResult, WattHours), FloorplanError> {
-    anneal_with_runtime(
-        dataset,
-        config,
-        initial,
-        params,
-        pv_runtime::Runtime::from_env(),
-    )
-}
-
-/// [`anneal`] on an explicit [`Runtime`](pv_runtime::Runtime) (the
-/// `--threads` path) — energy evaluations run time-chunk parallel on it;
-/// the chain itself is inherently sequential. Results are identical for
-/// every thread count.
-///
-/// # Errors
-///
-/// Propagates evaluation errors (e.g. a size-mismatched initial plan).
-pub fn anneal_with_runtime(
-    dataset: &SolarDataset,
-    config: &FloorplanConfig,
-    initial: &FloorplanResult,
-    params: AnnealConfig,
-    runtime: pv_runtime::Runtime,
-) -> Result<(FloorplanResult, WattHours), FloorplanError> {
-    anneal_with_memo(dataset, config, initial, params, runtime, &TraceMemo::new())
-}
-
-/// [`anneal_with_runtime`] sharing a caller-owned per-anchor [`TraceMemo`]:
-/// anchors already traced by an earlier run on the *same*
-/// `(dataset, config)` pair — a prior greedy evaluation, another placer,
-/// an earlier chain — are lookups instead of kernel passes, and the
-/// anchors this chain visits are published back for whoever runs next.
-/// Memo hits are bit-identical to recomputation, so sharing never changes
-/// the result.
-///
-/// # Errors
-///
-/// Propagates evaluation errors (e.g. a size-mismatched initial plan).
 pub fn anneal_with_memo(
     dataset: &SolarDataset,
     config: &FloorplanConfig,
@@ -146,7 +117,7 @@ pub fn anneal_with_memo(
     let mut best_anchors = ctx.anchors();
     let mut best_energy = current_energy;
 
-    let mut temperature = params.initial_temperature * current_energy.as_wh().max(1.0);
+    let mut temperature = INITIAL_TEMPERATURE * current_energy.as_wh().max(1.0);
     for _ in 0..params.iterations {
         let victim = rng.gen_range(0..initial.placement.len());
         let proposal_anchor = anchors[rng.gen_range(0..anchors.len())];
@@ -166,7 +137,7 @@ pub fn anneal_with_memo(
                 ctx.rollback_move();
             }
         }
-        temperature *= params.cooling;
+        temperature *= COOLING;
     }
 
     let rebuild = |anchor_list: &[CellCoord]| -> Option<FloorplanResult> {
@@ -190,6 +161,7 @@ mod tests {
     use crate::greedy::greedy_placement;
     use pv_gis::{Obstacle, RoofBuilder, Site, SolarExtractor};
     use pv_model::Topology;
+    use pv_runtime::Runtime;
     use pv_units::{Meters, SimulationClock};
 
     fn config(m: usize, n: usize) -> FloorplanConfig {
@@ -216,15 +188,16 @@ mod tests {
             .evaluate(&data, &start)
             .unwrap()
             .energy;
-        let (refined, energy) = anneal(
+        let (refined, energy) = anneal_with_memo(
             &data,
             &cfg,
             &start,
             AnnealConfig {
                 iterations: 60,
                 seed: 7,
-                ..AnnealConfig::default()
             },
+            Runtime::sequential(),
+            &TraceMemo::new(),
         )
         .unwrap();
         assert!(energy.as_wh() >= start_energy.as_wh() - 1e-9);
@@ -242,10 +215,20 @@ mod tests {
         let params = AnnealConfig {
             iterations: 40,
             seed: 5,
-            ..AnnealConfig::default()
         };
-        let (a, ea) = anneal(&data, &cfg, &start, params).unwrap();
-        let (b, eb) = anneal(&data, &cfg, &start, params).unwrap();
+        let run = || {
+            anneal_with_memo(
+                &data,
+                &cfg,
+                &start,
+                params,
+                Runtime::sequential(),
+                &TraceMemo::new(),
+            )
+            .unwrap()
+        };
+        let (a, ea) = run();
+        let (b, eb) = run();
         assert_eq!(a.placement.modules(), b.placement.modules());
         assert_eq!(ea, eb);
     }
@@ -280,15 +263,16 @@ mod tests {
             .evaluate(&data, &bad)
             .unwrap()
             .energy;
-        let (_, energy) = anneal(
+        let (_, energy) = anneal_with_memo(
             &data,
             &cfg,
             &bad,
             AnnealConfig {
                 iterations: 150,
                 seed: 1,
-                ..AnnealConfig::default()
             },
+            Runtime::sequential(),
+            &TraceMemo::new(),
         )
         .unwrap();
         assert!(

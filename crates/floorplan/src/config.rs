@@ -131,13 +131,6 @@ impl FloorplanConfig {
         self.temperature_correction
     }
 
-    /// Overrides the wiring spec.
-    #[must_use]
-    pub fn with_wiring(mut self, wiring: WiringSpec) -> Self {
-        self.wiring = wiring;
-        self
-    }
-
     /// Overrides the suitability percentile (ablation A1).
     ///
     /// # Panics

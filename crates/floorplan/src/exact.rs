@@ -22,6 +22,14 @@ use pv_runtime::Runtime;
 /// The search enumerates combinations (not permutations) of feasible
 /// anchors in grid order; modules are assigned to strings series-first in
 /// that order. The node budget guards against accidental explosion.
+/// Candidate subtrees are searched on `runtime`'s workers; results are
+/// identical for every thread count.
+///
+/// `memo` is a caller-owned per-anchor [`TraceMemo`]: anchors already
+/// traced by an earlier run on the *same* `(dataset, config)` pair (a
+/// greedy evaluation, an annealing chain) are lookups instead of kernel
+/// passes. Memo hits are bit-identical to recomputation, so sharing never
+/// changes the result; a fresh `TraceMemo::new()` serves a one-off run.
 ///
 /// # Errors
 ///
@@ -30,52 +38,22 @@ use pv_runtime::Runtime;
 /// - [`FloorplanError::NotEnoughSpace`] when no complete placement exists.
 ///
 /// ```
-/// use pv_floorplan::{exact::optimal_placement, FloorplanConfig};
+/// use pv_floorplan::{exact::optimal_placement_with_memo, FloorplanConfig, TraceMemo};
 /// use pv_gis::{RoofBuilder, SolarExtractor, Site};
 /// use pv_model::Topology;
+/// use pv_runtime::Runtime;
 /// use pv_units::{Meters, SimulationClock};
 /// let roof = RoofBuilder::new(Meters::new(3.2), Meters::new(1.6)).build();
 /// let data = SolarExtractor::new(Site::turin(), SimulationClock::days_at_minutes(1, 240))
 ///     .extract(&roof);
 /// let config = FloorplanConfig::paper(Topology::new(2, 1)?)?;
-/// let (plan, energy) = optimal_placement(&data, &config, 1_000_000)?;
+/// let memo = TraceMemo::new();
+/// let (plan, energy) =
+///     optimal_placement_with_memo(&data, &config, 1_000_000, Runtime::sequential(), &memo)?;
 /// assert_eq!(plan.placement.len(), 2);
 /// assert!(energy.as_wh() > 0.0);
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
-pub fn optimal_placement(
-    dataset: &SolarDataset,
-    config: &FloorplanConfig,
-    node_budget: u64,
-) -> Result<(FloorplanResult, pv_units::WattHours), FloorplanError> {
-    optimal_placement_with_runtime(dataset, config, node_budget, Runtime::from_env())
-}
-
-/// [`optimal_placement`] on an explicit [`Runtime`] (the `--threads`
-/// path) — candidate subtrees are searched on its workers. Results are
-/// identical for every thread count.
-///
-/// # Errors
-///
-/// Same conditions as [`optimal_placement`].
-pub fn optimal_placement_with_runtime(
-    dataset: &SolarDataset,
-    config: &FloorplanConfig,
-    node_budget: u64,
-    runtime: Runtime,
-) -> Result<(FloorplanResult, pv_units::WattHours), FloorplanError> {
-    optimal_placement_with_memo(dataset, config, node_budget, runtime, &TraceMemo::new())
-}
-
-/// [`optimal_placement_with_runtime`] sharing a caller-owned per-anchor
-/// [`TraceMemo`]: anchors already traced by an earlier run on the *same*
-/// `(dataset, config)` pair (a greedy evaluation, an annealing chain) are
-/// lookups instead of kernel passes. Memo hits are bit-identical to
-/// recomputation, so sharing never changes the result.
-///
-/// # Errors
-///
-/// Same conditions as [`optimal_placement`].
 pub fn optimal_placement_with_memo(
     dataset: &SolarDataset,
     config: &FloorplanConfig,
@@ -254,6 +232,15 @@ mod tests {
         FloorplanConfig::paper(Topology::new(m, n).unwrap()).unwrap()
     }
 
+    fn optimum(
+        data: &SolarDataset,
+        cfg: &FloorplanConfig,
+        budget: u64,
+        runtime: Runtime,
+    ) -> Result<(FloorplanResult, pv_units::WattHours), FloorplanError> {
+        optimal_placement_with_memo(data, cfg, budget, runtime, &TraceMemo::new())
+    }
+
     #[test]
     fn binomial_values() {
         assert_eq!(binomial(5, 2), 10);
@@ -268,7 +255,7 @@ mod tests {
         let roof = RoofBuilder::new(Meters::new(10.0), Meters::new(4.0)).build();
         let data = SolarExtractor::new(Site::turin(), SimulationClock::days_at_minutes(1, 240))
             .extract(&roof);
-        let err = optimal_placement(&data, &config(4, 2), 1000).unwrap_err();
+        let err = optimum(&data, &config(4, 2), 1000, Runtime::sequential()).unwrap_err();
         assert!(matches!(err, FloorplanError::SearchSpaceTooLarge { .. }));
     }
 
@@ -290,7 +277,7 @@ mod tests {
             .seed(13)
             .extract(&roof);
         let cfg = config(1, 1);
-        let (optimal, best_energy) = optimal_placement(&data, &cfg, 100_000).unwrap();
+        let (optimal, best_energy) = optimum(&data, &cfg, 100_000, Runtime::sequential()).unwrap();
         assert_eq!(optimal.placement.len(), 1);
         let greedy = greedy_placement(&data, &cfg).unwrap();
         let greedy_energy = EnergyEvaluator::new(&cfg)
@@ -315,16 +302,10 @@ mod tests {
             .seed(6)
             .extract(&roof);
         let cfg = config(2, 1);
-        let (seq_plan, seq_wh) =
-            optimal_placement_with_runtime(&data, &cfg, 1_000_000, Runtime::sequential()).unwrap();
+        let (seq_plan, seq_wh) = optimum(&data, &cfg, 1_000_000, Runtime::sequential()).unwrap();
         for threads in [2usize, 5] {
-            let (par_plan, par_wh) = optimal_placement_with_runtime(
-                &data,
-                &cfg,
-                1_000_000,
-                Runtime::with_threads(threads),
-            )
-            .unwrap();
+            let (par_plan, par_wh) =
+                optimum(&data, &cfg, 1_000_000, Runtime::with_threads(threads)).unwrap();
             assert_eq!(seq_plan.placement.modules(), par_plan.placement.modules());
             assert_eq!(seq_wh, par_wh);
         }
@@ -337,7 +318,7 @@ mod tests {
             .seed(2)
             .extract(&roof);
         let cfg = config(2, 1);
-        let (_, best_energy) = optimal_placement(&data, &cfg, 1_000_000).unwrap();
+        let (_, best_energy) = optimum(&data, &cfg, 1_000_000, Runtime::sequential()).unwrap();
         let greedy = greedy_placement(&data, &cfg).unwrap();
         let greedy_energy = EnergyEvaluator::new(&cfg)
             .evaluate(&data, &greedy)

@@ -14,8 +14,11 @@
 //!   contiguous block by the same suitability information;
 //! - [`EnergyEvaluator`] — yearly-energy evaluation of any placement with
 //!   the series/parallel bottleneck equations and wiring RI² losses;
-//! - [`exact`] / [`mod@anneal`] — an exhaustive optimum for tiny instances and
-//!   a simulated-annealing refiner (extensions used for ablations);
+//! - [`optimal_placement_with_memo`] / [`anneal_with_memo`] — an exhaustive
+//!   optimum for tiny instances and a simulated-annealing refiner
+//!   (extensions used for the A3 ablation), each on a caller-chosen
+//!   runtime and [`TraceMemo`]; [`Placer::place_with_memo`] dispatches to
+//!   them by name;
 //! - [`render`] — ASCII / PGM rendering of suitability maps and placements
 //!   (Figs. 6-7).
 //!
@@ -53,11 +56,11 @@ mod report;
 mod suitability;
 mod traditional;
 
-pub use anneal::{anneal, anneal_with_memo, AnnealConfig};
+pub use anneal::{anneal_with_memo, AnnealConfig};
 pub use config::FloorplanConfig;
 pub use error::FloorplanError;
 pub use evaluate::{EnergyEvaluator, EnergyReport, EvaluationContext, TraceMemo};
-pub use exact::{optimal_placement, optimal_placement_with_memo};
+pub use exact::optimal_placement_with_memo;
 pub use greedy::{greedy_placement, greedy_placement_with_map, FloorplanResult};
 pub use placer::{fit_topology, Placer, PlacerOptions, TOPOLOGY_LADDER};
 pub use report::{ComparisonRow, Table1Report};

@@ -1,13 +1,10 @@
-//! A unified, service-facing entry point over the three placers.
+//! A unified entry point over the three placers.
 //!
-//! The batch harnesses call [`greedy_placement`](crate::greedy_placement),
-//! [`anneal`](mod@crate::anneal) and [`exact`](crate::exact) directly,
-//! each with its own signature. A
-//! *serving* caller — the `pv_server` placement service, or anything else
-//! that dispatches on a request field — wants one call that takes the
-//! placer's name, the shared warm [`TraceMemo`], and deterministic tuning
-//! knobs, and returns the placement together with its full
-//! [`EnergyReport`]. [`Placer::place_with_memo`] is that call.
+//! A caller that dispatches on a placer's name — the `pv_server`
+//! placement service, the portfolio runner, the A3 ablation — wants one
+//! call that takes the placer, the shared warm [`TraceMemo`], and
+//! deterministic tuning knobs, and returns the placement together with
+//! its full [`EnergyReport`]. [`Placer::place_with_memo`] is that call.
 //!
 //! Every path is a pure function of its inputs (dataset, config, options,
 //! memo contents only affect *speed*, never values — the PR 3 bit-identity
@@ -119,7 +116,6 @@ impl Placer {
                 let params = AnnealConfig {
                     iterations: options.anneal_iterations,
                     seed: options.seed,
-                    ..AnnealConfig::default()
                 };
                 let (plan, _) = anneal_with_memo(dataset, config, &start, params, runtime, memo)?;
                 let report = report_of(&plan)?;

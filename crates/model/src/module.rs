@@ -372,6 +372,26 @@ impl ModuleModel for EmpiricalModule {
         let tact = self.actual_temperature(irradiance, ambient);
         Watts::new(self.clamped_power(irradiance, tact))
     }
+
+    /// [`voltage`](Self::voltage) and [`current`](Self::current) from one
+    /// evaluation of each expression (the trait default evaluates the
+    /// voltage twice), bit-identical to the separate calls.
+    fn operating_point(&self, irradiance: Irradiance, ambient: Celsius) -> OperatingPoint {
+        if irradiance.as_w_per_m2() <= 0.0 {
+            return OperatingPoint::default();
+        }
+        let tact = self.actual_temperature(irradiance, ambient);
+        let v = self.scaled_voltage(self.vmp_ref, irradiance, tact);
+        let current = if v <= 0.0 {
+            Amperes::ZERO
+        } else {
+            Amperes::new(self.clamped_power(irradiance, tact) / v)
+        };
+        OperatingPoint {
+            voltage: Volts::new(v),
+            current,
+        }
+    }
 }
 
 #[cfg(test)]

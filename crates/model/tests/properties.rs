@@ -107,7 +107,8 @@ proptest! {
     /// ratings and roof-heating coefficients, on inputs that reach every
     /// branch: exact-zero nights, negative irradiance, and heat that
     /// clamps the power (Tact ≥ 233 °C) and then the voltage (Tact ≥
-    /// 318 °C) to zero.
+    /// 318 °C) to zero. On the same inputs the module's one-pass
+    /// `operating_point` equals separate `voltage` and `current` calls.
     #[test]
     fn operating_points_match_operating_point_sweep(
         (p_ref, vmp_ref, isc_ref) in (50.0..500.0f64, 10.0..60.0f64, 1.0..15.0f64),
@@ -145,6 +146,12 @@ proptest! {
                 "volts diverged at {}: {} vs {}", i, v_fast[i], v_ref[i]);
             prop_assert!(a_fast[i].to_bits() == a_ref[i].to_bits(),
                 "amps diverged at {}: {} vs {}", i, a_fast[i], a_ref[i]);
+            let (g, t) = (Irradiance::from_w_per_m2(gs[i]), Celsius::new(ts[i]));
+            let op = module.operating_point(g, t);
+            prop_assert!(op.voltage.value().to_bits() == module.voltage(g, t).value().to_bits(),
+                "operating_point volts diverged at {}", i);
+            prop_assert!(op.current.value().to_bits() == module.current(g, t).value().to_bits(),
+                "operating_point amps diverged at {}", i);
         }
     }
 }
