@@ -658,7 +658,8 @@ pub fn proposal_loop_timings(
     // then the pre-caching full re-integration of all modules.
     let mut cold_ctx = warm_context();
     let cold_ns = time(&mut |anchor| {
-        cold_ctx.relocate(0, anchor).expect("probed anchor");
+        cold_ctx.try_move(0, anchor).expect("probed anchor");
+        cold_ctx.commit_move();
         std::hint::black_box(cold_ctx.evaluate_cold());
     });
 

@@ -4,12 +4,15 @@
 //! greedy result) and locally perturb module positions, accepting
 //! energy-degrading moves with Metropolis probability under a geometric
 //! cooling schedule. Used by the A3 ablation to quantify how much headroom
-//! the greedy heuristic leaves on the table.
+//! the greedy heuristic leaves on the table. The chain's length and seed
+//! come from [`PlacerOptions`], the same knobs (and defaults)
+//! [`Placer::place_with_memo`](crate::Placer::place_with_memo) takes.
 
 use crate::config::FloorplanConfig;
 use crate::error::FloorplanError;
 use crate::evaluate::{EnergyEvaluator, TraceMemo};
 use crate::greedy::FloorplanResult;
+use crate::placer::PlacerOptions;
 use crate::suitability::fitting_anchors;
 use pv_geom::{CellCoord, Placement};
 use pv_gis::SolarDataset;
@@ -24,28 +27,12 @@ const INITIAL_TEMPERATURE: f64 = 0.01;
 /// Geometric cooling factor per proposal.
 const COOLING: f64 = 0.985;
 
-/// Annealing parameters.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct AnnealConfig {
-    /// Number of proposed moves.
-    pub iterations: u32,
-    /// RNG seed.
-    pub seed: u64,
-}
-
-impl Default for AnnealConfig {
-    fn default() -> Self {
-        Self {
-            iterations: 300,
-            seed: 0,
-        }
-    }
-}
-
 /// Refines `initial` by simulated annealing, returning the best placement
 /// found and its energy.
 ///
-/// Each move relocates one random module to a random feasible anchor; the
+/// The chain proposes `options.anneal_iterations` moves from an RNG
+/// seeded with `options.seed`; `options.exact_budget` is not read. Each
+/// move relocates one random module to a random feasible anchor; the
 /// full energy model scores every state (use a coarse-clock dataset for
 /// speed, then re-evaluate the winner on the full clock). Energy
 /// evaluations run time-chunk parallel on `runtime`; the chain itself is
@@ -65,8 +52,8 @@ impl Default for AnnealConfig {
 /// Propagates evaluation errors (e.g. a size-mismatched initial plan).
 ///
 /// ```
-/// use pv_floorplan::{anneal::{anneal_with_memo, AnnealConfig}, greedy_placement};
-/// use pv_floorplan::{FloorplanConfig, TraceMemo};
+/// use pv_floorplan::{anneal_with_memo, greedy_placement};
+/// use pv_floorplan::{FloorplanConfig, PlacerOptions, TraceMemo};
 /// use pv_gis::{RoofBuilder, SolarExtractor, Site};
 /// use pv_model::Topology;
 /// use pv_runtime::Runtime;
@@ -76,10 +63,10 @@ impl Default for AnnealConfig {
 ///     .extract(&roof);
 /// let config = FloorplanConfig::paper(Topology::new(2, 1)?)?;
 /// let start = greedy_placement(&data, &config)?;
-/// let params = AnnealConfig { iterations: 30, ..AnnealConfig::default() };
+/// let options = PlacerOptions { anneal_iterations: 30, ..PlacerOptions::default() };
 /// let memo = TraceMemo::new();
 /// let (refined, energy) =
-///     anneal_with_memo(&data, &config, &start, params, Runtime::sequential(), &memo)?;
+///     anneal_with_memo(&data, &config, &start, &options, Runtime::sequential(), &memo)?;
 /// assert_eq!(refined.placement.len(), 2);
 /// assert!(energy.as_wh() > 0.0);
 /// # Ok::<(), Box<dyn std::error::Error>>(())
@@ -88,13 +75,13 @@ pub fn anneal_with_memo(
     dataset: &SolarDataset,
     config: &FloorplanConfig,
     initial: &FloorplanResult,
-    params: AnnealConfig,
+    options: &PlacerOptions,
     runtime: pv_runtime::Runtime,
     memo: &TraceMemo,
 ) -> Result<(FloorplanResult, WattHours), FloorplanError> {
     let evaluator = EnergyEvaluator::new(config).with_runtime(runtime);
     let footprint = config.footprint();
-    let mut rng = StdRng::seed_from_u64(params.seed);
+    let mut rng = StdRng::seed_from_u64(options.seed);
 
     // Feasible anchors for relocation moves.
     let anchors = fitting_anchors(dataset, footprint);
@@ -118,7 +105,7 @@ pub fn anneal_with_memo(
     let mut best_energy = current_energy;
 
     let mut temperature = INITIAL_TEMPERATURE * current_energy.as_wh().max(1.0);
-    for _ in 0..params.iterations {
+    for _ in 0..options.anneal_iterations {
         let victim = rng.gen_range(0..initial.placement.len());
         let proposal_anchor = anchors[rng.gen_range(0..anchors.len())];
 
@@ -192,9 +179,10 @@ mod tests {
             &data,
             &cfg,
             &start,
-            AnnealConfig {
-                iterations: 60,
+            &PlacerOptions {
+                anneal_iterations: 60,
                 seed: 7,
+                ..PlacerOptions::default()
             },
             Runtime::sequential(),
             &TraceMemo::new(),
@@ -212,16 +200,17 @@ mod tests {
             .extract(&roof);
         let cfg = config(2, 1);
         let start = greedy_placement(&data, &cfg).unwrap();
-        let params = AnnealConfig {
-            iterations: 40,
+        let options = PlacerOptions {
+            anneal_iterations: 40,
             seed: 5,
+            ..PlacerOptions::default()
         };
         let run = || {
             anneal_with_memo(
                 &data,
                 &cfg,
                 &start,
-                params,
+                &options,
                 Runtime::sequential(),
                 &TraceMemo::new(),
             )
@@ -267,9 +256,10 @@ mod tests {
             &data,
             &cfg,
             &bad,
-            AnnealConfig {
-                iterations: 150,
+            &PlacerOptions {
+                anneal_iterations: 150,
                 seed: 1,
+                ..PlacerOptions::default()
             },
             Runtime::sequential(),
             &TraceMemo::new(),

@@ -2,7 +2,7 @@
 
 use crate::error::FloorplanError;
 use pv_geom::Footprint;
-use pv_model::{EmpiricalModule, Topology, WiringSpec};
+use pv_model::{EmpiricalModule, Topology};
 use pv_units::Meters;
 
 /// Full configuration of a floorplanning run: module, topology, metric and
@@ -11,7 +11,9 @@ use pv_units::Meters;
 /// [`FloorplanConfig::paper`] reproduces the paper's setup exactly
 /// (PV-MF165EB3 on a 20 cm grid, 75th percentile, distance threshold
 /// factor 2, series-first enumeration); the setters expose each knob for
-/// the ablation studies.
+/// the ablation studies. The wiring is not a knob: every configuration is
+/// scored with AWG 10 cable ([`WiringSpec::awg10`](pv_model::WiringSpec::awg10)),
+/// which the [`EnergyEvaluator`](crate::EnergyEvaluator) applies.
 ///
 /// ```
 /// use pv_floorplan::FloorplanConfig;
@@ -26,7 +28,6 @@ pub struct FloorplanConfig {
     module: EmpiricalModule,
     footprint: Footprint,
     topology: Topology,
-    wiring: WiringSpec,
     percentile: f64,
     distance_threshold_factor: Option<f64>,
     series_first: bool,
@@ -48,7 +49,8 @@ impl FloorplanConfig {
         Self::new(EmpiricalModule::pv_mf165eb3(), Meters::new(0.2), topology)
     }
 
-    /// A configuration for an arbitrary module on an arbitrary grid pitch.
+    /// A configuration for an arbitrary module on an arbitrary grid pitch,
+    /// with the paper's metric and algorithm defaults and AWG 10 wiring.
     ///
     /// # Errors
     ///
@@ -64,7 +66,6 @@ impl FloorplanConfig {
             module,
             footprint,
             topology,
-            wiring: WiringSpec::awg10(),
             percentile: 0.75,
             distance_threshold_factor: Some(2.0),
             series_first: true,
@@ -92,13 +93,6 @@ impl FloorplanConfig {
     #[must_use]
     pub const fn topology(&self) -> Topology {
         self.topology
-    }
-
-    /// Wiring parameters for overhead accounting.
-    #[inline]
-    #[must_use]
-    pub const fn wiring(&self) -> &WiringSpec {
-        &self.wiring
     }
 
     /// The suitability percentile (paper: 0.75).

@@ -48,7 +48,7 @@ use crate::error::FloorplanError;
 use crate::greedy::FloorplanResult;
 use pv_geom::{CellCoord, Placement};
 use pv_gis::{lanes, IrradianceGroup, SolarDataset};
-use pv_model::{string_wiring_overhead, EmpiricalModule, ModuleModel, OperatingPoint};
+use pv_model::{string_wiring_overhead, EmpiricalModule, ModuleModel, OperatingPoint, WiringSpec};
 use pv_runtime::Runtime;
 use pv_units::{Amperes, Irradiance, Meters, Volts, WattHours, Watts};
 use std::collections::BTreeMap;
@@ -272,7 +272,8 @@ impl TraceMemo {
 }
 
 /// Evaluates placements against a [`SolarDataset`] under a configuration's
-/// module model, topology and wiring spec.
+/// module model and topology, with the paper's AWG 10 wiring
+/// ([`WiringSpec::awg10`]).
 #[derive(Clone, Debug)]
 pub struct EnergyEvaluator<'a> {
     config: &'a FloorplanConfig,
@@ -299,13 +300,6 @@ impl<'a> EnergyEvaluator<'a> {
     pub fn with_runtime(mut self, runtime: Runtime) -> Self {
         self.runtime = runtime;
         self
-    }
-
-    /// The configured parallel runtime.
-    #[inline]
-    #[must_use]
-    pub const fn runtime(&self) -> Runtime {
-        self.runtime
     }
 
     /// Builds a reusable [`EvaluationContext`] for `plan` — the entry
@@ -446,6 +440,8 @@ pub struct EvaluationContext<'d> {
     string_of: Vec<usize>,
     /// Static irradiance state of each module's covered cells.
     groups: Vec<IrradianceGroup>,
+    /// The AWG 10 cable every string's extra length is scored with.
+    wiring: WiringSpec,
     string_extra: Vec<Meters>,
     /// Per-step ambient temperature (°C), hoisted once so the fused IV
     /// sweep never chases `StepConditions` per module × step.
@@ -530,6 +526,7 @@ impl<'d> EvaluationContext<'d> {
             strings,
             string_of: plan.string_of.clone(),
             groups,
+            wiring: WiringSpec::awg10(),
             string_extra: vec![Meters::ZERO; topology.strings()],
             ambient,
             trace,
@@ -659,34 +656,13 @@ impl<'d> EvaluationContext<'d> {
         self.string_extra[s] = undo.old_extra;
     }
 
-    /// Moves module `k` to `anchor` and commits immediately, refreshing
-    /// the state that depends on it. On error the context is unchanged; on
-    /// success the previous anchor is returned so the move can be undone
-    /// with another `relocate` (search loops should prefer
-    /// [`try_move`](Self::try_move) + [`rollback_move`](Self::rollback_move),
-    /// which undoes without recomputing).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FloorplanError::Geometry`] when the new position is out
-    /// of bounds, covers invalid cells, or overlaps another module.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `k` is out of range.
-    pub fn relocate(&mut self, k: usize, anchor: CellCoord) -> Result<CellCoord, FloorplanError> {
-        let old = self.try_move(k, anchor)?;
-        self.commit_move();
-        Ok(old)
-    }
-
     /// Recomputes the wiring overhead of string `j` from current centres.
     fn refresh_string_wiring(&mut self, j: usize) {
         let centers: Vec<pv_geom::Point> = self.strings[j]
             .iter()
             .map(|&k| self.placement.center(k))
             .collect();
-        self.string_extra[j] = string_wiring_overhead(&centers, self.config.wiring()).extra_length;
+        self.string_extra[j] = string_wiring_overhead(&centers, &self.wiring).extra_length;
     }
 
     /// Re-scores the current placement from the cached traces and string
@@ -701,7 +677,7 @@ impl<'d> EvaluationContext<'d> {
     /// bit-identical to a cold evaluation on every thread count.
     #[must_use]
     pub fn evaluate(&self) -> EnergyReport {
-        let wiring = self.config.wiring();
+        let wiring = &self.wiring;
         let n_modules = self.placement.len();
         let n_strings = self.strings.len();
         let num_steps = self.num_steps();
@@ -784,7 +760,7 @@ impl<'d> EvaluationContext<'d> {
     #[must_use]
     pub fn evaluate_cold(&self) -> EnergyReport {
         let module = self.config.module();
-        let wiring = self.config.wiring();
+        let wiring = &self.wiring;
         let n_modules = self.placement.len();
         let num_steps = self.num_steps();
 
@@ -849,7 +825,7 @@ impl<'d> EvaluationContext<'d> {
     }
 
     fn report_from(&self, gross: f64, loss: f64, unconstrained: f64) -> EnergyReport {
-        let wiring = self.config.wiring();
+        let wiring = &self.wiring;
         let extra_wire: Meters = self.string_extra.iter().copied().sum();
         let dt = self.dataset.step_duration();
         let to_energy = |w: f64| Watts::new(w).over(dt);
@@ -1052,7 +1028,8 @@ mod tests {
         // Move module 1 to a fresh anchor, then compare against a context
         // built from scratch on the moved placement.
         let target = pv_geom::CellCoord::new(30, 10);
-        let old = ctx.relocate(1, target).unwrap();
+        let old = ctx.try_move(1, target).unwrap();
+        ctx.commit_move();
         assert_ne!(old, target);
         let moved_plan = FloorplanResult {
             placement: ctx.placement().clone(),
@@ -1063,7 +1040,8 @@ mod tests {
         assert_eq!(ctx.evaluate(), fresh);
 
         // Undo restores the original report exactly.
-        ctx.relocate(1, old).unwrap();
+        ctx.try_move(1, old).unwrap();
+        ctx.commit_move();
         let original = evaluator.context(&data, &plan).unwrap().evaluate();
         assert_eq!(ctx.evaluate(), original);
     }
@@ -1116,8 +1094,10 @@ mod tests {
         assert_eq!(memo.len(), 3);
         ctx.rollback_move();
         // Revisiting both known anchors adds nothing new.
-        ctx.relocate(1, target).unwrap();
-        ctx.relocate(1, old).unwrap();
+        ctx.try_move(1, target).unwrap();
+        ctx.commit_move();
+        ctx.try_move(1, old).unwrap();
+        ctx.commit_move();
         assert_eq!(memo.len(), 3);
 
         // A second context sharing the memo reproduces the same report.
@@ -1153,7 +1133,7 @@ mod tests {
         let before = ctx.evaluate();
         let other = ctx.placement().modules()[0].anchor;
         assert!(matches!(
-            ctx.relocate(1, other),
+            ctx.try_move(1, other),
             Err(FloorplanError::Geometry(_))
         ));
         assert_eq!(ctx.evaluate(), before);

@@ -33,23 +33,6 @@ pub struct FloorplanResult {
     pub mean_anchor_score: f64,
 }
 
-impl FloorplanResult {
-    /// Module centres of string `j`, in series-connection order.
-    #[must_use]
-    pub fn string_centers(&self, string: usize) -> Vec<Point> {
-        (0..self.placement.len())
-            .filter(|&k| self.string_of[k] == string)
-            .map(|k| self.placement.center(k))
-            .collect()
-    }
-
-    /// Number of series strings used.
-    #[must_use]
-    pub fn num_strings(&self) -> usize {
-        self.string_of.iter().copied().max().map_or(0, |m| m + 1)
-    }
-}
-
 /// Runs the paper's greedy placement on a dataset.
 ///
 /// # Errors
@@ -337,8 +320,6 @@ mod tests {
         let data = extract(&roof, 2);
         let plan = greedy_placement(&data, &config(3, 2)).unwrap();
         assert_eq!(plan.string_of, vec![0, 0, 0, 1, 1, 1]);
-        assert_eq!(plan.num_strings(), 2);
-        assert_eq!(plan.string_centers(0).len(), 3);
     }
 
     #[test]

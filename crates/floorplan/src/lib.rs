@@ -18,7 +18,8 @@
 //!   optimum for tiny instances and a simulated-annealing refiner
 //!   (extensions used for the A3 ablation), each on a caller-chosen
 //!   runtime and [`TraceMemo`]; [`Placer::place_with_memo`] dispatches to
-//!   them by name;
+//!   them by name, and [`PlacerOptions`] holds their knobs (anneal
+//!   iterations and seed, exact node budget) with the one set of defaults;
 //! - [`render`] — ASCII / PGM rendering of suitability maps and placements
 //!   (Figs. 6-7).
 //!
@@ -56,7 +57,7 @@ mod report;
 mod suitability;
 mod traditional;
 
-pub use anneal::{anneal_with_memo, AnnealConfig};
+pub use anneal::anneal_with_memo;
 pub use config::FloorplanConfig;
 pub use error::FloorplanError;
 pub use evaluate::{EnergyEvaluator, EnergyReport, EvaluationContext, TraceMemo};

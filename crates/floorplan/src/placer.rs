@@ -5,6 +5,10 @@
 //! call that takes the placer, the shared warm [`TraceMemo`], and
 //! deterministic tuning knobs, and returns the placement together with
 //! its full [`EnergyReport`]. [`Placer::place_with_memo`] is that call.
+//! [`PlacerOptions`] is the one home of those knobs and their defaults:
+//! the anneal arm hands it straight to [`anneal_with_memo`], which reads
+//! the iterations and seed, and the exact arm passes its node budget to
+//! [`optimal_placement_with_memo`].
 //!
 //! Every path is a pure function of its inputs (dataset, config, options,
 //! memo contents only affect *speed*, never values — the PR 3 bit-identity
@@ -12,7 +16,7 @@
 //! thread count. Callers that do not pin a topology take it from
 //! [`fit_topology`], on one [`SuitabilityMap::paper`] per site.
 
-use crate::anneal::{anneal_with_memo, AnnealConfig};
+use crate::anneal::anneal_with_memo;
 use crate::evaluate::{EnergyEvaluator, EnergyReport, TraceMemo};
 use crate::exact::optimal_placement_with_memo;
 use crate::greedy::{greedy_placement_with_map, FloorplanResult};
@@ -113,11 +117,7 @@ impl Placer {
             }
             Self::Anneal => {
                 let start = greedy_placement_with_map(dataset, config, map)?;
-                let params = AnnealConfig {
-                    iterations: options.anneal_iterations,
-                    seed: options.seed,
-                };
-                let (plan, _) = anneal_with_memo(dataset, config, &start, params, runtime, memo)?;
+                let (plan, _) = anneal_with_memo(dataset, config, &start, options, runtime, memo)?;
                 let report = report_of(&plan)?;
                 Ok((plan, report))
             }
@@ -142,7 +142,8 @@ impl core::fmt::Display for Placer {
     }
 }
 
-/// Deterministic tuning knobs of [`Placer::place_with_memo`].
+/// Deterministic tuning knobs of [`Placer::place_with_memo`] and
+/// [`anneal_with_memo`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct PlacerOptions {
     /// Proposals per annealing chain ([`Placer::Anneal`]).

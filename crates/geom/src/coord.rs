@@ -106,16 +106,6 @@ impl CellCoord {
         Self { x, y }
     }
 
-    /// Offsets by a (possibly negative) delta, saturating at zero.
-    #[inline]
-    #[must_use]
-    pub fn saturating_offset(self, dx: isize, dy: isize) -> Self {
-        Self {
-            x: self.x.saturating_add_signed(dx),
-            y: self.y.saturating_add_signed(dy),
-        }
-    }
-
     /// Offsets by a delta, returning `None` on underflow.
     #[inline]
     #[must_use]

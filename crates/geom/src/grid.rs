@@ -105,20 +105,6 @@ impl<T> Grid<T> {
         &self.data
     }
 
-    /// Mutable raw row-major buffer.
-    #[inline]
-    #[must_use]
-    pub fn as_mut_slice(&mut self) -> &mut [T] {
-        &mut self.data
-    }
-
-    /// Consumes the grid, returning its buffer.
-    #[inline]
-    #[must_use]
-    pub fn into_vec(self) -> Vec<T> {
-        self.data
-    }
-
     /// Maps every cell through `f`, preserving dimensions.
     #[must_use]
     pub fn map<U>(&self, mut f: impl FnMut(&T) -> U) -> Grid<U> {

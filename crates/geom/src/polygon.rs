@@ -87,38 +87,6 @@ impl Polygon {
         inside
     }
 
-    /// Axis-aligned bounding box `(min_x, min_y, max_x, max_y)` in metres.
-    #[must_use]
-    pub fn bounding_box(&self) -> (f64, f64, f64, f64) {
-        let mut bb = (
-            f64::INFINITY,
-            f64::INFINITY,
-            f64::NEG_INFINITY,
-            f64::NEG_INFINITY,
-        );
-        for &(x, y) in &self.vertices {
-            bb.0 = bb.0.min(x);
-            bb.1 = bb.1.min(y);
-            bb.2 = bb.2.max(x);
-            bb.3 = bb.3.max(y);
-        }
-        bb
-    }
-
-    /// Signed area (shoelace formula), in m²; positive for counter-clockwise
-    /// vertex order.
-    #[must_use]
-    pub fn signed_area(&self) -> f64 {
-        let n = self.vertices.len();
-        let mut acc = 0.0;
-        for i in 0..n {
-            let (x0, y0) = self.vertices[i];
-            let (x1, y1) = self.vertices[(i + 1) % n];
-            acc += x0 * y1 - x1 * y0;
-        }
-        acc / 2.0
-    }
-
     /// Rasterizes to a cell mask: a cell is set when its centre lies inside
     /// the polygon. Cell `(i, j)` spans `[i·s, (i+1)·s] × [j·s, (j+1)·s]`.
     #[must_use]
@@ -156,7 +124,6 @@ mod tests {
     #[test]
     fn triangle_area_and_raster_agree() {
         let tri = Polygon::new(vec![(0.0, 0.0), (10.0, 0.0), (0.0, 10.0)]).unwrap();
-        assert!((tri.signed_area().abs() - 50.0).abs() < 1e-12);
         let mask = tri.rasterize(GridDims::new(50, 50), Meters::new(0.2));
         // Raster area = count * 0.04 m^2 should approximate 50 m^2.
         let raster_area = mask.count() as f64 * 0.04;

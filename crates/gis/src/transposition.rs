@@ -38,18 +38,6 @@ impl PoaComponents {
         beam + self.diffuse * sky_view_factor + self.ground
     }
 
-    /// Branch-free form of [`at_cell`](Self::at_cell): the shadow test
-    /// becomes a `{0.0, 1.0}` keep multiplier on the beam component.
-    ///
-    /// This is the composition shape the lane kernels
-    /// ([`crate::lanes`]) stream per `(step, group)` — bit-identical to
-    /// the branchy form because the beam component is non-negative, so
-    /// `0.0 × beam` contributes the same `+0.0` the `if` skips.
-    #[must_use]
-    pub fn at_cell_masked(&self, sky_view_factor: f64, keep_beam: f64) -> Irradiance {
-        self.beam * keep_beam + self.diffuse * sky_view_factor + self.ground
-    }
-
     /// Total POA irradiance for an unshadowed, unobstructed cell.
     #[must_use]
     pub fn unobstructed(&self) -> Irradiance {
@@ -157,26 +145,6 @@ mod tests {
         let half = poa.at_cell(0.5, false);
         let diff = full.as_w_per_m2() - half.as_w_per_m2();
         assert!((diff - poa.diffuse.as_w_per_m2() * 0.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn masked_composition_is_bit_identical_to_branchy() {
-        let local = noon_local(26.0);
-        let poa = transpose(
-            &local,
-            Degrees::new(26.0),
-            Irradiance::from_w_per_m2(812.5),
-            Irradiance::from_w_per_m2(137.25),
-            Irradiance::from_w_per_m2(703.1),
-            0.2,
-        );
-        for svf in [1.0, 0.731, 0.5, 0.0] {
-            for (keep, shadowed) in [(1.0, false), (0.0, true)] {
-                let masked = poa.at_cell_masked(svf, keep).as_w_per_m2();
-                let branchy = poa.at_cell(svf, shadowed).as_w_per_m2();
-                assert_eq!(masked.to_bits(), branchy.to_bits(), "svf {svf} keep {keep}");
-            }
-        }
     }
 
     #[test]

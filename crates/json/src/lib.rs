@@ -87,15 +87,6 @@ impl JsonValue {
         }
     }
 
-    /// The boolean value when this is a bool.
-    #[must_use]
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            JsonValue::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
     /// Serializes this value as compact JSON (single line, one space after
     /// `:` and `,` for readability).
     ///

@@ -35,10 +35,15 @@ impl Topology {
     ///
     /// # Errors
     ///
-    /// Returns [`ModelError::EmptyTopology`] if either dimension is zero.
+    /// Returns [`ModelError::EmptyTopology`] if either dimension is zero,
+    /// and [`ModelError::TopologyTooLarge`] if the module count
+    /// `series × strings` overflows `usize`.
     pub fn new(series: usize, strings: usize) -> Result<Self, ModelError> {
         if series == 0 || strings == 0 {
             return Err(ModelError::EmptyTopology);
+        }
+        if series.checked_mul(strings).is_none() {
+            return Err(ModelError::TopologyTooLarge { series, strings });
         }
         Ok(Self { series, strings })
     }
@@ -70,13 +75,6 @@ impl Topology {
     #[must_use]
     pub const fn string_of(self, module_index: usize) -> usize {
         module_index / self.series
-    }
-
-    /// Position of the `k`-th module within its string.
-    #[inline]
-    #[must_use]
-    pub const fn position_in_string(self, module_index: usize) -> usize {
-        module_index % self.series
     }
 }
 
@@ -234,7 +232,6 @@ mod tests {
         assert_eq!(t.string_of(0), 0);
         assert_eq!(t.string_of(7), 0);
         assert_eq!(t.string_of(8), 1);
-        assert_eq!(t.position_in_string(8), 0);
         assert_eq!(t.string_of(31), 3);
         assert_eq!(t.num_modules(), 32);
     }
@@ -256,6 +253,14 @@ mod tests {
     fn empty_topology_rejected() {
         assert_eq!(Topology::new(0, 2).unwrap_err(), ModelError::EmptyTopology);
         assert_eq!(Topology::new(8, 0).unwrap_err(), ModelError::EmptyTopology);
+        let huge = 1usize << (usize::BITS / 2);
+        assert_eq!(
+            Topology::new(huge, huge).unwrap_err(),
+            ModelError::TopologyTooLarge {
+                series: huge,
+                strings: huge
+            }
+        );
     }
 
     #[test]

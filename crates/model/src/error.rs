@@ -6,6 +6,13 @@
 pub enum ModelError {
     /// A topology dimension (series length or string count) was zero.
     EmptyTopology,
+    /// The topology's module count `series × strings` overflows `usize`.
+    TopologyTooLarge {
+        /// Requested modules per string.
+        series: usize,
+        /// Requested parallel strings.
+        strings: usize,
+    },
     /// The number of module operating points does not match the topology's
     /// `m × n` module count.
     TopologySizeMismatch {
@@ -20,6 +27,10 @@ impl core::fmt::Display for ModelError {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         match self {
             Self::EmptyTopology => write!(f, "topology dimensions must be positive"),
+            Self::TopologyTooLarge { series, strings } => write!(
+                f,
+                "topology {series} x {strings} has more modules than fit in a usize"
+            ),
             Self::TopologySizeMismatch { expected, actual } => write!(
                 f,
                 "topology expects {expected} module operating points, got {actual}"

@@ -187,13 +187,6 @@ impl EmpiricalModule {
         self.height
     }
 
-    /// Rated power at STC.
-    #[inline]
-    #[must_use]
-    pub const fn rated_power(&self) -> Watts {
-        self.p_ref
-    }
-
     /// Reference open-circuit voltage (25 °C, 1000 W/m²).
     #[inline]
     #[must_use]
@@ -206,13 +199,6 @@ impl EmpiricalModule {
     #[must_use]
     pub const fn isc_ref(&self) -> Amperes {
         self.isc_ref
-    }
-
-    /// Reference maximum-power voltage `Vmp` (25 °C, 1000 W/m²).
-    #[inline]
-    #[must_use]
-    pub const fn mp_voltage_ref(&self) -> Volts {
-        self.vmp_ref
     }
 
     /// The power-vs-temperature slope `γp` (1/°C) of the empirical model

@@ -20,7 +20,7 @@
 //!   worker rewrites that file, rehydrates its partition, and the router
 //!   picks the new address up on the next connection failure.
 //! * **Proxying.** Per-shard connections are bounded by a counting
-//!   semaphore ([`RouterConfig::max_connections_per_shard`]). A transport
+//!   semaphore of `MAX_CONNECTIONS_PER_SHARD` (32) permits. A transport
 //!   failure triggers *retry-once-on-refused*: wait (bounded) for the
 //!   shard's `/v1/healthz` to answer on its current port-file address,
 //!   re-send once, and only then give up with a structured `503`.
@@ -71,6 +71,13 @@ const SUPERVISOR_POLL: Duration = Duration::from_millis(100);
 /// Sleep between health probes while waiting for a shard.
 const HEALTH_POLL: Duration = Duration::from_millis(50);
 
+/// Upper bound on concurrent proxy connections per shard.
+const MAX_CONNECTIONS_PER_SHARD: usize = 32;
+
+/// Health-probe attempts (× 50 ms) to wait for each worker at start: a
+/// 30 s startup deadline.
+const STARTUP_ATTEMPTS: u32 = 600;
+
 /// Health-probe attempts before a retried request gives up (× 50 ms —
 /// generous enough for respawn + store rehydration at serving scale).
 const RETRY_ATTEMPTS: u32 = 300;
@@ -101,10 +108,6 @@ pub struct RouterConfig {
     pub worker_args: Vec<String>,
     /// Root directory holding each shard's store partition and port file.
     pub store_root: PathBuf,
-    /// Upper bound on concurrent proxy connections per shard.
-    pub max_connections_per_shard: usize,
-    /// Health-probe attempts (× 50 ms) to wait for each worker at start.
-    pub startup_attempts: u32,
     /// When set, each worker is spawned with
     /// `--trace-log <base>.shard<k>` so the fleet's structured event
     /// logs line up with the router's (shared trace ids, one file per
@@ -113,8 +116,9 @@ pub struct RouterConfig {
 }
 
 impl RouterConfig {
-    /// A config with serving defaults: 32 connections per shard and a
-    /// 30 s startup deadline per worker.
+    /// A config with no extra worker arguments and worker tracing off.
+    /// Every router allows 32 connections per shard and waits up to 30 s
+    /// for each worker to start.
     #[must_use]
     pub fn new(
         shards: usize,
@@ -126,8 +130,6 @@ impl RouterConfig {
             worker_program: worker_program.into(),
             worker_args: Vec::new(),
             store_root: store_root.into(),
-            max_connections_per_shard: 32,
-            startup_attempts: 600,
             trace_log_base: None,
         }
     }
@@ -202,7 +204,7 @@ impl Router {
             shards.push(ShardSlot {
                 port_file,
                 addr: Mutex::new(None),
-                gate: Gate::new(config.max_connections_per_shard),
+                gate: Gate::new(MAX_CONNECTIONS_PER_SHARD),
             });
         }
 
@@ -220,7 +222,7 @@ impl Router {
             trace_seq: AtomicU64::new(0),
         };
         for (index, slot) in router.shards.iter().enumerate() {
-            if !router.wait_healthy(slot, config.startup_attempts) {
+            if !router.wait_healthy(slot, STARTUP_ATTEMPTS) {
                 router.shutdown_workers();
                 return Err(format!("shard {index} did not become healthy in time"));
             }

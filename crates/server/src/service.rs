@@ -1010,6 +1010,15 @@ mod tests {
             spec_body(0)
         );
         assert_eq!(service.place(&body).unwrap_err().0, 400);
+        // A topology whose module count overflows `usize` (each factor
+        // passes the 2^53 integer bound).
+        let body = format!(
+            r#"{{"spec": "{}", "series": 4294967296, "strings": 4294967296}}"#,
+            spec_body(0)
+        );
+        let (status, message) = service.place(&body).unwrap_err();
+        assert_eq!(status, 400, "{message}");
+        assert!(message.contains("bad topology"), "{message}");
         // Bad clock override.
         let body = format!(r#"{{"spec": "{}", "step": 7}}"#, spec_body(0));
         assert_eq!(service.place(&body).unwrap_err().0, 400);

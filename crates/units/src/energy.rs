@@ -40,18 +40,11 @@ impl Watts {
         WattHours::new(self.value() * duration.as_hours())
     }
 
-    /// Power in kilowatts.
+    /// Power in watts.
     #[inline]
     #[must_use]
     pub fn as_watts(self) -> f64 {
         self.value()
-    }
-
-    /// Power in kilowatts.
-    #[inline]
-    #[must_use]
-    pub fn as_kw(self) -> f64 {
-        self.value() / 1e3
     }
 }
 
@@ -75,13 +68,6 @@ impl WattHours {
     #[must_use]
     pub fn as_mwh(self) -> f64 {
         self.value() / 1e6
-    }
-
-    /// Builds an energy from kilowatt-hours.
-    #[inline]
-    #[must_use]
-    pub fn from_kwh(kwh: f64) -> Self {
-        Self::new(kwh * 1e3)
     }
 
     /// Builds an energy from megawatt-hours.

@@ -28,13 +28,6 @@ impl Minutes {
     pub fn as_hours(self) -> f64 {
         self.value() / 60.0
     }
-
-    /// Duration in minutes as `f64`.
-    #[inline]
-    #[must_use]
-    pub const fn as_minutes(self) -> f64 {
-        self.value()
-    }
 }
 
 /// One instant on the simulation time axis: a step index plus its
@@ -171,12 +164,6 @@ impl SimulationClock {
     pub fn steps(self) -> impl Iterator<Item = TimeStep> {
         (0..self.num_steps).map(move |i| self.step_at(i))
     }
-
-    /// Total simulated duration.
-    #[must_use]
-    pub fn total_duration(self) -> Minutes {
-        Minutes::new(f64::from(self.num_steps) * f64::from(self.step_minutes))
-    }
 }
 
 impl Default for SimulationClock {
@@ -218,7 +205,6 @@ mod tests {
     fn truncated_clock() {
         let clock = SimulationClock::days_at_minutes(7, 30);
         assert_eq!(clock.num_steps(), 7 * 48);
-        assert_eq!(clock.total_duration().as_hours(), 7.0 * 24.0);
     }
 
     #[test]
