@@ -1192,6 +1192,54 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// The committed `*.pvsnap` files of a store directory, sorted by name.
+    fn pvsnap_files(dir: &std::path::Path) -> Vec<std::path::PathBuf> {
+        let mut files: Vec<_> = std::fs::read_dir(dir)
+            .unwrap()
+            .filter_map(Result::ok)
+            .map(|e| e.path())
+            .filter(|p| p.extension().is_some_and(|e| e == "pvsnap"))
+            .collect();
+        files.sort();
+        files
+    }
+
+    fn cache_bytes(service: &PlacementService) -> f64 {
+        let (_, stats) = service.handle("GET", "/v1/stats", b"", &depth(0));
+        let stats = pv_json::parse(&stats).unwrap();
+        stats.get("cache_bytes").unwrap().as_number().unwrap()
+    }
+
+    #[test]
+    fn hydrated_and_cold_entries_are_accounted_alike() {
+        let dir = store_scratch("budget");
+        let body = spec_body(2);
+        let cold = service();
+        let baseline = cold.place(&body).unwrap().0;
+
+        let spec = ScenarioSpec::parse_spec_string(&body).unwrap();
+        let warm = PlacementService::new(ServiceConfig::tiny())
+            .with_store(Arc::new(SiteStore::open(&dir).unwrap()));
+        warm.prewarm(&spec).unwrap();
+        drop(warm);
+
+        // A CRC-valid snapshot that claims an unbounded memo budget: the
+        // service, not the file, must size the hydrated entry.
+        let path = pvsnap_files(&dir).remove(0);
+        let mut snap = pv_store::SiteSnapshot::decode(&std::fs::read(&path).unwrap()).unwrap();
+        snap.memo_budget = usize::MAX;
+        std::fs::write(&path, snap.encode()).unwrap();
+
+        let restarted = PlacementService::new(ServiceConfig::tiny())
+            .with_store(Arc::new(SiteStore::open(&dir).unwrap()));
+        assert_eq!(restarted.hydrate_store().unwrap(), 1);
+        assert_eq!(cache_bytes(&restarted), cache_bytes(&cold));
+        let (response, hit) = restarted.place(&body).unwrap();
+        assert!(hit);
+        assert_eq!(response, baseline, "store must never change response bytes");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
     #[test]
     fn hydration_skips_snapshots_from_a_different_horizon() {
         let dir = store_scratch("skew");
