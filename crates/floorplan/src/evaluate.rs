@@ -212,48 +212,6 @@ impl TraceMemo {
         self.len() == 0
     }
 
-    /// The byte budget this memo admits traces under.
-    #[must_use]
-    pub const fn byte_budget(&self) -> usize {
-        self.byte_budget
-    }
-
-    /// Snapshot of every memoized `(anchor, trace)` pair in anchor order.
-    ///
-    /// Traces are shared (`Arc`), so this is cheap; the deterministic
-    /// `BTreeMap` order makes the snapshot suitable for byte-stable
-    /// serialization (`pv_store`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the memo's lock was poisoned by a panicking user.
-    #[must_use]
-    pub fn export_anchors(&self) -> Vec<(CellCoord, Arc<[f64]>)> {
-        self.anchors
-            .lock()
-            .expect("memo lock poisoned")
-            .iter()
-            .map(|(&anchor, trace)| (anchor, Arc::clone(trace)))
-            .collect()
-    }
-
-    /// Seeds one `(anchor, trace)` pair, e.g. from a decoded snapshot.
-    ///
-    /// Subject to the same byte budget and first-writer-wins semantics as
-    /// internal publication, so a seeded memo behaves exactly like one
-    /// warmed by evaluation — memo hits stay bit-identical as long as the
-    /// seeded trace is bit-identical to what evaluation would produce.
-    pub fn seed(&self, anchor: CellCoord, trace: Arc<[f64]>) {
-        let Ok(mut anchors) = self.anchors.lock() else {
-            return; // poisoned by a panicking user: drop the seed
-        };
-        if (anchors.len() + 1).saturating_mul(std::mem::size_of_val(&trace[..])) > self.byte_budget
-        {
-            return;
-        }
-        anchors.entry(anchor).or_insert(trace);
-    }
-
     fn get(&self, anchor: CellCoord) -> Option<Arc<[f64]>> {
         self.anchors
             .lock()

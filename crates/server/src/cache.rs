@@ -39,24 +39,21 @@ pub struct CachedSite {
 }
 
 impl CachedSite {
-    /// A fresh entry with an empty ladder choice; `from_store` marks
-    /// entries hydrated from the snapshot store.
+    /// A fresh entry with an empty memo and ladder choice; `from_store`
+    /// marks entries hydrated from the snapshot store. Cold and hydrated
+    /// entries get the same memo budget and the same byte accounting.
     #[must_use]
-    pub(crate) fn new(
-        dataset: SolarDataset,
-        map: SuitabilityMap,
-        memo: TraceMemo,
-        from_store: bool,
-    ) -> Self {
+    pub(crate) fn new(dataset: SolarDataset, map: SuitabilityMap, from_store: bool) -> Self {
         let steps = dataset.num_steps() as usize;
         let cells = dataset.dims().num_cells();
+        let memo_budget = (steps * 8 * 1024).clamp(256 << 10, 64 << 20);
         Self {
             // Footprint estimate: per-step shadow words + per-cell
-            // statics + per-step conditions + the memo's own budget.
-            bytes: cells * steps / 8 + cells * 12 + steps * 48 + memo.byte_budget(),
+            // statics + per-step conditions + the memo's budget.
+            bytes: cells * steps / 8 + cells * 12 + steps * 48 + memo_budget,
             dataset: Arc::new(dataset),
             map: Arc::new(map),
-            memo: Arc::new(memo),
+            memo: Arc::new(TraceMemo::with_byte_budget(memo_budget)),
             ladder_choice: Arc::default(),
             from_store,
         }
@@ -149,7 +146,7 @@ mod tests {
         let map = SuitabilityMap::paper(&dataset, Runtime::sequential());
         CachedSite {
             bytes,
-            ..CachedSite::new(dataset, map, TraceMemo::new(), false)
+            ..CachedSite::new(dataset, map, false)
         }
     }
 

@@ -8,7 +8,7 @@ use crate::server::{route_path, RequestContext};
 use crate::stats::{ServiceStats, StatsSnapshot};
 use pv_floorplan::{
     fit_topology, EnergyReport, FloorplanConfig, FloorplanResult, Placer, PlacerOptions,
-    SuitabilityMap, TraceMemo,
+    SuitabilityMap,
 };
 use pv_gis::synth::fnv1a;
 use pv_gis::ScenarioSpec;
@@ -322,11 +322,7 @@ impl PlacementService {
                 continue;
             }
             let key = cache_key(&snap.meta);
-            let memo = TraceMemo::with_byte_budget(snap.memo_budget);
-            for (anchor, trace) in &snap.memo_entries {
-                memo.seed(*anchor, Arc::clone(trace));
-            }
-            let site = CachedSite::new(snap.dataset, snap.map, memo, true);
+            let site = CachedSite::new(snap.dataset, snap.map, true);
             self.cache
                 .lock()
                 .map_err(|_| "site cache lock poisoned".to_string())?
@@ -340,9 +336,9 @@ impl PlacementService {
     }
 
     /// Pre-warms the store for one site at the service's default clock:
-    /// solves a greedy placement (which warms the memo with real traces)
-    /// and commits the snapshot synchronously, once. Returns `false`
-    /// without doing any work when a committed snapshot already exists.
+    /// builds the site, validates it end to end with a greedy solve and
+    /// commits the snapshot synchronously, once. Returns `false` without
+    /// doing any work when a committed snapshot already exists.
     ///
     /// # Errors
     ///
@@ -357,9 +353,10 @@ impl PlacementService {
         if store.contains(key) {
             return Ok(false);
         }
-        // The solve both validates the site end-to-end and fills the memo,
-        // so the snapshot carries warm traces rather than an empty budget.
-        // The bare spec string parses as the default greedy request.
+        // The solve validates the site end to end: a site no placer can
+        // serve fails here rather than on its first request. The
+        // snapshot's bytes do not depend on it. The bare spec string
+        // parses as the default greedy request.
         let (request, mut spans) = (PlaceRequest::parse(&meta.spec)?, StageTimes::default());
         let (site, _) = self
             .site_for(spec, days, step, &mut spans)
@@ -367,7 +364,7 @@ impl PlacementService {
         self.solve(&request, days, step, &site, &mut spans)
             .map_err(|(_, body)| body)?;
         store
-            .save(key, &meta, &site.dataset, &site.map, &site.memo)
+            .save(key, &meta, &site.dataset, &site.map)
             .map_err(|e| e.to_string())?;
         Ok(true)
     }
@@ -475,11 +472,9 @@ impl PlacementService {
         }
 
         let (site, cache_hit) = self.site_for(&request.spec, days, step, spans)?;
-        // Persist a cold build behind the response. The memo is shared
-        // live with the cache entry, so by the time the single writer
-        // thread encodes it, traces from this request are usually already
-        // in — and an emptier snapshot only costs warmth, never
-        // correctness.
+        // Persist a cold build behind the response. The snapshot holds
+        // only the extraction artifacts, which are immutable once built,
+        // so its bytes do not depend on when the writer thread runs.
         if let (Some(store), false) = (&self.store, cache_hit) {
             let meta = self.snapshot_meta(&request.spec, days, step);
             store.save_behind(
@@ -487,7 +482,6 @@ impl PlacementService {
                 meta,
                 Arc::clone(&site.dataset),
                 Arc::clone(&site.map),
-                Arc::clone(&site.memo),
             );
         }
         let response = self.solve(&request, days, step, &site, spans)?;
@@ -590,9 +584,7 @@ impl PlacementService {
         let suitability_timer = Timer::start();
         let map = SuitabilityMap::paper(&dataset, Runtime::sequential());
         spans.add(Stage::Suitability, suitability_timer.elapsed_us());
-        let steps = dataset.num_steps() as usize;
-        let memo = TraceMemo::with_byte_budget((steps * 8 * 1024).clamp(256 << 10, 64 << 20));
-        let site = CachedSite::new(dataset, map, memo, false);
+        let site = CachedSite::new(dataset, map, false);
         self.cache
             .lock()
             .map_err(|_| internal_error("site cache lock poisoned"))?
@@ -1223,13 +1215,7 @@ mod tests {
         warm.prewarm(&spec).unwrap();
         drop(warm);
 
-        // A CRC-valid snapshot that claims an unbounded memo budget: the
-        // service, not the file, must size the hydrated entry.
-        let path = pvsnap_files(&dir).remove(0);
-        let mut snap = pv_store::SiteSnapshot::decode(&std::fs::read(&path).unwrap()).unwrap();
-        snap.memo_budget = usize::MAX;
-        std::fs::write(&path, snap.encode()).unwrap();
-
+        // The service, not the snapshot, sizes the hydrated entry.
         let restarted = PlacementService::new(ServiceConfig::tiny())
             .with_store(Arc::new(SiteStore::open(&dir).unwrap()));
         assert_eq!(restarted.hydrate_store().unwrap(), 1);
@@ -1238,6 +1224,40 @@ mod tests {
         assert!(hit);
         assert_eq!(response, baseline, "store must never change response bytes");
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn store_bytes_are_a_pure_function_of_the_site() {
+        let (dir_a, dir_b) = (store_scratch("pure-a"), store_scratch("pure-b"));
+        let prewarmed = PlacementService::new(ServiceConfig::tiny())
+            .with_store(Arc::new(SiteStore::open(&dir_a).unwrap()));
+        let served = PlacementService::new(ServiceConfig::tiny())
+            .with_store(Arc::new(SiteStore::open(&dir_b).unwrap()));
+        for index in [0, 1] {
+            prewarmed
+                .prewarm(&ScenarioSpec::generate(2018, index))
+                .unwrap();
+            // A cold miss queues the write behind its own solve; the
+            // anneal request then runs while the writer may be encoding.
+            let body = spec_body(index);
+            served.place(&body).unwrap();
+            let anneal = format!(r#"{{"spec": "{body}", "placer": "anneal"}}"#);
+            served.place(&anneal).unwrap();
+        }
+        served.drain_store();
+
+        let (files_a, files_b) = (pvsnap_files(&dir_a), pvsnap_files(&dir_b));
+        assert_eq!(files_a.len(), 2);
+        assert_eq!(
+            files_a.iter().map(|p| p.file_name()).collect::<Vec<_>>(),
+            files_b.iter().map(|p| p.file_name()).collect::<Vec<_>>()
+        );
+        for (a, b) in files_a.iter().zip(&files_b) {
+            let (a, b) = (std::fs::read(a).unwrap(), std::fs::read(b).unwrap());
+            assert!(a == b, "snapshot bytes depend on how the site was served");
+        }
+        let _ = std::fs::remove_dir_all(&dir_a);
+        let _ = std::fs::remove_dir_all(&dir_b);
     }
 
     #[test]

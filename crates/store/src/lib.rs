@@ -1,13 +1,16 @@
 //! Crash-safe persistent site-state snapshots for the placement service.
 //!
-//! A `pv_server` cache entry — the extracted [`SolarDataset`], its
-//! [`SuitabilityMap`], and the warm [`TraceMemo`] — is expensive to build
-//! (full per-site solar extraction) and dies with the process. This crate
-//! makes that warm state a durable, shareable artifact:
+//! The extraction artifacts of a `pv_server` cache entry — the extracted
+//! [`SolarDataset`] and its [`SuitabilityMap`] — are expensive to build
+//! (full per-site solar extraction) and die with the process. This crate
+//! makes them a durable, shareable artifact whose bytes are a pure
+//! function of the site (spec, clock, horizon). The evaluator's
+//! per-anchor trace memo is not persisted: it is derived data that the
+//! first request on a site rebuilds.
 //!
 //! * [`snapshot`] — the compact, versioned, checksummed binary format:
 //!   magic + format-version header, explicit little-endian encoding,
-//!   length-prefixed sections (dataset / suitability map / memo) each
+//!   length-prefixed sections (meta / dataset / suitability map) each
 //!   carrying its own CRC-32 so damage is localized, and a whole-file
 //!   trailer checksum.
 //! * [`store`] — the on-disk [`SiteStore`]: crash-safe commits (`*.tmp`,
@@ -29,17 +32,16 @@
 //!
 //! ```
 //! use pv_store::{SiteSnapshot, SiteStore, SnapshotMeta};
-//! use pv_floorplan::{SuitabilityMap, TraceMemo};
+//! use pv_floorplan::SuitabilityMap;
 //! use pv_gis::{RoofBuilder, SolarExtractor, Site};
 //! use pv_runtime::Runtime;
 //! use pv_units::{Meters, SimulationClock};
 //!
-//! // Extract a site and snapshot its warm state.
+//! // Extract a site and snapshot its extraction artifacts.
 //! let roof = RoofBuilder::new(Meters::new(4.0), Meters::new(2.0)).build();
 //! let clock = SimulationClock::days_at_minutes(1, 240);
 //! let dataset = SolarExtractor::new(Site::turin(), clock).seed(7).extract(&roof);
 //! let map = SuitabilityMap::paper(&dataset, Runtime::sequential());
-//! let memo = TraceMemo::new();
 //!
 //! let dir = std::env::temp_dir().join(format!("pvstore-doc-{}", std::process::id()));
 //! let store = SiteStore::open(&dir)?;
@@ -49,7 +51,7 @@
 //!     step_minutes: 240,
 //!     horizon_sectors: 16,
 //! };
-//! store.save(0xd0c, &meta, &dataset, &map, &memo)?;
+//! store.save(0xd0c, &meta, &dataset, &map)?;
 //!
 //! // A fresh store over the same directory hydrates it back — and a
 //! // corrupted file would be quarantined here instead of panicking.
@@ -63,7 +65,6 @@
 //!
 //! [`SolarDataset`]: pv_gis::SolarDataset
 //! [`SuitabilityMap`]: pv_floorplan::SuitabilityMap
-//! [`TraceMemo`]: pv_floorplan::TraceMemo
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

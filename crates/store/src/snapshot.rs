@@ -5,9 +5,9 @@
 //!
 //! ```text
 //! magic          8 bytes   b"PVSNAPS\0"
-//! version        u32       FORMAT_VERSION (currently 1)
-//! 4 x section:
-//!   tag          4 bytes   b"META" | b"DATA" | b"SMAP" | b"MEMO", this order
+//! version        u32       FORMAT_VERSION (currently 2)
+//! 3 x section:
+//!   tag          4 bytes   b"META" | b"DATA" | b"SMAP", this order
 //!   length       u64       payload bytes
 //!   payload      length bytes
 //!   crc32        u32       CRC-32 of the payload (damage is localized:
@@ -21,21 +21,27 @@
 //! [`StoreError::VersionSkew`]; nothing panics and no wrong data is ever
 //! returned (a CRC-32 mismatch rejects the file before its contents are
 //! interpreted).
+//!
+//! A snapshot holds only what extraction made, so its bytes are a pure
+//! function of (spec, clock, horizon). Version 1 also carried a MEMO
+//! section of per-anchor evaluator traces: derived data that the first
+//! request on a site rebuilds, and whose bytes depended on how far a
+//! concurrent solve had got when the file was encoded. A v1 file now
+//! decodes to [`StoreError::VersionSkew`] and is quarantined on hydrate.
 
 use crate::wire::{crc32, put_f32, put_f64, put_u32, put_u64, Reader};
 use crate::StoreError;
-use pv_floorplan::{SuitabilityMap, TraceMemo};
-use pv_geom::{CellCoord, CellMask, Grid, GridDims};
+use pv_floorplan::SuitabilityMap;
+use pv_geom::{CellMask, Grid, GridDims};
 use pv_gis::{SolarDataset, StepConditions};
 use pv_units::{Celsius, Irradiance, SimulationClock, MINUTES_PER_DAY};
-use std::sync::Arc;
 
 /// File magic: identifies a pvfloorplan site snapshot.
 pub const MAGIC: [u8; 8] = *b"PVSNAPS\0";
 
 /// Current snapshot format version. Bumped on any layout change; files
 /// carrying any other version decode to [`StoreError::VersionSkew`].
-pub const FORMAT_VERSION: u32 = 1;
+pub const FORMAT_VERSION: u32 = 2;
 
 /// Hard ceiling on decoded grid size (cells). A corrupt dimension field
 /// can claim at most this much before being rejected, bounding decoder
@@ -45,7 +51,6 @@ pub const MAX_CELLS: usize = 1 << 26;
 const TAG_META: [u8; 4] = *b"META";
 const TAG_DATA: [u8; 4] = *b"DATA";
 const TAG_SMAP: [u8; 4] = *b"SMAP";
-const TAG_MEMO: [u8; 4] = *b"MEMO";
 
 /// Identity of a snapshot: everything the serving layer needs to recompute
 /// the exact cache key the artifacts were extracted under.
@@ -61,7 +66,8 @@ pub struct SnapshotMeta {
     pub horizon_sectors: u32,
 }
 
-/// A decoded site snapshot: the warm state of one `pv_server` cache entry.
+/// A decoded site snapshot: the extraction artifacts of one `pv_server`
+/// cache entry.
 #[derive(Debug)]
 pub struct SiteSnapshot {
     /// Snapshot identity (cache-key material).
@@ -70,23 +76,13 @@ pub struct SiteSnapshot {
     pub dataset: SolarDataset,
     /// The suitability map computed from `dataset`.
     pub map: SuitabilityMap,
-    /// Byte budget of the memo the entries were exported from.
-    pub memo_budget: usize,
-    /// Memoized `(anchor, trace)` pairs, in export order.
-    pub memo_entries: Vec<(CellCoord, Arc<[f64]>)>,
 }
 
 impl SiteSnapshot {
     /// Encodes this snapshot to its canonical byte form.
     #[must_use]
     pub fn encode(&self) -> Vec<u8> {
-        encode_snapshot(
-            &self.meta,
-            &self.dataset,
-            &self.map,
-            self.memo_budget,
-            &self.memo_entries,
-        )
+        encode_site(&self.meta, &self.dataset, &self.map)
     }
 
     /// Decodes a snapshot from bytes. Total: see the module docs.
@@ -100,46 +96,19 @@ impl SiteSnapshot {
     }
 }
 
-/// Encodes the warm state of one site into the canonical snapshot bytes.
-///
-/// The memo is passed as exported entries (see
-/// [`TraceMemo::export_anchors`]) so callers can snapshot a live memo
-/// without holding its lock across the encode.
+/// Encodes one site's extraction artifacts into the canonical snapshot
+/// bytes.
 #[must_use]
-pub fn encode_snapshot(
-    meta: &SnapshotMeta,
-    dataset: &SolarDataset,
-    map: &SuitabilityMap,
-    memo_budget: usize,
-    memo_entries: &[(CellCoord, Arc<[f64]>)],
-) -> Vec<u8> {
+pub fn encode_site(meta: &SnapshotMeta, dataset: &SolarDataset, map: &SuitabilityMap) -> Vec<u8> {
     let mut out = Vec::with_capacity(1024);
     out.extend_from_slice(&MAGIC);
     put_u32(&mut out, FORMAT_VERSION);
     push_section(&mut out, TAG_META, &encode_meta(meta));
     push_section(&mut out, TAG_DATA, &encode_data(dataset));
     push_section(&mut out, TAG_SMAP, &encode_smap(map));
-    push_section(&mut out, TAG_MEMO, &encode_memo(memo_budget, memo_entries));
     let trailer = crc32(&out);
     put_u32(&mut out, trailer);
     out
-}
-
-/// Convenience: encode directly from a live [`TraceMemo`].
-#[must_use]
-pub fn encode_site(
-    meta: &SnapshotMeta,
-    dataset: &SolarDataset,
-    map: &SuitabilityMap,
-    memo: &TraceMemo,
-) -> Vec<u8> {
-    encode_snapshot(
-        meta,
-        dataset,
-        map,
-        memo.byte_budget(),
-        &memo.export_anchors(),
-    )
 }
 
 fn push_section(out: &mut Vec<u8>, tag: [u8; 4], payload: &[u8]) {
@@ -232,21 +201,6 @@ fn encode_smap(map: &SuitabilityMap) -> Vec<u8> {
     p
 }
 
-fn encode_memo(budget: usize, entries: &[(CellCoord, Arc<[f64]>)]) -> Vec<u8> {
-    let mut p = Vec::new();
-    put_u64(&mut p, budget as u64);
-    put_u64(&mut p, entries.len() as u64);
-    for (anchor, trace) in entries {
-        put_u64(&mut p, anchor.x as u64);
-        put_u64(&mut p, anchor.y as u64);
-        put_u64(&mut p, trace.len() as u64);
-        for &v in trace.iter() {
-            put_f64(&mut p, v);
-        }
-    }
-    p
-}
-
 fn decode_snapshot(bytes: &[u8]) -> Result<SiteSnapshot, StoreError> {
     let mut r = Reader::new(bytes);
     let magic = r.take(MAGIC.len(), "magic")?;
@@ -263,7 +217,6 @@ fn decode_snapshot(bytes: &[u8]) -> Result<SiteSnapshot, StoreError> {
     let meta_payload = read_section(&mut r, TAG_META)?;
     let data_payload = read_section(&mut r, TAG_DATA)?;
     let smap_payload = read_section(&mut r, TAG_SMAP)?;
-    let memo_payload = read_section(&mut r, TAG_MEMO)?;
     let stored_trailer = r.u32("trailer checksum")?;
     r.expect_end("trailer")?;
     let body = bytes
@@ -277,14 +230,7 @@ fn decode_snapshot(bytes: &[u8]) -> Result<SiteSnapshot, StoreError> {
     let clock = clock_of(&meta)?;
     let (dataset, dims) = decode_data(data_payload, clock)?;
     let map = decode_smap(smap_payload, dims)?;
-    let (memo_budget, memo_entries) = decode_memo(memo_payload, dims)?;
-    Ok(SiteSnapshot {
-        meta,
-        dataset,
-        map,
-        memo_budget,
-        memo_entries,
-    })
+    Ok(SiteSnapshot { meta, dataset, map })
 }
 
 fn read_section<'a>(r: &mut Reader<'a>, tag: [u8; 4]) -> Result<&'a [u8], StoreError> {
@@ -316,8 +262,7 @@ fn section_name(tag: [u8; 4]) -> &'static str {
     match tag {
         TAG_META => "META",
         TAG_DATA => "DATA",
-        TAG_SMAP => "SMAP",
-        _ => "MEMO",
+        _ => "SMAP",
     }
 }
 
@@ -510,40 +455,6 @@ fn decode_smap(payload: &[u8], data_dims: GridDims) -> Result<SuitabilityMap, St
     .map_err(|e| StoreError::Corrupt(format!("inconsistent suitability parts: {e}")))
 }
 
-#[allow(clippy::type_complexity)]
-fn decode_memo(
-    payload: &[u8],
-    dims: GridDims,
-) -> Result<(usize, Vec<(CellCoord, Arc<[f64]>)>), StoreError> {
-    let mut r = Reader::new(payload);
-    let budget = r.u64("memo byte budget")?;
-    let budget = usize::try_from(budget)
-        .map_err(|_| StoreError::Corrupt("memo byte budget overflows usize".into()))?;
-    // Each entry is at least 24 bytes (anchor + trace length), which bounds
-    // the up-front allocation by the actual payload size.
-    let count = r.count(24, "memo entries")?;
-    let mut entries = Vec::with_capacity(count);
-    for _ in 0..count {
-        let x = r.u64("anchor x")?;
-        let y = r.u64("anchor y")?;
-        let (Ok(x), Ok(y)) = (usize::try_from(x), usize::try_from(y)) else {
-            return Err(StoreError::Corrupt("memo anchor overflows usize".into()));
-        };
-        if x >= dims.width() || y >= dims.height() {
-            return Err(StoreError::Corrupt(format!(
-                "memo anchor ({x}, {y}) outside the {}x{} grid",
-                dims.width(),
-                dims.height()
-            )));
-        }
-        let len = r.count(8, "memo trace")?;
-        let trace = r.f64_vec(len, "memo trace")?;
-        entries.push((CellCoord::new(x, y), Arc::from(trace)));
-    }
-    r.expect_end("MEMO section")?;
-    Ok((budget, entries))
-}
-
 /// Shared fixture for this crate's unit tests: a tiny hand-built snapshot
 /// (mirrors `pv_gis::dataset` test data).
 #[cfg(test)]
@@ -589,11 +500,6 @@ pub(crate) mod tests_support {
             },
             dataset,
             map,
-            memo_budget: 1 << 20,
-            memo_entries: vec![
-                (CellCoord::new(0, 0), Arc::from(vec![1.0, 2.0, 3.0])),
-                (CellCoord::new(1, 1), Arc::from(vec![4.0, 5.0])),
-            ],
         }
     }
 }
@@ -609,8 +515,6 @@ mod tests {
         let bytes = snap.encode();
         let back = SiteSnapshot::decode(&bytes).unwrap();
         assert_eq!(back.meta, snap.meta);
-        assert_eq!(back.memo_budget, snap.memo_budget);
-        assert_eq!(back.memo_entries.len(), 2);
         // The canonical re-encode reproduces the input bytes exactly.
         assert_eq!(back.encode(), bytes);
         // And the decoded artifacts answer queries identically (NaN cells
@@ -644,19 +548,19 @@ mod tests {
 
     #[test]
     fn unknown_version_is_version_skew() {
-        let mut bytes = sample().encode();
-        bytes[8..12].copy_from_slice(&99u32.to_le_bytes());
-        let err = SiteSnapshot::decode(&bytes).unwrap_err();
-        assert!(
-            matches!(
-                err,
-                StoreError::VersionSkew {
-                    found: 99,
-                    supported: FORMAT_VERSION
-                }
-            ),
-            "{err}"
-        );
+        // Version 1 (the layout with a MEMO section) included.
+        for version in [1u32, 99] {
+            let mut bytes = sample().encode();
+            bytes[8..12].copy_from_slice(&version.to_le_bytes());
+            let err = SiteSnapshot::decode(&bytes).unwrap_err();
+            assert!(
+                matches!(
+                    err,
+                    StoreError::VersionSkew { found, supported: FORMAT_VERSION } if found == version
+                ),
+                "{err}"
+            );
+        }
     }
 
     #[test]

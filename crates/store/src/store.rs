@@ -14,7 +14,7 @@
 
 use crate::snapshot::{encode_site, SiteSnapshot, SnapshotMeta};
 use crate::StoreError;
-use pv_floorplan::{SuitabilityMap, TraceMemo};
+use pv_floorplan::SuitabilityMap;
 use pv_gis::SolarDataset;
 use pv_runtime::{Runtime, WorkerPool};
 use std::fs;
@@ -183,9 +183,8 @@ impl SiteStore {
         meta: &SnapshotMeta,
         dataset: &SolarDataset,
         map: &SuitabilityMap,
-        memo: &TraceMemo,
     ) -> Result<(), StoreError> {
-        let bytes = encode_site(meta, dataset, map, memo);
+        let bytes = encode_site(meta, dataset, map);
         let result = write_atomic(&self.dir, key, &bytes);
         match &result {
             Ok(()) => self.counters.writes.fetch_add(1, Ordering::Relaxed),
@@ -205,7 +204,6 @@ impl SiteStore {
         meta: SnapshotMeta,
         dataset: Arc<SolarDataset>,
         map: Arc<SuitabilityMap>,
-        memo: Arc<TraceMemo>,
     ) -> bool {
         if self.contains(key) {
             return false;
@@ -220,12 +218,12 @@ impl SiteStore {
         };
         pool.submit(move || {
             // Re-check at run time: a synchronous `save` (pre-warming) may
-            // have committed a fresher snapshot while this job sat queued;
-            // never clobber a committed file with staler data.
+            // have committed this site while the job sat queued; its bytes
+            // are the same, so skip the second write.
             if dir.join(format!("{key:016x}.{SNAPSHOT_EXT}")).is_file() {
                 return;
             }
-            let bytes = encode_site(&meta, &dataset, &map, &memo);
+            let bytes = encode_site(&meta, &dataset, &map);
             match write_atomic(&dir, key, &bytes) {
                 Ok(()) => counters.writes.fetch_add(1, Ordering::Relaxed),
                 Err(_) => counters.write_errors.fetch_add(1, Ordering::Relaxed),
@@ -348,12 +346,8 @@ mod tests {
         // per-worker `--store-dir` relies on.
         let shard0 = SiteStore::open_shard(&root, 0).unwrap();
         let snap = sample_snapshot();
-        let memo = TraceMemo::with_byte_budget(snap.memo_budget);
-        for (anchor, trace) in &snap.memo_entries {
-            memo.seed(*anchor, Arc::clone(trace));
-        }
         shard0
-            .save(0xabc, &snap.meta, &snap.dataset, &snap.map, &memo)
+            .save(0xabc, &snap.meta, &snap.dataset, &snap.map)
             .unwrap();
 
         let rehydrated = SiteStore::open_shard(&root, 0).unwrap().hydrate().unwrap();
@@ -371,12 +365,8 @@ mod tests {
         let dir = scratch_dir("roundtrip");
         let store = SiteStore::open(&dir).unwrap();
         let snap = sample_snapshot();
-        let memo = TraceMemo::with_byte_budget(snap.memo_budget);
-        for (anchor, trace) in &snap.memo_entries {
-            memo.seed(*anchor, Arc::clone(trace));
-        }
         store
-            .save(0xfeed, &snap.meta, &snap.dataset, &snap.map, &memo)
+            .save(0xfeed, &snap.meta, &snap.dataset, &snap.map)
             .unwrap();
         assert!(store.contains(0xfeed));
         assert_eq!(store.counters().writes(), 1);
@@ -393,13 +383,8 @@ mod tests {
         let dir = scratch_dir("quarantine");
         let store = SiteStore::open(&dir).unwrap();
         let snap = sample_snapshot();
-        let memo = TraceMemo::new();
-        store
-            .save(1, &snap.meta, &snap.dataset, &snap.map, &memo)
-            .unwrap();
-        store
-            .save(2, &snap.meta, &snap.dataset, &snap.map, &memo)
-            .unwrap();
+        store.save(1, &snap.meta, &snap.dataset, &snap.map).unwrap();
+        store.save(2, &snap.meta, &snap.dataset, &snap.map).unwrap();
         // Flip one byte in the middle of snapshot 1.
         let victim = store.path_for(1);
         let mut bytes = fs::read(&victim).unwrap();
@@ -441,26 +426,13 @@ mod tests {
         let snap = sample_snapshot();
         let dataset = Arc::new(snap.dataset);
         let map = Arc::new(snap.map);
-        let memo = Arc::new(TraceMemo::new());
-        assert!(store.save_behind(
-            7,
-            snap.meta.clone(),
-            Arc::clone(&dataset),
-            Arc::clone(&map),
-            Arc::clone(&memo)
-        ));
+        assert!(store.save_behind(7, snap.meta.clone(), Arc::clone(&dataset), Arc::clone(&map)));
         store.drain();
         assert!(store.contains(7));
         assert_eq!(store.counters().writes(), 1);
         // Already present → refused. Drained → refused.
-        assert!(!store.save_behind(
-            7,
-            snap.meta.clone(),
-            Arc::clone(&dataset),
-            Arc::clone(&map),
-            Arc::clone(&memo)
-        ));
-        assert!(!store.save_behind(8, snap.meta, dataset, map, memo));
+        assert!(!store.save_behind(7, snap.meta.clone(), Arc::clone(&dataset), Arc::clone(&map)));
+        assert!(!store.save_behind(8, snap.meta, dataset, map));
         let _ = fs::remove_dir_all(&dir);
     }
 }

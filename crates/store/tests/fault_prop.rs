@@ -1,21 +1,21 @@
 //! Fault-injection proptests: the robustness case for the snapshot format.
 //!
-//! Against a *real* snapshot (full extraction pipeline, warmed memo), every
+//! Against a *real* snapshot (full extraction pipeline), every
 //! seeded truncation / bit-flip / version-skew mutation must uphold the
 //! dichotomy: decode round-trips bit-identically (only possible when the
 //! mutation was an identity), or returns a structured error — never a
 //! panic, never wrong data.
 
 use proptest::prelude::*;
-use pv_floorplan::{greedy_placement, EnergyEvaluator, FloorplanConfig, SuitabilityMap, TraceMemo};
+use pv_floorplan::{FloorplanConfig, SuitabilityMap};
 use pv_gis::synth::ScenarioSpec;
 use pv_model::Topology;
 use pv_store::fault::{apply, write_torn_tmp, Fault, FaultGen};
 use pv_store::{SiteSnapshot, SiteStore, SnapshotMeta, StoreError, FORMAT_VERSION};
-use std::sync::{Arc, OnceLock};
+use std::sync::OnceLock;
 
 /// One real snapshot, built once: synthetic scenario 0 extracted at smoke
-/// scale, suitability computed, memo warmed by a greedy evaluation.
+/// scale, suitability computed.
 fn base_bytes() -> &'static [u8] {
     static BYTES: OnceLock<Vec<u8>> = OnceLock::new();
     BYTES.get_or_init(|| {
@@ -28,16 +28,6 @@ fn base_bytes() -> &'static [u8] {
             .extract(&scenario.dsm);
         let config = FloorplanConfig::paper(Topology::new(2, 1).unwrap()).unwrap();
         let map = SuitabilityMap::compute(&dataset, &config);
-        let memo = TraceMemo::with_byte_budget(1 << 20);
-        let plan = greedy_placement(&dataset, &config).unwrap();
-        let _ = EnergyEvaluator::new(&config)
-            .context_with_memo(&dataset, &plan, &memo)
-            .unwrap()
-            .evaluate();
-        assert!(
-            !memo.is_empty(),
-            "memo must be warm for a realistic MEMO section"
-        );
         let snapshot = SiteSnapshot {
             meta: SnapshotMeta {
                 spec: spec.to_spec_string(),
@@ -47,8 +37,6 @@ fn base_bytes() -> &'static [u8] {
             },
             dataset,
             map,
-            memo_budget: memo.byte_budget(),
-            memo_entries: memo.export_anchors(),
         };
         snapshot.encode()
     })
@@ -173,12 +161,5 @@ fn torn_writes_are_invisible_or_quarantined() {
         .filter_map(Result::ok)
         .any(|e| e.file_name().to_string_lossy().ends_with(".quarantined")));
 
-    // Seeding a memo from the surviving snapshot behaves like a warm one.
-    let snap = hydrated.into_iter().next().unwrap();
-    let memo = TraceMemo::with_byte_budget(snap.memo_budget);
-    for (anchor, trace) in &snap.memo_entries {
-        memo.seed(*anchor, Arc::clone(trace));
-    }
-    assert_eq!(memo.len(), snap.memo_entries.len());
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -43,8 +43,8 @@
 //!
 //! `pvplan extract` pre-warms a snapshot store offline: it solves the
 //! first `--sites` corpus scenarios at the serving clock and commits each
-//! site's extraction (dataset, suitability map, warm trace memo) as a
-//! crash-safe snapshot a later `serve --store-dir` can hydrate.
+//! site's extraction (dataset and suitability map) as a crash-safe
+//! snapshot a later `serve --store-dir` can hydrate.
 //!
 //! `--threads N` (or the `PV_THREADS` environment variable) sets the
 //! worker count for solar extraction and energy evaluation; the default is
