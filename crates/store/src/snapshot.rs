@@ -23,11 +23,9 @@
 //! interpreted).
 //!
 //! A snapshot holds only what extraction made, so its bytes are a pure
-//! function of (spec, clock, horizon). Version 1 also carried a MEMO
-//! section of per-anchor evaluator traces: derived data that the first
-//! request on a site rebuilds, and whose bytes depended on how far a
-//! concurrent solve had got when the file was encoded. A v1 file now
-//! decodes to [`StoreError::VersionSkew`] and is quarantined on hydrate.
+//! function of (spec, clock, horizon). The evaluator's per-anchor traces
+//! are derived data that the first request on a site rebuilds; they are
+//! not stored.
 
 use crate::wire::{crc32, put_f32, put_f64, put_u32, put_u64, Reader};
 use crate::StoreError;
