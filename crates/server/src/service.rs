@@ -1054,6 +1054,18 @@ mod tests {
         dir
     }
 
+    /// The committed `*.pvsnap` files of a store directory, sorted by name.
+    fn pvsnap_files(dir: &std::path::Path) -> Vec<std::path::PathBuf> {
+        let mut files: Vec<_> = std::fs::read_dir(dir)
+            .unwrap()
+            .filter_map(Result::ok)
+            .map(|e| e.path())
+            .filter(|p| p.extension().is_some_and(|e| e == "pvsnap"))
+            .collect();
+        files.sort();
+        files
+    }
+
     #[test]
     fn store_round_trip_hydrates_and_serves_identical_bytes() {
         let dir = store_scratch("roundtrip");
@@ -1162,12 +1174,7 @@ mod tests {
         drop(warm);
 
         // Flip one byte in the committed snapshot.
-        let victim = std::fs::read_dir(&dir)
-            .unwrap()
-            .filter_map(Result::ok)
-            .map(|e| e.path())
-            .find(|p| p.extension().is_some_and(|e| e == "pvsnap"))
-            .unwrap();
+        let victim = pvsnap_files(&dir).remove(0);
         let mut bytes = std::fs::read(&victim).unwrap();
         let mid = bytes.len() / 2;
         bytes[mid] ^= 0x40;
@@ -1182,24 +1189,6 @@ mod tests {
         assert!(!hit, "a quarantined snapshot means a cold miss");
         assert_eq!(response, baseline, "fallback must be bit-identical");
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    /// The committed `*.pvsnap` files of a store directory, sorted by name.
-    fn pvsnap_files(dir: &std::path::Path) -> Vec<std::path::PathBuf> {
-        let mut files: Vec<_> = std::fs::read_dir(dir)
-            .unwrap()
-            .filter_map(Result::ok)
-            .map(|e| e.path())
-            .filter(|p| p.extension().is_some_and(|e| e == "pvsnap"))
-            .collect();
-        files.sort();
-        files
-    }
-
-    fn cache_bytes(service: &PlacementService) -> f64 {
-        let (_, stats) = service.handle("GET", "/v1/stats", b"", &depth(0));
-        let stats = pv_json::parse(&stats).unwrap();
-        stats.get("cache_bytes").unwrap().as_number().unwrap()
     }
 
     #[test]
@@ -1219,7 +1208,10 @@ mod tests {
         let restarted = PlacementService::new(ServiceConfig::tiny())
             .with_store(Arc::new(SiteStore::open(&dir).unwrap()));
         assert_eq!(restarted.hydrate_store().unwrap(), 1);
-        assert_eq!(cache_bytes(&restarted), cache_bytes(&cold));
+        assert_eq!(
+            restarted.snapshot(0).cache_bytes,
+            cold.snapshot(0).cache_bytes
+        );
         let (response, hit) = restarted.place(&body).unwrap();
         assert!(hit);
         assert_eq!(response, baseline, "store must never change response bytes");
