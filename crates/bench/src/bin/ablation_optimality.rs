@@ -9,7 +9,9 @@
 //! Usage: `cargo run -p pv_bench --bin ablation_optimality --release [--threads N]`
 
 use pv_bench::parse_harness_args;
-use pv_floorplan::{FloorplanConfig, Placer, PlacerOptions, SuitabilityMap, TraceMemo};
+use pv_floorplan::{
+    greedy_placement_with_map, FloorplanConfig, Placer, PlacerOptions, SuitabilityMap, TraceMemo,
+};
 use pv_gis::{Obstacle, RoofBuilder, Site, SolarDataset, SolarExtractor};
 use pv_model::Topology;
 use pv_runtime::Runtime;
@@ -27,8 +29,8 @@ fn main() {
     anneal_study(runtime);
 }
 
-/// Yearly Wh of each of `placers` on `data`, sharing one suitability map
-/// and one trace memo.
+/// Yearly Wh of each of `placers` on `data`, sharing one greedy plan (the
+/// greedy answer and the anneal start) and one trace memo.
 fn energies<const K: usize>(
     data: &SolarDataset,
     config: &FloorplanConfig,
@@ -37,10 +39,11 @@ fn energies<const K: usize>(
     runtime: Runtime,
 ) -> [f64; K] {
     let map = SuitabilityMap::paper(data, runtime);
+    let greedy = greedy_placement_with_map(data, config, &map);
     let memo = TraceMemo::new();
     placers.map(|placer| {
         let (_, report) = placer
-            .place_with_memo(data, config, &map, options, runtime, &memo)
+            .place_with_memo(data, config, || greedy.clone(), options, runtime, &memo)
             .unwrap_or_else(|e| panic!("{placer}: {e}"));
         report.energy.as_wh()
     })

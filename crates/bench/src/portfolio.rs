@@ -2,16 +2,19 @@
 //! runtime and score every site with the full placer ensemble.
 //!
 //! Each scenario is one *work unit* on the same site-solve path the
-//! placement service takes: extract its solar dataset, compute the
-//! topology-free [`SuitabilityMap::paper`], pick the first
+//! placement service takes, under the same [`ServiceConfig`] settings
+//! (clock, horizon sectors, module cap, anneal iterations, exact budget):
+//! extract its solar dataset, compute the topology-free
+//! [`SuitabilityMap::paper`], pick the first
 //! [`TOPOLOGY_LADDER`](pv_floorplan::TOPOLOGY_LADDER) entry within
-//! [`PortfolioOptions::max_modules`] whose greedy placement fits
+//! [`ServiceConfig::max_modules`] whose greedy placement fits
 //! ([`fit_topology`]), then score the site with every [`Placer`] in
-//! [`Placer::all`] order: greedy, simulated annealing from the greedy
-//! start, and — where the search space is small enough — the exhaustive
-//! optimum. All placer runs on a site share one warm per-anchor
-//! [`TraceMemo`], so the annealer and the exact search start from the
-//! traces the greedy evaluation already paid for.
+//! [`Placer::all`] order: the fit's greedy plan (greedy is placed once,
+//! inside the fit), simulated annealing from that plan, and — where the
+//! search space is small enough — the exhaustive optimum. All placer runs
+//! on a site share one warm per-anchor [`TraceMemo`], so the annealer and
+//! the exact search start from the traces the greedy evaluation already
+//! paid for.
 //!
 //! # Work distribution and determinism
 //!
@@ -33,61 +36,10 @@ use crate::json;
 use pv_floorplan::{fit_topology, Placer, PlacerOptions, SuitabilityMap, TraceMemo};
 use pv_gis::{CorpusPreset, ScenarioCorpus, SiteScenario};
 use pv_runtime::Runtime;
+use pv_server::ServiceConfig;
 use pv_units::SimulationClock;
 use std::path::PathBuf;
 use std::time::Instant;
-
-/// Tuning knobs of a portfolio run.
-#[derive(Clone, Copy, Debug)]
-pub struct PortfolioOptions {
-    /// Simulation clock every scenario is extracted on.
-    pub clock: SimulationClock,
-    /// Worker pool the corpus is fanned over.
-    pub runtime: Runtime,
-    /// Proposals per annealing chain.
-    pub anneal_iterations: u32,
-    /// Node budget for the exhaustive search; instances whose
-    /// combination count exceeds it record no exact result.
-    pub exact_budget: u64,
-    /// Horizon azimuth sectors for extraction (trade precision for
-    /// speed at smoke scale).
-    pub horizon_sectors: usize,
-    /// Upper bound on modules per scenario (caps
-    /// [`TOPOLOGY_LADDER`](pv_floorplan::TOPOLOGY_LADDER)).
-    pub max_modules: usize,
-}
-
-impl PortfolioOptions {
-    /// Full-fidelity settings on the given worker pool: 30-day hourly
-    /// clock, 64 horizon sectors, 300-proposal chains, paper-scale
-    /// topologies.
-    #[must_use]
-    pub fn standard(runtime: Runtime) -> Self {
-        Self {
-            clock: SimulationClock::days_at_minutes(30, 60),
-            runtime,
-            anneal_iterations: 300,
-            exact_budget: 20_000,
-            horizon_sectors: 64,
-            max_modules: 16,
-        }
-    }
-
-    /// CI-smoke settings: 2-day 2-hour clock, coarse horizon, short
-    /// chains, small topologies. Deterministic like every other setting —
-    /// just cheap.
-    #[must_use]
-    pub fn smoke(runtime: Runtime) -> Self {
-        Self {
-            clock: SimulationClock::days_at_minutes(2, 120),
-            runtime,
-            anneal_iterations: 40,
-            exact_budget: 2_000,
-            horizon_sectors: 16,
-            max_modules: 8,
-        }
-    }
-}
 
 /// One scenario's portfolio result — the unit of `BENCH_portfolio.json`.
 #[derive(Clone, Debug, PartialEq)]
@@ -162,29 +114,36 @@ impl PortfolioRecord {
 }
 
 /// Runs the full portfolio: every corpus scenario through extraction,
-/// greedy, anneal and (where feasible) exact, one scenario per work unit
-/// on `opts.runtime` (see the module docs for the distribution scheme).
+/// greedy, anneal and (where feasible) exact under `config`, one scenario
+/// per work unit on `runtime` (see the module docs for the distribution
+/// scheme). The cache budget of `config` plays no part.
 ///
 /// Records are returned in corpus order regardless of thread count.
 #[must_use]
-pub fn run_portfolio(corpus: &ScenarioCorpus, opts: &PortfolioOptions) -> Vec<PortfolioRecord> {
-    opts.runtime
+pub fn run_portfolio(
+    corpus: &ScenarioCorpus,
+    config: &ServiceConfig,
+    runtime: Runtime,
+) -> Vec<PortfolioRecord> {
+    runtime
         .map_chunks(corpus.len(), 1, |range| {
             range
-                .map(|i| run_scenario(&corpus.scenarios()[i], opts))
+                .map(|i| run_scenario(&corpus.scenarios()[i], config))
                 .collect::<Vec<_>>()
         })
         .concat()
 }
 
-/// Scores one scenario (one portfolio work unit), sequential inside.
+/// Scores one scenario (one portfolio work unit) under `config`,
+/// sequential inside.
 #[must_use]
-pub fn run_scenario(scenario: &SiteScenario, opts: &PortfolioOptions) -> PortfolioRecord {
+pub fn run_scenario(scenario: &SiteScenario, config: &ServiceConfig) -> PortfolioRecord {
     let t0 = Instant::now();
     let sequential = Runtime::sequential();
+    let clock = SimulationClock::days_at_minutes(config.days, config.step_minutes);
     let dataset = scenario
-        .extractor(opts.clock)
-        .horizon_sectors(opts.horizon_sectors)
+        .extractor(clock)
+        .horizon_sectors(config.horizon_sectors)
         .runtime(sequential)
         .extract(&scenario.dsm);
 
@@ -213,21 +172,22 @@ pub fn run_scenario(scenario: &SiteScenario, opts: &PortfolioOptions) -> Portfol
     // One map serves every ladder entry. A roof too encumbered for even
     // one module keeps a zero record.
     let map = SuitabilityMap::paper(&dataset, sequential);
-    if let Some(config) = fit_topology(&dataset, &map, opts.max_modules) {
-        record.series = config.topology().series();
-        record.strings = config.topology().strings();
+    if let Some((fitted, plan)) = fit_topology(&dataset, &map, config.max_modules) {
+        record.series = fitted.topology().series();
+        record.strings = fitted.topology().strings();
         // One warm per-anchor memo for every placer run on this site: the
         // greedy evaluation seeds it, the annealing chain and the exact
         // search reuse and extend it.
         let memo = TraceMemo::new();
         let options = PlacerOptions {
-            anneal_iterations: opts.anneal_iterations,
+            anneal_iterations: config.anneal_iterations,
             seed,
-            exact_budget: opts.exact_budget,
+            exact_budget: config.exact_budget,
         };
+        let greedy = || Ok(plan.clone());
         let [greedy_wh, anneal_wh, exact_wh] = Placer::all().map(|placer| {
             placer
-                .place_with_memo(&dataset, &config, &map, &options, sequential, &memo)
+                .place_with_memo(&dataset, &fitted, greedy, &options, sequential, &memo)
                 .ok()
                 .map(|(_, report)| report.energy.as_wh())
         });
@@ -294,9 +254,9 @@ pub fn render_portfolio_json(
 }
 
 /// The front-end driver behind `pvplan suite`: builds the preset corpus,
-/// runs the portfolio, prints the summary table, and writes the artifact
-/// — to `out` when given, otherwise to [`PORTFOLIO_JSON`]. Returns the
-/// written path.
+/// runs the portfolio under `config` on `runtime`, prints the summary
+/// table, and writes the artifact — to `out` when given, otherwise to
+/// [`PORTFOLIO_JSON`]. Returns the written path.
 ///
 /// # Errors
 ///
@@ -304,19 +264,20 @@ pub fn render_portfolio_json(
 pub fn drive(
     preset: CorpusPreset,
     seed: u64,
-    opts: &PortfolioOptions,
+    config: &ServiceConfig,
+    runtime: Runtime,
     out: Option<&str>,
 ) -> std::io::Result<PathBuf> {
+    let steps = SimulationClock::days_at_minutes(config.days, config.step_minutes).num_steps();
     // pvlint: allow(R03): progress narration for the interactive harness; the artifact itself goes to the JSON file
     eprintln!(
-        "portfolio: preset {preset} (seed {seed}), {} scenario(s), {} steps, {} thread(s)...",
+        "portfolio: preset {preset} (seed {seed}), {} scenario(s), {steps} steps, {} thread(s)...",
         preset.scenario_count(),
-        opts.clock.num_steps(),
-        opts.runtime.threads()
+        runtime.threads()
     );
     let t0 = Instant::now();
     let corpus = ScenarioCorpus::preset_with_seed(preset, seed);
-    let records = run_portfolio(&corpus, opts);
+    let records = run_portfolio(&corpus, config, runtime);
     print!("{}", format_table(&records));
     let total: f64 = records.iter().map(|r| r.greedy_wh).sum();
     // pvlint: allow(R02): drive() is the body of `pvplan suite`; stdout is its user interface
@@ -327,12 +288,7 @@ pub fn drive(
         t0.elapsed().as_secs_f64()
     );
 
-    let scale = format!(
-        "{} preset, {} steps, seed {}",
-        preset,
-        opts.clock.num_steps(),
-        seed
-    );
+    let scale = format!("{preset} preset, {steps} steps, seed {seed}");
     let path = PathBuf::from(out.unwrap_or(PORTFOLIO_JSON));
     std::fs::write(
         &path,
@@ -372,21 +328,18 @@ mod tests {
     use super::*;
     use pv_gis::synth::ScenarioSpec;
 
-    fn tiny_options(threads: usize) -> PortfolioOptions {
-        PortfolioOptions {
-            clock: SimulationClock::days_at_minutes(1, 240),
-            runtime: Runtime::with_threads(threads),
-            anneal_iterations: 6,
+    /// The tiny service settings with a smaller exact budget.
+    fn tiny_config() -> ServiceConfig {
+        ServiceConfig {
             exact_budget: 200,
-            horizon_sectors: 8,
-            max_modules: 4,
+            ..ServiceConfig::tiny()
         }
     }
 
     #[test]
     fn single_scenario_scores_positive_energy() {
         let scenario = ScenarioSpec::generate(2018, 1).build();
-        let record = run_scenario(&scenario, &tiny_options(1));
+        let record = run_scenario(&scenario, &tiny_config());
         assert!(record.ng > 0);
         assert!(record.series * record.strings > 0, "ladder found no fit");
         assert!(record.greedy_wh > 0.0);
@@ -397,8 +350,8 @@ mod tests {
     #[test]
     fn portfolio_records_keep_corpus_order_across_thread_counts() {
         let corpus = ScenarioCorpus::generate("t", 99, 3);
-        let seq = run_portfolio(&corpus, &tiny_options(1));
-        let par = run_portfolio(&corpus, &tiny_options(3));
+        let seq = run_portfolio(&corpus, &tiny_config(), Runtime::with_threads(1));
+        let par = run_portfolio(&corpus, &tiny_config(), Runtime::with_threads(3));
         assert_eq!(seq.len(), 3);
         let lines = |rs: &[PortfolioRecord]| {
             rs.iter()
@@ -424,10 +377,12 @@ mod tests {
             site: Site::turin(),
             weather: WeatherGenerator::new(7),
         };
-        let mut opts = tiny_options(1);
-        opts.max_modules = 2;
-        opts.exact_budget = 100_000;
-        let record = run_scenario(&scenario, &opts);
+        let config = ServiceConfig {
+            max_modules: 2,
+            exact_budget: 100_000,
+            ..tiny_config()
+        };
+        let record = run_scenario(&scenario, &config);
         assert_eq!((record.series, record.strings), (2, 1));
         let exact = record.exact_wh.expect("exhaustive search fits the budget");
         assert!(exact >= record.greedy_wh - 1e-9, "exact is an upper bound");
@@ -437,7 +392,7 @@ mod tests {
     #[test]
     fn rendered_json_parses_and_carries_the_shared_core() {
         let corpus = ScenarioCorpus::generate("t", 5, 1);
-        let records = run_portfolio(&corpus, &tiny_options(1));
+        let records = run_portfolio(&corpus, &tiny_config(), Runtime::with_threads(1));
         let doc = render_portfolio_json("t", "tiny", &records);
         let parsed = json::parse(&doc).expect("valid JSON");
         let items = parsed.as_array().unwrap();

@@ -63,8 +63,9 @@ pub fn greedy_placement(
 }
 
 /// Same as [`greedy_placement`] but reusing a precomputed suitability map
-/// (the expensive part) — exposed for ablations that sweep algorithm knobs
-/// over one dataset (C-INTERMEDIATE).
+/// (the expensive part, one per site). The production entry point:
+/// [`fit_topology`](crate::fit_topology), the placement service and every
+/// harness place greedy through it.
 ///
 /// # Errors
 ///

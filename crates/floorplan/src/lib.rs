@@ -10,6 +10,7 @@
 //! - [`greedy_placement`] — the paper's greedy algorithm (Fig. 5):
 //!   suitability-sorted candidates, series-first enumeration, distance
 //!   threshold, wiring tie-break, covered-cell removal;
+//!   [`greedy_placement_with_map`] runs it on a caller's map;
 //! - [`traditional_placement`] — the compact baseline of Sec. V: the best
 //!   contiguous block by the same suitability information;
 //! - [`EnergyEvaluator`] — yearly-energy evaluation of any placement with
@@ -20,6 +21,8 @@
 //!   runtime and [`TraceMemo`]; [`Placer::place_with_memo`] dispatches to
 //!   them by name, and [`PlacerOptions`] holds their knobs (anneal
 //!   iterations and seed, exact node budget) with the one set of defaults;
+//! - [`fit_topology`] — the first [`TOPOLOGY_LADDER`] entry whose greedy
+//!   placement fits a site, with that plan (greedy's answer, anneal's start);
 //! - [`render`] — ASCII / PGM rendering of suitability maps and placements
 //!   (Figs. 6-7).
 //!

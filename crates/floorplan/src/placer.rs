@@ -10,11 +10,15 @@
 //! the iterations and seed, and the exact arm passes its node budget to
 //! [`optimal_placement_with_memo`].
 //!
+//! Callers that do not pin a topology take it from [`fit_topology`], on
+//! one [`SuitabilityMap::paper`] per site, together with the greedy plan
+//! it fitted with: the greedy answer and the annealer's start, so the
+//! dispatch never places greedy itself and never sees the map.
+//!
 //! Every path is a pure function of its inputs (dataset, config, options,
 //! memo contents only affect *speed*, never values — the PR 3 bit-identity
 //! contract), so two identical requests produce identical results on any
-//! thread count. Callers that do not pin a topology take it from
-//! [`fit_topology`], on one [`SuitabilityMap::paper`] per site.
+//! thread count.
 
 use crate::anneal::anneal_with_memo;
 use crate::evaluate::{EnergyEvaluator, EnergyReport, TraceMemo};
@@ -34,19 +38,23 @@ pub const TOPOLOGY_LADDER: [(usize, usize); 6] = [(8, 2), (4, 2), (4, 1), (2, 2)
 
 /// The paper configuration of the first [`TOPOLOGY_LADDER`] entry with at
 /// most `max_modules` modules whose greedy placement fits `dataset`
-/// (ranked by `map`, a [`SuitabilityMap::paper`] of the same dataset), or
-/// `None` when not even one module fits.
+/// (ranked by `map`, a [`SuitabilityMap::paper`] of the same dataset),
+/// together with that greedy placement, or `None` when not even one
+/// module fits.
 #[must_use]
 pub fn fit_topology(
     dataset: &SolarDataset,
     map: &SuitabilityMap,
     max_modules: usize,
-) -> Option<FloorplanConfig> {
+) -> Option<(FloorplanConfig, FloorplanResult)> {
     TOPOLOGY_LADDER
         .iter()
         .filter(|(m, n)| m * n <= max_modules)
         .filter_map(|&(m, n)| FloorplanConfig::paper(Topology::new(m, n).ok()?).ok())
-        .find(|config| greedy_placement_with_map(dataset, config, map).is_ok())
+        .find_map(|config| {
+            let plan = greedy_placement_with_map(dataset, &config, map).ok()?;
+            Some((config, plan))
+        })
 }
 
 /// Which placement algorithm to run.
@@ -87,20 +95,21 @@ impl Placer {
     /// every evaluation (and with any previous run on the same site), and
     /// returns the placement with its evaluated [`EnergyReport`].
     ///
-    /// The suitability `map` must have been computed for a config with the
-    /// same module/percentile settings (it is topology-independent, so one
-    /// map per site serves every request).
+    /// `greedy` yields the greedy plan of (`dataset`, `config`), the one
+    /// [`fit_topology`] returned or [`greedy_placement_with_map`]'s: the
+    /// greedy answer and the anneal start. [`Placer::Exact`] never asks
+    /// for it, so it also searches topologies the greedy cannot fill.
     ///
     /// # Errors
     ///
     /// Propagates the underlying placer's error: not enough space for the
-    /// topology, or (for [`Placer::Exact`]) a search space exceeding
-    /// `options.exact_budget`.
+    /// topology (from `greedy` itself, or from the exact search), or (for
+    /// [`Placer::Exact`]) a search space exceeding `options.exact_budget`.
     pub fn place_with_memo(
         self,
         dataset: &SolarDataset,
         config: &FloorplanConfig,
-        map: &SuitabilityMap,
+        greedy: impl FnOnce() -> Result<FloorplanResult, FloorplanError>,
         options: &PlacerOptions,
         runtime: Runtime,
         memo: &TraceMemo,
@@ -111,12 +120,12 @@ impl Placer {
         };
         match self {
             Self::Greedy => {
-                let plan = greedy_placement_with_map(dataset, config, map)?;
+                let plan = greedy()?;
                 let report = report_of(&plan)?;
                 Ok((plan, report))
             }
             Self::Anneal => {
-                let start = greedy_placement_with_map(dataset, config, map)?;
+                let start = greedy()?;
                 let (plan, _) = anneal_with_memo(dataset, config, &start, options, runtime, memo)?;
                 let report = report_of(&plan)?;
                 Ok((plan, report))
@@ -192,7 +201,7 @@ mod tests {
         let dataset = tiny_site();
         let map = SuitabilityMap::paper(&dataset, Runtime::sequential());
         let fitted = |dataset: &SolarDataset, map: &SuitabilityMap, max_modules| {
-            fit_topology(dataset, map, max_modules).map(|config| {
+            fit_topology(dataset, map, max_modules).map(|(config, _)| {
                 let topology = config.topology();
                 (topology.series(), topology.strings())
             })
@@ -222,10 +231,34 @@ mod tests {
     }
 
     #[test]
+    fn fit_topology_returns_the_greedy_plan_of_its_config() {
+        let dataset = tiny_site();
+        let map = SuitabilityMap::paper(&dataset, Runtime::sequential());
+        for max_modules in 0..=16 {
+            let Some((config, plan)) = fit_topology(&dataset, &map, max_modules) else {
+                assert_eq!(max_modules, 0, "a one-module entry fits this roof");
+                continue;
+            };
+            let fresh = greedy_placement_with_map(&dataset, &config, &map).unwrap();
+            let anchors = |p: &FloorplanResult| -> Vec<_> {
+                p.placement.modules().iter().map(|m| m.anchor).collect()
+            };
+            assert_eq!(anchors(&plan), anchors(&fresh), "cap {max_modules}");
+            assert_eq!(plan.string_of, fresh.string_of, "cap {max_modules}");
+            assert_eq!(
+                plan.mean_anchor_score.to_bits(),
+                fresh.mean_anchor_score.to_bits(),
+                "cap {max_modules}"
+            );
+        }
+    }
+
+    #[test]
     fn all_three_placers_run_and_order_sanely() {
         let dataset = tiny_site();
         let config = FloorplanConfig::paper(Topology::new(2, 1).unwrap()).unwrap();
         let map = SuitabilityMap::compute(&dataset, &config);
+        let greedy = || greedy_placement_with_map(&dataset, &config, &map);
         let memo = TraceMemo::new();
         let options = PlacerOptions {
             anneal_iterations: 8,
@@ -235,7 +268,7 @@ mod tests {
         let runtime = Runtime::sequential();
         let energy = |p: Placer| {
             let (plan, report) = p
-                .place_with_memo(&dataset, &config, &map, &options, runtime, &memo)
+                .place_with_memo(&dataset, &config, greedy, &options, runtime, &memo)
                 .unwrap();
             assert_eq!(plan.placement.len(), 2);
             report.energy.as_wh()
@@ -253,6 +286,7 @@ mod tests {
         let dataset = tiny_site();
         let config = FloorplanConfig::paper(Topology::new(2, 1).unwrap()).unwrap();
         let map = SuitabilityMap::compute(&dataset, &config);
+        let greedy = || greedy_placement_with_map(&dataset, &config, &map);
         let options = PlacerOptions {
             anneal_iterations: 6,
             seed: 11,
@@ -261,21 +295,26 @@ mod tests {
         let runtime = Runtime::sequential();
         let cold_memo = TraceMemo::new();
         let (_, cold) = Placer::Anneal
-            .place_with_memo(&dataset, &config, &map, &options, runtime, &cold_memo)
+            .place_with_memo(&dataset, &config, greedy, &options, runtime, &cold_memo)
             .unwrap();
         let warm_memo = TraceMemo::new();
         // Warm the memo with a greedy run first, then repeat the request.
         Placer::Greedy
-            .place_with_memo(&dataset, &config, &map, &options, runtime, &warm_memo)
+            .place_with_memo(&dataset, &config, greedy, &options, runtime, &warm_memo)
             .unwrap();
         let (_, warm) = Placer::Anneal
-            .place_with_memo(&dataset, &config, &map, &options, runtime, &warm_memo)
+            .place_with_memo(&dataset, &config, greedy, &options, runtime, &warm_memo)
             .unwrap();
         assert_eq!(cold.energy.as_wh().to_bits(), warm.energy.as_wh().to_bits());
 
-        // An infeasible exact budget surfaces as an error, not a panic.
+        // An infeasible exact budget surfaces as an error, not a panic, and
+        // the exact search never asks for the greedy plan.
+        let no_greedy = || -> Result<FloorplanResult, FloorplanError> {
+            panic!("the exact search asked for the greedy plan")
+        };
         assert!(matches!(
-            Placer::Exact.place_with_memo(&dataset, &config, &map, &options, runtime, &warm_memo),
+            Placer::Exact
+                .place_with_memo(&dataset, &config, no_greedy, &options, runtime, &warm_memo),
             Err(FloorplanError::SearchSpaceTooLarge { .. })
         ));
     }

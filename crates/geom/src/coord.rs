@@ -12,7 +12,6 @@
 /// assert_eq!(dims.num_cells(), 14_637);
 /// ```
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct GridDims {
     width: usize,
     height: usize,
@@ -90,7 +89,6 @@ impl GridDims {
 
 /// A cell coordinate: column `x` (0 = west/left), row `y` (0 = top / ridge).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct CellCoord {
     /// Column index.
     pub x: usize,

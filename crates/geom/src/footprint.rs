@@ -5,7 +5,6 @@ use pv_units::Meters;
 
 /// Orientation of a module on the roof plane.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Orientation {
     /// Long side horizontal (the paper's default: 160 cm wide × 80 cm tall).
     #[default]
@@ -31,7 +30,6 @@ pub enum Orientation {
 /// # Ok::<(), pv_geom::GeomError>(())
 /// ```
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Footprint {
     k1: usize,
     k2: usize,

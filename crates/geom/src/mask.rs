@@ -16,7 +16,6 @@ use crate::coord::{CellCoord, GridDims};
 /// assert!(mask.is_set(CellCoord::new(3, 3)));
 /// ```
 #[derive(Clone, Debug, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct CellMask {
     dims: GridDims,
     words: Vec<u64>,

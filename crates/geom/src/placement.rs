@@ -12,7 +12,6 @@ use crate::mask::CellMask;
 /// electrical roles (which series string a module belongs to) are assigned by
 /// the floorplanning layer, not here.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct PlacedModule {
     /// Top-left cell of the covered rectangle.
     pub anchor: CellCoord,
@@ -37,7 +36,6 @@ pub struct PlacedModule {
 /// # Ok::<(), pv_geom::GeomError>(())
 /// ```
 #[derive(Clone, Debug, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Placement {
     dims: GridDims,
     footprint: Footprint,

@@ -14,7 +14,6 @@ use pv_units::{Celsius, Irradiance, Minutes, SimulationClock};
 
 /// Shared (cell-independent) conditions of one time step.
 #[derive(Clone, Copy, Debug, PartialEq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct StepConditions {
     /// Weather-attenuated beam (direct) normal irradiance.
     pub beam_normal: Irradiance,
@@ -59,7 +58,6 @@ pub struct StepConditions {
 /// assert_eq!(data.irradiance(cell, 0).as_w_per_m2(), 0.0); // midnight
 /// ```
 #[derive(Clone, Debug)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct SolarDataset {
     clock: SimulationClock,
     dims: GridDims,

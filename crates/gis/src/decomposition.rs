@@ -12,7 +12,6 @@ use pv_units::{Degrees, Irradiance};
 
 /// Result of splitting global horizontal irradiance.
 #[derive(Clone, Copy, Debug, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct BeamDiffuseSplit {
     /// Beam (direct) normal irradiance.
     pub beam_normal: Irradiance,

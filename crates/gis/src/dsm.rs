@@ -14,7 +14,6 @@ use rand::{Rng, SeedableRng};
 
 /// Immutable geometric description of a roof plane.
 #[derive(Clone, Debug, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct RoofGeometry {
     width: Meters,
     depth: Meters,
@@ -77,7 +76,6 @@ impl RoofGeometry {
 /// area": cells inside the roof outline, not covered by an obstacle and not
 /// within an obstacle's clearance margin.
 #[derive(Clone, Debug)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Dsm {
     geometry: RoofGeometry,
     heights: Grid<f64>,

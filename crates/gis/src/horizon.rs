@@ -45,7 +45,6 @@ const LOCKSTEP_RAYS: usize = 4;
 /// assert!(towards_chimney.value() > 0.5);
 /// ```
 #[derive(Clone, Debug)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct HorizonMap {
     dims: GridDims,
     num_sectors: usize,

@@ -26,7 +26,6 @@ use pv_units::{Degrees, Meters, WattHours};
 /// assert!(scenario.ng_deviation() < 0.03);
 /// ```
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum PaperRoof {
     /// Roof 1: 287×51 cells, Ng = 9,416 — heavily encumbered by pipes.
     Roof1,

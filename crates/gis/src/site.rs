@@ -14,7 +14,6 @@ use pv_units::Degrees;
 /// assert!((site.latitude().value() - 45.07).abs() < 0.01);
 /// ```
 #[derive(Clone, Debug, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Site {
     latitude: Degrees,
     albedo: f64,

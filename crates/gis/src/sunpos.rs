@@ -5,7 +5,6 @@ use pv_units::{Degrees, Radians};
 /// Sun position in the sky: elevation above the horizon and azimuth
 /// (clockwise from north: 0° = N, 90° = E, 180° = S, 270° = W).
 #[derive(Clone, Copy, Debug, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct SolarPosition {
     /// Elevation above the astronomical horizon.
     pub elevation: Degrees,
@@ -84,7 +83,6 @@ pub fn solar_position(latitude: Degrees, day_of_year: u32, hour: f64) -> SolarPo
 /// the direction of its in-plane component in grid axes
 /// (+x = cross-slope, +y = down-slope).
 #[derive(Clone, Copy, Debug, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct LocalSun {
     /// Cosine of the incidence angle between sun direction and roof normal.
     /// Negative means the sun is behind the plane.

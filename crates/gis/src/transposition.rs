@@ -10,7 +10,6 @@ use pv_units::{Degrees, Irradiance};
 
 /// Plane-of-array irradiance, split by component.
 #[derive(Clone, Copy, Debug, PartialEq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct PoaComponents {
     /// Beam component on the plane (zero when the cell is shadowed).
     pub beam: Irradiance,

@@ -19,7 +19,6 @@ use rand::{Rng, SeedableRng};
 
 /// Daily sky condition of the Markov weather model.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum SkyState {
     /// Mostly clear sky: high, stable clearness index.
     Clear,
@@ -63,7 +62,6 @@ impl SkyState {
 
 /// One synthesized weather sample.
 #[derive(Clone, Copy, Debug, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct WeatherSample {
     /// Clearness index `kt = GHI / extraterrestrial-horizontal`, in `[0, 0.85]`.
     pub clearness: f64,

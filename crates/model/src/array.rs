@@ -23,7 +23,6 @@ use pv_units::{Amperes, Volts, Watts};
 /// each of `series` modules in series (the paper's `m` and `n`,
 /// `N = m·n`).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Topology {
     series: usize,
     strings: usize,
@@ -86,7 +85,6 @@ impl core::fmt::Display for Topology {
 
 /// Aggregated electrical output of a panel.
 #[derive(Clone, Copy, Debug, PartialEq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct PanelOutput {
     /// Panel voltage (weakest string's series sum).
     pub voltage: Volts,

@@ -10,7 +10,6 @@ const SWEEP_LANES: usize = 4;
 
 /// A module's electrical operating point at given conditions.
 #[derive(Clone, Copy, Debug, PartialEq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct OperatingPoint {
     /// Maximum-power voltage.
     pub voltage: Volts,
@@ -77,7 +76,6 @@ pub trait ModuleModel {
 /// assert!((p.as_watts() - 165.0).abs() < 10.0, "{p}");
 /// ```
 #[derive(Clone, Debug, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct EmpiricalModule {
     name: String,
     width: Meters,

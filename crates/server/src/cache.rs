@@ -3,8 +3,9 @@
 //! One entry holds everything that is expensive to rebuild for a site and
 //! *value-neutral* to reuse: the extracted [`SolarDataset`] (shadow masks,
 //! sky-view factors, weather traces), the topology-independent
-//! [`SuitabilityMap`], and the site's [`TraceMemo`] of per-anchor module
-//! traces. Reusing an entry skips extraction entirely and starts every
+//! [`SuitabilityMap`], the site's [`TraceMemo`] of per-anchor module
+//! traces, and its ladder fit with the fit's greedy plan. Reusing an
+//! entry skips extraction and the greedy entirely and starts every
 //! placer on warm traces; by the incremental evaluator's bit-identity
 //! contract this changes request *latency only*, never response bytes.
 //!
@@ -12,7 +13,7 @@
 //! (see `PlacementService`), so two requests reach the same entry exactly
 //! when extraction would produce identical data.
 
-use pv_floorplan::{FloorplanConfig, SuitabilityMap, TraceMemo};
+use pv_floorplan::{FloorplanConfig, FloorplanResult, SuitabilityMap, TraceMemo};
 use pv_gis::SolarDataset;
 use std::sync::{Arc, OnceLock};
 
@@ -27,9 +28,10 @@ pub struct CachedSite {
     /// Warm per-anchor module traces, shared across requests.
     pub memo: Arc<TraceMemo>,
     /// Memoized `pv_floorplan::fit_topology` outcome for default-topology
-    /// requests: a pure function of the site and the service's module
-    /// limit, so only the first request on a site pays the fit probe.
-    pub ladder_choice: Arc<OnceLock<Option<FloorplanConfig>>>,
+    /// requests, the config with its greedy plan: a pure function of the
+    /// site and the service's module limit, so only the first request on a
+    /// site pays the fit.
+    pub ladder_fit: Arc<OnceLock<Option<(FloorplanConfig, FloorplanResult)>>>,
     /// Budget accounting: the entry's estimated footprint.
     pub bytes: usize,
     /// Whether this entry was hydrated from the snapshot store rather than
@@ -39,7 +41,7 @@ pub struct CachedSite {
 }
 
 impl CachedSite {
-    /// A fresh entry with an empty memo and ladder choice; `from_store`
+    /// A fresh entry with an empty memo and ladder fit; `from_store`
     /// marks entries hydrated from the snapshot store. Cold and hydrated
     /// entries get the same memo budget and the same byte accounting.
     #[must_use]
@@ -54,7 +56,7 @@ impl CachedSite {
             dataset: Arc::new(dataset),
             map: Arc::new(map),
             memo: Arc::new(TraceMemo::with_byte_budget(memo_budget)),
-            ladder_choice: Arc::default(),
+            ladder_fit: Arc::default(),
             from_store,
         }
     }

@@ -7,8 +7,8 @@ use crate::cache::{CachedSite, SiteCache};
 use crate::server::{route_path, RequestContext};
 use crate::stats::{ServiceStats, StatsSnapshot};
 use pv_floorplan::{
-    fit_topology, EnergyReport, FloorplanConfig, FloorplanResult, Placer, PlacerOptions,
-    SuitabilityMap,
+    fit_topology, greedy_placement_with_map, EnergyReport, FloorplanConfig, FloorplanResult,
+    Placer, PlacerOptions, SuitabilityMap,
 };
 use pv_gis::synth::fnv1a;
 use pv_gis::ScenarioSpec;
@@ -499,8 +499,14 @@ impl PlacementService {
         spans: &mut StageTimes,
     ) -> Result<String, (u16, String)> {
         let memo_timer = Timer::start();
-        let config = self.choose_config(site, request.topology)?;
+        let (config, fitted) = self.choose_config(site, request.topology)?;
         spans.add(Stage::MemoWarm, memo_timer.elapsed_us());
+        // The ladder fit's plan, or a fresh greedy plan for a pinned
+        // topology, placed only when the placer asks for it.
+        let greedy = || match fitted {
+            Some(plan) => Ok(plan.clone()),
+            None => greedy_placement_with_map(&site.dataset, &config, &site.map),
+        };
         let options = PlacerOptions {
             anneal_iterations: self.config.anneal_iterations,
             // Deterministic per-request seed: the caller's override, or the
@@ -514,7 +520,7 @@ impl PlacementService {
             .place_with_memo(
                 &site.dataset,
                 &config,
-                &site.map,
+                greedy,
                 &options,
                 Runtime::sequential(),
                 &site.memo,
@@ -592,13 +598,14 @@ impl PlacementService {
         Ok((site, false))
     }
 
-    /// Resolves the request's topology: explicit pair, or the ladder
-    /// topology [`fit_topology`] picks for the site.
-    fn choose_config(
+    /// Resolves the request's topology: explicit pair (without a plan),
+    /// or the ladder topology [`fit_topology`] picks for the site together
+    /// with its greedy plan.
+    fn choose_config<'s>(
         &self,
-        site: &CachedSite,
+        site: &'s CachedSite,
         explicit: Option<(usize, usize)>,
-    ) -> Result<FloorplanConfig, (u16, String)> {
+    ) -> Result<(FloorplanConfig, Option<&'s FloorplanResult>), (u16, String)> {
         if let Some((m, n)) = explicit {
             let topology = Topology::new(m, n)
                 .map_err(|e| (400, error_body(&format!("bad topology: {e}"))))?;
@@ -612,14 +619,16 @@ impl PlacementService {
                 ));
             }
             return FloorplanConfig::paper(topology)
+                .map(|config| (config, None))
                 .map_err(|e| (400, error_body(&format!("bad topology: {e}"))));
         }
         // The ladder outcome is a pure function of (site, max_modules);
         // memoize it in the cache entry so only the first request on a
-        // site pays the greedy fit probe.
-        site.ladder_choice
+        // site pays the greedy fit.
+        site.ladder_fit
             .get_or_init(|| fit_topology(&site.dataset, &site.map, self.config.max_modules))
-            .clone()
+            .as_ref()
+            .map(|(config, plan)| (config.clone(), Some(plan)))
             .ok_or_else(|| {
                 (
                     422,
@@ -991,6 +1000,29 @@ mod tests {
         assert_eq!(parsed.get("series").unwrap().as_number(), Some(2.0));
         assert_eq!(parsed.get("strings").unwrap().as_number(), Some(1.0));
         assert_eq!(parsed.get("modules").unwrap().as_array().unwrap().len(), 2);
+    }
+
+    #[test]
+    fn ladder_plan_answers_like_a_fresh_greedy_on_the_fitted_topology() {
+        for placer in ["greedy", "anneal"] {
+            let service = service();
+            let default = format!(r#"{{"spec": "{}", "placer": "{placer}"}}"#, spec_body(1));
+            // The first request fits the ladder, the second reuses its plan.
+            let (fitted, _) = service.place(&default).unwrap();
+            let (warm, hit) = service.place(&default).unwrap();
+            assert!(hit);
+            let parsed = pv_json::parse(&fitted).unwrap();
+            let field = |key: &str| parsed.get(key).unwrap().as_number().unwrap();
+            let explicit = format!(
+                r#"{{"spec": "{}", "placer": "{placer}", "series": {}, "strings": {}}}"#,
+                spec_body(1),
+                field("series"),
+                field("strings")
+            );
+            let (fresh, _) = service.place(&explicit).unwrap();
+            assert_eq!(fitted, warm, "{placer}: warm ladder plan");
+            assert_eq!(fitted, fresh, "{placer}: explicit fitted topology");
+        }
     }
 
     #[test]

@@ -13,7 +13,6 @@ macro_rules! quantity {
     ) => {
         $(#[$meta])*
         #[derive(Clone, Copy, PartialEq, PartialOrd, Default)]
-        #[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
         #[repr(transparent)]
         pub struct $name(f64);
 

@@ -51,7 +51,7 @@
 //! the machine's parallelism. Results are identical for every setting.
 
 use pv_bench::cli::{self, Flag, Matches};
-use pv_bench::portfolio::{drive, PortfolioOptions};
+use pv_bench::portfolio::drive;
 use pvfloorplan::floorplan::{greedy_placement_with_map, render, traditional_placement_with_map};
 use pvfloorplan::gis::synth::{check_roof, CorpusPreset, CORPUS_SEED};
 use pvfloorplan::prelude::*;
@@ -301,12 +301,18 @@ fn run_suite(args: &[String]) -> Result<(), String> {
     let runtime = parsed
         .threads
         .map_or_else(Runtime::from_env, Runtime::with_threads);
-    let opts = if parsed.full {
-        PortfolioOptions::standard(runtime)
+    // `--full` keeps its 300-proposal chains; every other setting is the
+    // standard service's.
+    let config = if parsed.full {
+        ServiceConfig {
+            anneal_iterations: 300,
+            ..ServiceConfig::standard()
+        }
     } else {
-        PortfolioOptions::smoke(runtime)
+        ServiceConfig::smoke()
     };
-    drive(parsed.preset, parsed.seed, &opts, parsed.out.as_deref())
+    let out = parsed.out.as_deref();
+    drive(parsed.preset, parsed.seed, &config, runtime, out)
         .map(|_| ())
         .map_err(|e| format!("writing BENCH_portfolio.json: {e}"))
 }

@@ -18,14 +18,14 @@
 //! placement service answers a generated site with the same topology and
 //! energy the portfolio runner records for it.
 
-use pv_bench::portfolio::{run_portfolio, run_scenario, PortfolioOptions, PortfolioRecord};
+use pv_bench::portfolio::{run_portfolio, run_scenario, PortfolioRecord};
 use pvfloorplan::gis::synth::LATITUDE_BANDS;
 use pvfloorplan::json::{self, JsonValue};
 use pvfloorplan::prelude::*;
 use pvfloorplan::server::{PlacementService, ServiceConfig};
 use std::collections::BTreeSet;
 
-/// The pinned hash of the `diverse64` records at [`tiny_options`].
+/// The pinned hash of the `diverse64` records at [`tiny_config`].
 const DIVERSE64_FINGERPRINT: u64 = 0x3D32_BE4D_F8E5_4A96;
 
 /// FNV-1a over `bytes`, continuing from `hash`.
@@ -37,14 +37,12 @@ fn fnv1a(mut hash: u64, bytes: &[u8]) -> u64 {
     hash
 }
 
-fn tiny_options(threads: usize) -> PortfolioOptions {
-    PortfolioOptions {
-        clock: SimulationClock::days_at_minutes(1, 240),
-        runtime: Runtime::with_threads(threads),
+/// The tiny service settings with the pin's shorter chains and exact budget.
+fn tiny_config() -> ServiceConfig {
+    ServiceConfig {
         anneal_iterations: 4,
         exact_budget: 200,
-        horizon_sectors: 8,
-        max_modules: 4,
+        ..ServiceConfig::tiny()
     }
 }
 
@@ -53,8 +51,8 @@ fn diverse64_is_thread_count_invariant_and_diverse() {
     let corpus = ScenarioCorpus::preset(CorpusPreset::Diverse64);
     assert_eq!(corpus.len(), 64);
 
-    let seq = run_portfolio(&corpus, &tiny_options(1));
-    let par = run_portfolio(&corpus, &tiny_options(4));
+    let seq = run_portfolio(&corpus, &tiny_config(), Runtime::with_threads(1));
+    let par = run_portfolio(&corpus, &tiny_config(), Runtime::with_threads(4));
     assert_eq!(seq.len(), 64, "diverse64 must run to completion");
 
     // Scenario results (everything but wall-clock) are bit-identical on
@@ -108,10 +106,10 @@ fn diverse64_is_thread_count_invariant_and_diverse() {
 #[test]
 fn service_and_portfolio_agree_on_the_first_diverse64_sites() {
     let corpus = ScenarioCorpus::preset(CorpusPreset::Diverse64);
-    let options = PortfolioOptions::smoke(Runtime::sequential());
-    let service = PlacementService::new(ServiceConfig::smoke());
+    let config = ServiceConfig::smoke();
+    let service = PlacementService::new(config);
     for scenario in &corpus.scenarios()[..16] {
-        let record = run_scenario(scenario, &options);
+        let record = run_scenario(scenario, &config);
         let spec = scenario
             .spec
             .as_ref()
