@@ -176,8 +176,8 @@ pub fn run_scenario(scenario: &SiteScenario, config: &ServiceConfig) -> Portfoli
         record.series = fitted.topology().series();
         record.strings = fitted.topology().strings();
         // One warm per-anchor memo for every placer run on this site: the
-        // greedy evaluation seeds it, the annealing chain and the exact
-        // search reuse and extend it.
+        // greedy evaluation seeds it, the annealing chain reuses and
+        // extends it, and each report reads it.
         let memo = TraceMemo::new();
         let options = PlacerOptions {
             anneal_iterations: config.anneal_iterations,

@@ -62,7 +62,7 @@ const STEP_CHUNK: usize = 256;
 
 /// Per-module trace block layout: `[mean G | V | I]`, each of length
 /// `num_steps` — one contiguous module-major block per module.
-const TRACE_FIELDS: usize = 3;
+pub(crate) const TRACE_FIELDS: usize = 3;
 
 /// Steps per tile of the fused transposition + operating-point pass
 /// (≈ 3 × 512 × 8 B = 12 KiB of trace per tile, comfortably L1-resident).
@@ -125,11 +125,11 @@ impl EnergyReport {
 /// A module's trace (per-step mean irradiance and operating point) is a
 /// pure function of its anchor for a fixed dataset, footprint and module
 /// model, so search loops that revisit anchors — the annealer proposing a
-/// previously seen position, the exhaustive search re-entering an anchor in
-/// a different combination — can reuse it. Create one memo per
-/// (dataset, config) pair and pass it to
+/// previously seen position, a later request on the same site — can reuse
+/// it. Create one memo per (dataset, config) pair and pass it to
 /// [`EnergyEvaluator::context_with_memo`]; it is thread-safe, so parallel
-/// subtree searches share one memo.
+/// users share one memo. The exhaustive search does not use one: it
+/// traces every candidate in one sweep over the roof.
 ///
 /// Memoized traces are byte copies of kernel output, so memo hits are
 /// bit-identical to recomputation. Memory is bounded by a byte budget
@@ -324,7 +324,6 @@ impl<'a> EnergyEvaluator<'a> {
 struct PendingMove {
     module: usize,
     old_anchor: CellCoord,
-    old_group: IrradianceGroup,
     old_extra: Meters,
 }
 
@@ -333,8 +332,8 @@ struct PendingMove {
 /// Owns a copy of the plan's [`Placement`] so search loops can mutate it
 /// in place. Single-module moves go through the try/commit/rollback API:
 /// [`try_move`](Self::try_move) refreshes exactly the state that depends
-/// on the moved module (its irradiance group, trace block, and its
-/// string's aggregates and wiring overhead — `O(1 module)`, not
+/// on the moved module (its trace block, and its string's aggregates and
+/// wiring overhead — `O(1 module)`, not
 /// `O(N modules)`), and [`rollback_move`](Self::rollback_move) restores
 /// the previous state from the undo buffer without touching the kernel.
 /// [`evaluate`](Self::evaluate) re-scores from the caches and is
@@ -395,8 +394,6 @@ pub struct EvaluationContext<'d> {
     strings: Vec<Vec<usize>>,
     /// `string_of[k]` = series string of module `k`.
     string_of: Vec<usize>,
-    /// Static irradiance state of each module's covered cells.
-    groups: Vec<IrradianceGroup>,
     /// The AWG 10 cable every string's extra length is scored with.
     wiring: WiringSpec,
     string_extra: Vec<Meters>,
@@ -427,15 +424,63 @@ impl<'d> EvaluationContext<'d> {
         plan: &FloorplanResult,
         memo: Option<&'d TraceMemo>,
     ) -> Result<Self, FloorplanError> {
-        let topology = config.topology();
-        let n_modules = topology.num_modules();
-        if plan.placement.len() != n_modules {
-            return Err(FloorplanError::PlacementSizeMismatch {
-                expected: n_modules,
-                actual: plan.placement.len(),
-            });
-        }
+        check_size(config, plan)?;
+        let ambient = ambient_trace(dataset);
+        // Per-module traces, one contiguous block per module, filled in
+        // parallel (each block is an independent pure function of its
+        // anchor, so thread count cannot affect the bytes).
+        let module = config.module();
+        let block_len = TRACE_FIELDS * dataset.num_steps() as usize;
+        let mut trace = vec![0.0f64; plan.placement.len() * block_len];
+        runtime.for_each_chunk_mut(&mut trace, block_len, |k, block| {
+            fill_module_trace(dataset, &plan.placement, k, module, &ambient, memo, block);
+        });
+        Ok(Self::assemble(
+            dataset, config, runtime, plan, ambient, trace, memo,
+        ))
+    }
 
+    /// A sequential context for `plan` whose module `k`'s trace block
+    /// (`[mean G | V | I]`, as this context would compute it) is written
+    /// by `fill(k, block)` instead of the kernel: the exhaustive search's
+    /// traces come from one sweep over the roof.
+    pub(crate) fn with_traces(
+        dataset: &'d SolarDataset,
+        config: &'d FloorplanConfig,
+        plan: &FloorplanResult,
+        mut fill: impl FnMut(usize, &mut [f64]),
+    ) -> Result<Self, FloorplanError> {
+        check_size(config, plan)?;
+        let block_len = TRACE_FIELDS * dataset.num_steps() as usize;
+        let mut trace = vec![0.0f64; plan.placement.len() * block_len];
+        for (k, block) in trace.chunks_exact_mut(block_len).enumerate() {
+            fill(k, block);
+        }
+        let ambient = ambient_trace(dataset);
+        Ok(Self::assemble(
+            dataset,
+            config,
+            Runtime::sequential(),
+            plan,
+            ambient,
+            trace,
+            None,
+        ))
+    }
+
+    /// The context of `plan` around its filled module traces: string
+    /// membership, per-string aggregates and wiring overheads.
+    fn assemble(
+        dataset: &'d SolarDataset,
+        config: &'d FloorplanConfig,
+        runtime: Runtime,
+        plan: &FloorplanResult,
+        ambient: Vec<f64>,
+        trace: Vec<f64>,
+        memo: Option<&'d TraceMemo>,
+    ) -> Self {
+        let topology = config.topology();
+        let num_steps = dataset.num_steps() as usize;
         // Per-string module order (series connection order = enumeration
         // order within the string).
         let mut strings: Vec<Vec<usize>> =
@@ -444,30 +489,6 @@ impl<'d> EvaluationContext<'d> {
             strings[s].push(k);
         }
         debug_assert!(strings.iter().all(|s| s.len() == topology.series()));
-
-        let groups: Vec<IrradianceGroup> = (0..n_modules)
-            .map(|k| {
-                let cells: Vec<CellCoord> = plan.placement.cells_of(k).collect();
-                dataset.irradiance_group(&cells)
-            })
-            .collect();
-
-        let num_steps = dataset.num_steps() as usize;
-        let ambient: Vec<f64> = (0..num_steps)
-            .map(|i| dataset.conditions(i as u32).ambient.as_celsius())
-            .collect();
-        let anchors: Vec<CellCoord> = plan.placement.modules().iter().map(|m| m.anchor).collect();
-
-        // Per-module traces, one contiguous block per module, filled in
-        // parallel (each block is an independent pure function of its
-        // anchor, so thread count cannot affect the bytes).
-        let module = config.module();
-        let mut trace = vec![0.0f64; n_modules * TRACE_FIELDS * num_steps];
-        runtime.for_each_chunk_mut(&mut trace, TRACE_FIELDS * num_steps, |k, block| {
-            fill_module_trace(
-                dataset, &groups[k], module, &ambient, memo, anchors[k], block,
-            );
-        });
 
         // Per-string aggregates over the traces.
         let mut agg = vec![0.0f64; strings.len() * AGG_FIELDS * num_steps];
@@ -482,7 +503,6 @@ impl<'d> EvaluationContext<'d> {
             placement: plan.placement.clone(),
             strings,
             string_of: plan.string_of.clone(),
-            groups,
             wiring: WiringSpec::awg10(),
             string_extra: vec![Meters::ZERO; topology.strings()],
             ambient,
@@ -496,7 +516,7 @@ impl<'d> EvaluationContext<'d> {
         for j in 0..context.strings.len() {
             context.refresh_string_wiring(j);
         }
-        Ok(context)
+        context
     }
 
     /// The current placement under evaluation.
@@ -545,9 +565,6 @@ impl<'d> EvaluationContext<'d> {
             .try_relocate(k, anchor, self.dataset.valid())?;
         // The move is geometrically valid: from here on the proposal
         // replaces any previously pending one.
-        let cells: Vec<CellCoord> = self.placement.cells_of(k).collect();
-        let old_group =
-            std::mem::replace(&mut self.groups[k], self.dataset.irradiance_group(&cells));
         let s = self.string_of[k];
         let num_steps = self.num_steps();
         self.undo_trace
@@ -558,11 +575,11 @@ impl<'d> EvaluationContext<'d> {
 
         fill_module_trace(
             self.dataset,
-            &self.groups[k],
+            &self.placement,
+            k,
             self.config.module(),
             &self.ambient,
             self.memo,
-            anchor,
             &mut self.trace[trace_block(k, num_steps)],
         );
         fill_string_agg(
@@ -576,7 +593,6 @@ impl<'d> EvaluationContext<'d> {
         self.pending = Some(PendingMove {
             module: k,
             old_anchor,
-            old_group,
             old_extra,
         });
         Ok(old_anchor)
@@ -588,8 +604,8 @@ impl<'d> EvaluationContext<'d> {
         self.pending = None;
     }
 
-    /// Rejects the pending proposal: placement, irradiance group, trace
-    /// block, string aggregates and wiring overhead are restored from the
+    /// Rejects the pending proposal: placement, trace block, string
+    /// aggregates and wiring overhead are restored from the
     /// undo buffer — **no** irradiance or operating-point recomputation.
     /// No-op when nothing is pending.
     ///
@@ -607,10 +623,54 @@ impl<'d> EvaluationContext<'d> {
         self.placement
             .try_relocate(k, undo.old_anchor, self.dataset.valid())
             .expect("undoing a move to the prior anchor is always feasible");
-        self.groups[k] = undo.old_group;
         self.trace[trace_block(k, num_steps)].copy_from_slice(&self.undo_trace);
         self.agg[agg_block(s, num_steps)].copy_from_slice(&self.undo_agg);
         self.string_extra[s] = undo.old_extra;
+    }
+
+    /// Re-anchors modules `from..` at `anchors` (module `from + j` at
+    /// `anchors[j]`, its trace block written by `fill(j, block)` as in
+    /// [`with_traces`](Self::with_traces)), and refreshes the aggregates
+    /// and wiring of their strings: the exhaustive search's leaf step. A
+    /// pending proposal is committed first.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the new modules do not fit the roof side by side, or
+    /// `from + anchors.len()` differs from the module count.
+    pub(crate) fn load_modules(
+        &mut self,
+        from: usize,
+        anchors: &[CellCoord],
+        mut fill: impl FnMut(usize, &mut [f64]),
+    ) {
+        assert_eq!(
+            from + anchors.len(),
+            self.string_of.len(),
+            "one anchor per module"
+        );
+        self.pending = None;
+        while self.placement.len() > from {
+            self.placement.pop();
+        }
+        let num_steps = self.num_steps();
+        for (j, &anchor) in anchors.iter().enumerate() {
+            self.placement
+                .try_place(anchor, self.dataset.valid())
+                .expect("loaded modules fit the roof side by side");
+            fill(j, &mut self.trace[trace_block(from + j, num_steps)]);
+        }
+        for s in 0..self.strings.len() {
+            if self.strings[s].iter().any(|&k| k >= from) {
+                fill_string_agg(
+                    &self.trace,
+                    &self.strings[s],
+                    num_steps,
+                    &mut self.agg[agg_block(s, num_steps)],
+                );
+                self.refresh_string_wiring(s);
+            }
+        }
     }
 
     /// Recomputes the wiring overhead of string `j` from current centres.
@@ -721,6 +781,12 @@ impl<'d> EvaluationContext<'d> {
         let n_modules = self.placement.len();
         let num_steps = self.num_steps();
 
+        let groups: Vec<IrradianceGroup> = (0..n_modules)
+            .map(|k| {
+                let cells: Vec<CellCoord> = self.placement.cells_of(k).collect();
+                self.dataset.irradiance_group(&cells)
+            })
+            .collect();
         let (gross, loss, unconstrained) = self.runtime.reduce_chunks(
             num_steps,
             STEP_CHUNK,
@@ -729,7 +795,7 @@ impl<'d> EvaluationContext<'d> {
                 // `[k·len, (k+1)·len)` of this chunk's steps.
                 let len = steps.len();
                 let mut means = vec![0.0f64; len * n_modules];
-                for (group, block) in self.groups.iter().zip(means.chunks_exact_mut(len)) {
+                for (group, block) in groups.iter().zip(means.chunks_exact_mut(len)) {
                     self.dataset.mean_irradiance_group_into(
                         group,
                         steps.start as u32..steps.end as u32,
@@ -797,6 +863,27 @@ impl<'d> EvaluationContext<'d> {
     }
 }
 
+/// Per-step ambient temperature (°C) of `dataset`: what the
+/// operating-point sweep reads beside each module's mean irradiance.
+pub(crate) fn ambient_trace(dataset: &SolarDataset) -> Vec<f64> {
+    (0..dataset.num_steps())
+        .map(|i| dataset.conditions(i).ambient.as_celsius())
+        .collect()
+}
+
+/// `Err` unless `plan` places exactly the configured module count.
+fn check_size(config: &FloorplanConfig, plan: &FloorplanResult) -> Result<(), FloorplanError> {
+    let expected = config.topology().num_modules();
+    if plan.placement.len() == expected {
+        Ok(())
+    } else {
+        Err(FloorplanError::PlacementSizeMismatch {
+            expected,
+            actual: plan.placement.len(),
+        })
+    }
+}
+
 /// Index range of module `k`'s trace block.
 #[inline]
 const fn trace_block(k: usize, num_steps: usize) -> std::ops::Range<usize> {
@@ -809,8 +896,9 @@ const fn agg_block(j: usize, num_steps: usize) -> std::ops::Range<usize> {
     j * AGG_FIELDS * num_steps..(j + 1) * AGG_FIELDS * num_steps
 }
 
-/// Fills one module's trace block `[mean G | V | I]` for its cell group
-/// at `anchor`, consulting (and feeding) the optional per-anchor memo.
+/// Fills module `k`'s trace block `[mean G | V | I]` for its cells in
+/// `placement`, consulting (and feeding) the optional per-anchor memo;
+/// the module's irradiance group is built only on a memo miss.
 ///
 /// The fused transposition + operating-point pass: each tile of steps
 /// runs the POA mean kernel and then the module's operating-point sweep
@@ -819,13 +907,14 @@ const fn agg_block(j: usize, num_steps: usize) -> std::ops::Range<usize> {
 /// exact `0.0` volts and amps.
 fn fill_module_trace(
     dataset: &SolarDataset,
-    group: &IrradianceGroup,
+    placement: &Placement,
+    k: usize,
     module: &EmpiricalModule,
     ambient: &[f64],
     memo: Option<&TraceMemo>,
-    anchor: CellCoord,
     block: &mut [f64],
 ) {
+    let anchor = placement.modules()[k].anchor;
     if let Some(memo) = memo {
         if let Some(cached) = memo.get(anchor) {
             assert_eq!(
@@ -838,13 +927,15 @@ fn fill_module_trace(
             return;
         }
     }
+    let cells: Vec<CellCoord> = placement.cells_of(k).collect();
+    let group = dataset.irradiance_group(&cells);
     let num_steps = block.len() / TRACE_FIELDS;
     let (means, ops) = block.split_at_mut(num_steps);
     let (volts, amps) = ops.split_at_mut(num_steps);
     for start in (0..num_steps).step_by(FUSE_TILE) {
         let tile = start..(start + FUSE_TILE).min(num_steps);
         dataset.mean_irradiance_group_into(
-            group,
+            &group,
             tile.start as u32..tile.end as u32,
             &mut means[tile.clone()],
         );
@@ -1020,10 +1111,8 @@ mod tests {
         ctx.rollback_move();
 
         // Every cached structure is restored, not just the report:
-        // placement, irradiance groups, trace blocks, string aggregates
-        // and wiring extras.
+        // placement, trace blocks, string aggregates and wiring extras.
         assert_eq!(ctx.placement.modules(), pristine.placement.modules());
-        assert_eq!(ctx.groups, pristine.groups);
         assert_eq!(ctx.trace, pristine.trace);
         assert_eq!(ctx.agg, pristine.agg);
         assert_eq!(ctx.string_extra, pristine.string_extra);

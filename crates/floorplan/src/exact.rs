@@ -5,31 +5,43 @@
 //! missing yardstick for *tiny* instances: enumerate every non-overlapping
 //! combination of candidate anchors, evaluate each with the full energy
 //! model, and return the best. Used by the A3 ablation to measure the
-//! greedy heuristic's optimality gap.
+//! greedy heuristic's optimality gap, and served as `placer=exact`.
+//!
+//! A leaf costs a re-score, not a kernel pass. Every candidate's trace
+//! comes from one sweep over the roof
+//! ([`SolarDataset::sweep_mean_irradiance`], bit-identical to the
+//! per-module kernel), and each subtree re-anchors one
+//! [`EvaluationContext`] from leaf to leaf instead of building one per
+//! leaf. With one module the sweep's stream *is* the search; with more,
+//! the inner levels read a search-local table of every candidate's trace.
+//! The caller's [`TraceMemo`](crate::TraceMemo) is neither read nor
+//! written: the search visits every candidate once, so a shared memo
+//! would only fill up with anchors no other placer asks for.
 
 use crate::config::FloorplanConfig;
 use crate::error::FloorplanError;
-use crate::evaluate::{EnergyEvaluator, TraceMemo};
+use crate::evaluate::{ambient_trace, EvaluationContext, TRACE_FIELDS};
 use crate::greedy::FloorplanResult;
 use crate::suitability::fitting_anchors;
-use pv_geom::{CellCoord, Placement};
+use pv_geom::{CellCoord, Footprint, Placement};
 use pv_gis::SolarDataset;
 use pv_runtime::Runtime;
+use pv_units::WattHours;
 
 /// Exhaustively searches all anchor combinations and returns the
 /// energy-optimal placement together with its energy.
 ///
 /// The search enumerates combinations (not permutations) of feasible
 /// anchors in grid order; modules are assigned to strings series-first in
-/// that order. The node budget guards against accidental explosion.
-/// Candidate subtrees are searched on `runtime`'s workers; results are
-/// identical for every thread count.
+/// that order. A prefix whose newest anchor overlaps an earlier one is
+/// pruned with its whole subtree. The node budget guards against
+/// accidental explosion. Candidate subtrees are searched on `runtime`'s
+/// workers; results are identical for every thread count.
 ///
-/// `memo` is a caller-owned per-anchor [`TraceMemo`]: anchors already
-/// traced by an earlier run on the *same* `(dataset, config)` pair (a
-/// greedy evaluation, an annealing chain) are lookups instead of kernel
-/// passes. Memo hits are bit-identical to recomputation, so sharing never
-/// changes the result; a fresh `TraceMemo::new()` serves a one-off run.
+/// Memory beyond the evaluation contexts: one rolling band of beam terms
+/// per worker (grid width × footprint height × sun-up steps), and for two
+/// or more modules a table of every candidate's trace (candidates × 3 ×
+/// steps values, bounded through the node budget).
 ///
 /// # Errors
 ///
@@ -38,7 +50,7 @@ use pv_runtime::Runtime;
 /// - [`FloorplanError::NotEnoughSpace`] when no complete placement exists.
 ///
 /// ```
-/// use pv_floorplan::{exact::optimal_placement_with_memo, FloorplanConfig, TraceMemo};
+/// use pv_floorplan::{exact::optimal_placement, FloorplanConfig};
 /// use pv_gis::{RoofBuilder, SolarExtractor, Site};
 /// use pv_model::Topology;
 /// use pv_runtime::Runtime;
@@ -47,27 +59,20 @@ use pv_runtime::Runtime;
 /// let data = SolarExtractor::new(Site::turin(), SimulationClock::days_at_minutes(1, 240))
 ///     .extract(&roof);
 /// let config = FloorplanConfig::paper(Topology::new(2, 1)?)?;
-/// let memo = TraceMemo::new();
-/// let (plan, energy) =
-///     optimal_placement_with_memo(&data, &config, 1_000_000, Runtime::sequential(), &memo)?;
+/// let (plan, energy) = optimal_placement(&data, &config, 1_000_000, Runtime::sequential())?;
 /// assert_eq!(plan.placement.len(), 2);
 /// assert!(energy.as_wh() > 0.0);
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
-pub fn optimal_placement_with_memo(
+pub fn optimal_placement(
     dataset: &SolarDataset,
     config: &FloorplanConfig,
     node_budget: u64,
     runtime: Runtime,
-    memo: &TraceMemo,
-) -> Result<(FloorplanResult, pv_units::WattHours), FloorplanError> {
-    let footprint = config.footprint();
-    let topology = config.topology();
-    let n_modules = topology.num_modules();
-
+) -> Result<(FloorplanResult, WattHours), FloorplanError> {
+    let n_modules = config.topology().num_modules();
     // Candidate anchors: positions where the footprint fits fully.
-    let candidates = fitting_anchors(dataset, footprint);
-
+    let candidates = fitting_anchors(dataset, config.footprint());
     let combos = binomial(candidates.len() as u64, n_modules as u64);
     if combos > node_budget {
         return Err(FloorplanError::SearchSpaceTooLarge {
@@ -77,102 +82,50 @@ pub fn optimal_placement_with_memo(
         });
     }
 
-    // Candidate subtrees (grouped by first-chosen anchor) are independent,
-    // so they are searched in parallel and their winners merged in
-    // ascending first-index order — the exact visit order of the
-    // sequential scan, so tie-breaks (`>`: first seen wins) and therefore
-    // the result are thread-count independent. Leaf evaluations run on a
-    // sequential evaluator to keep the parallelism at the subtree level.
-    //
-    // All subtrees share one per-anchor trace memo: the same anchor
-    // appears in many combinations, so after its first leaf its
-    // per-module trace is a lookup (memo hits are bit-identical to
-    // recomputation, so the merge order above still decides ties).
-    let leaf_evaluator = EnergyEvaluator::new(config).with_runtime(Runtime::sequential());
-
-    // Depth-first enumeration of anchor combinations in index order.
-    #[allow(clippy::too_many_arguments)]
-    fn recurse(
-        candidates: &[CellCoord],
-        start: usize,
-        chosen: &mut Vec<CellCoord>,
-        n_modules: usize,
-        dataset: &SolarDataset,
-        config: &FloorplanConfig,
-        evaluator: &EnergyEvaluator<'_>,
-        memo: &TraceMemo,
-        best: &mut Option<(Vec<CellCoord>, pv_units::WattHours)>,
-    ) {
-        if chosen.len() == n_modules {
-            let Some(plan) = build_plan(chosen, dataset, config) else {
-                return; // overlapping combination
-            };
-            if let Ok(ctx) = evaluator.context_with_memo(dataset, &plan, memo) {
-                let report = ctx.evaluate();
-                let better = best
-                    .as_ref()
-                    .is_none_or(|(_, e)| report.energy.as_wh() > e.as_wh());
-                if better {
-                    *best = Some((chosen.clone(), report.energy));
-                }
-            }
-            return;
-        }
-        let remaining = n_modules - chosen.len();
-        if candidates.len().saturating_sub(start) < remaining {
-            return;
-        }
-        for i in start..candidates.len() {
-            chosen.push(candidates[i]);
-            recurse(
-                candidates,
-                i + 1,
-                chosen,
-                n_modules,
-                dataset,
-                config,
-                evaluator,
-                memo,
-                best,
-            );
-            chosen.pop();
-        }
-    }
-
-    let best = runtime
-        .map_chunks(candidates.len(), 1, |first| {
-            let mut best: Option<(Vec<CellCoord>, pv_units::WattHours)> = None;
-            let mut chosen: Vec<CellCoord> = Vec::with_capacity(n_modules);
-            for i in first {
-                chosen.push(candidates[i]);
-                recurse(
-                    &candidates,
-                    i + 1,
-                    &mut chosen,
-                    n_modules,
-                    dataset,
-                    config,
-                    &leaf_evaluator,
-                    memo,
-                    &mut best,
-                );
+    let search = Search {
+        dataset,
+        config,
+        candidates: &candidates,
+        ambient: ambient_trace(dataset),
+        block_len: TRACE_FIELDS * dataset.num_steps() as usize,
+    };
+    // Each chunk of the candidate order keeps its own winner; merging
+    // them in chunk order with a strict `>` keeps the first-seen winner of
+    // the sequential scan, so the result is thread-count independent.
+    let winners = if n_modules == 1 {
+        // One sweep per worker over a contiguous run of candidates.
+        let per_worker = candidates.len().div_ceil(runtime.threads()).max(1);
+        runtime.map_chunks(candidates.len(), per_worker, |range| {
+            let mut leaves = Leaves::new(&search);
+            search.sweep(range.clone(), |n, means| {
+                leaves.stale_from = 0;
+                leaves.score(&[range.start + n], |_, block| search.fill(means, block));
+            });
+            leaves.best
+        })
+    } else {
+        let table = search.table(runtime);
+        // One subtree per first anchor: subtree sizes fall steeply with
+        // the first index, so single-anchor chunks balance the workers.
+        runtime.map_chunks(candidates.len(), 1, |range| {
+            let mut leaves = Leaves::new(&search);
+            let mut chosen = Vec::with_capacity(n_modules);
+            for first in range {
+                chosen.push(first);
+                leaves.stale_from = 0;
+                search.recurse(&mut chosen, n_modules, &table, &mut leaves);
                 chosen.pop();
             }
-            best
+            leaves.best
         })
+    };
+    let best = winners
         .into_iter()
-        .fold(
-            None::<(Vec<CellCoord>, pv_units::WattHours)>,
-            |acc, part| match (acc, part) {
-                (None, part) => part,
-                (acc, None) => acc,
-                (Some(a), Some(b)) => Some(if b.1.as_wh() > a.1.as_wh() { b } else { a }),
-            },
-        );
+        .flatten()
+        .reduce(|a, b| if b.1.as_wh() > a.1.as_wh() { b } else { a });
 
-    // Overlap pruning happens inside; prune-by-overlap earlier would be
-    // faster but the budget keeps instances tiny by construction.
-    best.map(|(anchors, energy)| {
+    best.map(|(chosen, energy)| {
+        let anchors: Vec<CellCoord> = chosen.iter().map(|&i| candidates[i]).collect();
         let plan = build_plan(&anchors, dataset, config)
             .expect("the winning combination was feasible when evaluated");
         (plan, energy)
@@ -181,6 +134,167 @@ pub fn optimal_placement_with_memo(
         placed: 0,
         requested: n_modules,
     })
+}
+
+/// What every worker of one search shares.
+struct Search<'a> {
+    dataset: &'a SolarDataset,
+    config: &'a FloorplanConfig,
+    /// Fitting anchors in grid order.
+    candidates: &'a [CellCoord],
+    /// Per-step ambient temperature, for the operating-point sweep.
+    ambient: Vec<f64>,
+    /// Values per candidate trace block.
+    block_len: usize,
+}
+
+impl Search<'_> {
+    /// Streams the mean-irradiance trace of every candidate in `range`, in
+    /// order, from one band sweep: `visit(n, means)` for candidate
+    /// `range.start + n`.
+    fn sweep(&self, range: std::ops::Range<usize>, visit: impl FnMut(usize, &[f64])) {
+        let num_steps = self.dataset.num_steps();
+        self.dataset.sweep_mean_irradiance(
+            self.config.footprint(),
+            &self.candidates[range],
+            0..num_steps,
+            visit,
+        );
+    }
+
+    /// Writes a candidate's trace block `[mean G | V | I]` from its means:
+    /// the module's operating-point sweep, as the evaluator runs it.
+    fn fill(&self, means: &[f64], block: &mut [f64]) {
+        let (g, ops) = block.split_at_mut(means.len());
+        let (volts, amps) = ops.split_at_mut(means.len());
+        g.copy_from_slice(means);
+        self.config
+            .module()
+            .operating_points(g, &self.ambient, volts, amps);
+    }
+
+    /// Every candidate's trace block, candidate-major: the search-local
+    /// memo the inner levels read.
+    fn table(&self, runtime: Runtime) -> Vec<f64> {
+        let n = self.candidates.len();
+        let per_worker = n.div_ceil(runtime.threads()).max(1);
+        let mut table = vec![0.0f64; n * self.block_len];
+        runtime.for_each_chunk_mut(&mut table, per_worker * self.block_len, |c, rows| {
+            let start = c * per_worker;
+            let count = rows.len() / self.block_len;
+            self.sweep(start..start + count, |n, means| {
+                self.fill(
+                    means,
+                    &mut rows[n * self.block_len..(n + 1) * self.block_len],
+                );
+            });
+        });
+        table
+    }
+
+    /// Depth-first enumeration below the prefix `chosen` (candidate
+    /// indices), in index order; scores every complete combination.
+    fn recurse(
+        &self,
+        chosen: &mut Vec<usize>,
+        n_modules: usize,
+        table: &[f64],
+        leaves: &mut Leaves<'_>,
+    ) {
+        if chosen.len() == n_modules {
+            let block_of = |i: usize| &table[i * self.block_len..(i + 1) * self.block_len];
+            leaves.score(chosen, |k, block| {
+                block.copy_from_slice(block_of(chosen[k]))
+            });
+            return;
+        }
+        let level = chosen.len();
+        let remaining = n_modules - level;
+        let start = chosen[level - 1] + 1;
+        let footprint = self.config.footprint();
+        for i in start..=self.candidates.len().saturating_sub(remaining) {
+            let anchor = self.candidates[i];
+            // Prune on push: every leaf below an overlapping prefix
+            // overlaps too.
+            if chosen
+                .iter()
+                .any(|&c| overlaps(self.candidates[c], anchor, footprint))
+            {
+                continue;
+            }
+            chosen.push(i);
+            leaves.stale_from = leaves.stale_from.min(level);
+            self.recurse(chosen, n_modules, table, leaves);
+            chosen.pop();
+        }
+    }
+}
+
+/// One worker's leaves: an evaluation context re-anchored from leaf to
+/// leaf, and the best combination seen so far.
+struct Leaves<'a> {
+    search: &'a Search<'a>,
+    context: Option<EvaluationContext<'a>>,
+    /// Lowest module whose anchor changed since the context's last leaf.
+    stale_from: usize,
+    /// Scratch: the anchors of the modules a leaf re-anchors.
+    anchors: Vec<CellCoord>,
+    /// Candidate indices and energy of the best leaf (first seen wins ties).
+    best: Option<(Vec<usize>, WattHours)>,
+}
+
+impl<'a> Leaves<'a> {
+    fn new(search: &'a Search<'a>) -> Self {
+        Self {
+            search,
+            context: None,
+            stale_from: 0,
+            anchors: Vec::new(),
+            best: None,
+        }
+    }
+
+    /// Scores the non-overlapping combination `chosen` (candidate
+    /// indices); `fill(k, block)` writes module `k`'s trace block.
+    fn score(&mut self, chosen: &[usize], mut fill: impl FnMut(usize, &mut [f64])) {
+        let search = self.search;
+        let from = if self.context.is_some() {
+            self.stale_from
+        } else {
+            0
+        };
+        self.anchors.clear();
+        self.anchors
+            .extend(chosen[from..].iter().map(|&i| search.candidates[i]));
+        let context = match &mut self.context {
+            Some(context) => {
+                context.load_modules(from, &self.anchors, |j, block| fill(from + j, block));
+                context
+            }
+            None => {
+                let plan = build_plan(&self.anchors, search.dataset, search.config)
+                    .expect("pruned combinations do not overlap");
+                let context =
+                    EvaluationContext::with_traces(search.dataset, search.config, &plan, fill)
+                        .expect("the plan places the configured module count");
+                self.context.insert(context)
+            }
+        };
+        self.stale_from = chosen.len();
+        let energy = context.evaluate().energy;
+        if self
+            .best
+            .as_ref()
+            .is_none_or(|(_, e)| energy.as_wh() > e.as_wh())
+        {
+            self.best = Some((chosen.to_vec(), energy));
+        }
+    }
+}
+
+/// Whether footprints anchored at `a` and `b` share a cell.
+fn overlaps(a: CellCoord, b: CellCoord, footprint: Footprint) -> bool {
+    a.x.abs_diff(b.x) < footprint.width_cells() && a.y.abs_diff(b.y) < footprint.height_cells()
 }
 
 /// Places `anchors` in order, assigning strings series-first; `None` when
@@ -223,6 +337,7 @@ fn binomial(n: u64, k: u64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::evaluate::EnergyEvaluator;
     use crate::greedy::greedy_placement;
     use pv_gis::{Obstacle, RoofBuilder, Site, SolarExtractor};
     use pv_model::Topology;
@@ -237,8 +352,8 @@ mod tests {
         cfg: &FloorplanConfig,
         budget: u64,
         runtime: Runtime,
-    ) -> Result<(FloorplanResult, pv_units::WattHours), FloorplanError> {
-        optimal_placement_with_memo(data, cfg, budget, runtime, &TraceMemo::new())
+    ) -> Result<(FloorplanResult, WattHours), FloorplanError> {
+        optimal_placement(data, cfg, budget, runtime)
     }
 
     #[test]

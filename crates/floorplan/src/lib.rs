@@ -15,10 +15,11 @@
 //!   contiguous block by the same suitability information;
 //! - [`EnergyEvaluator`] — yearly-energy evaluation of any placement with
 //!   the series/parallel bottleneck equations and wiring RI² losses;
-//! - [`optimal_placement_with_memo`] / [`anneal_with_memo`] — an exhaustive
-//!   optimum for tiny instances and a simulated-annealing refiner
-//!   (extensions used for the A3 ablation), each on a caller-chosen
-//!   runtime and [`TraceMemo`]; [`Placer::place_with_memo`] dispatches to
+//! - [`optimal_placement`] / [`anneal_with_memo`] — an exhaustive
+//!   optimum for tiny instances, its candidates traced in one sweep over
+//!   the roof, and a simulated-annealing refiner on a caller's
+//!   [`TraceMemo`] (extensions used for the A3 ablation), each on a
+//!   caller-chosen runtime; [`Placer::place_with_memo`] dispatches to
 //!   them by name, and [`PlacerOptions`] holds their knobs (anneal
 //!   iterations and seed, exact node budget) with the one set of defaults;
 //! - [`fit_topology`] — the first [`TOPOLOGY_LADDER`] entry whose greedy
@@ -64,7 +65,7 @@ pub use anneal::anneal_with_memo;
 pub use config::FloorplanConfig;
 pub use error::FloorplanError;
 pub use evaluate::{EnergyEvaluator, EnergyReport, EvaluationContext, TraceMemo};
-pub use exact::optimal_placement_with_memo;
+pub use exact::optimal_placement;
 pub use greedy::{greedy_placement, greedy_placement_with_map, FloorplanResult};
 pub use placer::{fit_topology, Placer, PlacerOptions, TOPOLOGY_LADDER};
 pub use report::{ComparisonRow, Table1Report};

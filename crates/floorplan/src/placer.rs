@@ -8,7 +8,8 @@
 //! [`PlacerOptions`] is the one home of those knobs and their defaults:
 //! the anneal arm hands it straight to [`anneal_with_memo`], which reads
 //! the iterations and seed, and the exact arm passes its node budget to
-//! [`optimal_placement_with_memo`].
+//! [`optimal_placement`]. The memo serves the annealing chain and the
+//! final report; the exhaustive search traces every candidate itself.
 //!
 //! Callers that do not pin a topology take it from [`fit_topology`], on
 //! one [`SuitabilityMap::paper`] per site, together with the greedy plan
@@ -22,7 +23,7 @@
 
 use crate::anneal::anneal_with_memo;
 use crate::evaluate::{EnergyEvaluator, EnergyReport, TraceMemo};
-use crate::exact::optimal_placement_with_memo;
+use crate::exact::optimal_placement;
 use crate::greedy::{greedy_placement_with_map, FloorplanResult};
 use crate::suitability::SuitabilityMap;
 use crate::{FloorplanConfig, FloorplanError};
@@ -91,9 +92,11 @@ impl Placer {
         Self::all().into_iter().find(|p| p.name() == name)
     }
 
-    /// Runs this placer on `dataset` under `config`, sharing `memo` across
-    /// every evaluation (and with any previous run on the same site), and
-    /// returns the placement with its evaluated [`EnergyReport`].
+    /// Runs this placer on `dataset` under `config` and returns the
+    /// placement with its evaluated [`EnergyReport`]. `memo` serves the
+    /// annealing chain and the report's evaluation, and is shared with any
+    /// previous run on the same site; the exact search neither reads nor
+    /// writes it, so an exact request adds only its winner's anchors.
     ///
     /// `greedy` yields the greedy plan of (`dataset`, `config`), the one
     /// [`fit_topology`] returned or [`greedy_placement_with_map`]'s: the
@@ -131,13 +134,7 @@ impl Placer {
                 Ok((plan, report))
             }
             Self::Exact => {
-                let (plan, _) = optimal_placement_with_memo(
-                    dataset,
-                    config,
-                    options.exact_budget,
-                    runtime,
-                    memo,
-                )?;
+                let (plan, _) = optimal_placement(dataset, config, options.exact_budget, runtime)?;
                 let report = report_of(&plan)?;
                 Ok((plan, report))
             }

@@ -31,7 +31,7 @@
 
 use crate::dataset::{SolarDataset, StepConditions};
 use crate::lanes;
-use pv_geom::CellCoord;
+use pv_geom::{CellCoord, Footprint};
 
 /// Static per-group state: one cell set whose mean irradiance is wanted as
 /// a single number (in practice the cells covered by one PV module).
@@ -164,10 +164,6 @@ impl IrradianceGroup {
         shadow_row: Option<&[u64]>,
         planar_beam_poa: Option<f64>,
     ) -> f64 {
-        let diffuse = cond.diffuse_poa.as_w_per_m2();
-        let ground = cond.ground_poa.as_w_per_m2();
-        let beam_dni = cond.beam_normal.as_w_per_m2();
-        let s = cond.sun_direction;
         if let Some(beam_poa) = planar_beam_poa {
             // One incidence cosine for the whole roof: the beam term needs
             // only the unshadowed-cell census, a branch-free word-at-a-time
@@ -177,16 +173,46 @@ impl IrradianceGroup {
                 Some(words) => lanes::masked_popcount(words, &self.masks),
             };
             let unshadowed = self.cells.len() as f64 - f64::from(shadowed);
-            beam_poa * unshadowed * self.inv_count + diffuse * self.svf_mean + ground
+            compose(cond, beam_poa, unshadowed, self.inv_count, self.svf_mean)
         } else {
             // Undulating surface: per-cell (hoisted) normal lanes make the
             // beam term cell-dependent; the shadow bit becomes a branch-free
             // keep multiplier inside the lane kernel.
+            let s = cond.sun_direction;
             let beam_sum =
                 lanes::shadowed_beam_sum(&s, &self.nx, &self.ny, &self.nz, &self.cells, shadow_row);
-            beam_dni * beam_sum * self.inv_count + diffuse * self.svf_mean + ground
+            compose(
+                cond,
+                cond.beam_normal.as_w_per_m2(),
+                beam_sum,
+                self.inv_count,
+                self.svf_mean,
+            )
         }
     }
+}
+
+/// Sun-up steps per register block of the sweep's lane sums.
+const STEP_BLOCK: usize = 4;
+
+/// `lane[j] += terms[j]` over one block of steps.
+#[inline]
+fn add_block(lane: &mut [f64; STEP_BLOCK], terms: &[f64]) {
+    for (a, &t) in lane.iter_mut().zip(terms) {
+        *a += t;
+    }
+}
+
+/// A group's mean irradiance at one sun-up step from its beam census:
+/// `beam · census · inv_count + diffuse · svf_mean + ground`, in that
+/// operation order and with no FMA. The one composition every
+/// mean-irradiance query ends in, so the sweep and the per-group kernel
+/// agree bit for bit.
+#[inline]
+fn compose(cond: &StepConditions, beam: f64, census: f64, inv_count: f64, svf_mean: f64) -> f64 {
+    let diffuse = cond.diffuse_poa.as_w_per_m2();
+    let ground = cond.ground_poa.as_w_per_m2();
+    beam * census * inv_count + diffuse * svf_mean + ground
 }
 
 /// The shared planar beam POA of one sun-up step (`Some` only when the
@@ -252,6 +278,155 @@ impl SolarDataset {
             } else {
                 0.0
             };
+        }
+    }
+
+    /// Hands every anchor of `anchors`, in order, the mean plane-of-array
+    /// irradiance trace of the `footprint` placed there: `visit(n, means)`
+    /// with `means[step - steps.start]` in W/m², zero at sun-down steps.
+    ///
+    /// Each trace is bit-identical to
+    /// [`mean_irradiance_group_into`](Self::mean_irradiance_group_into)
+    /// over the footprint's cells in row-major order (the order of
+    /// `pv_geom::Placement::cells_of`). On planar roofs it is that call,
+    /// per anchor. On undulating roofs one sweep serves every anchor: each
+    /// cell's beam term `keep · max(s · n, 0)` is computed once per sun-up
+    /// step, in a rolling band of `footprint.height_cells()` grid rows
+    /// (rows are keyed by `y % height`, so anchors in grid order compute
+    /// each row once), and each anchor adds its cells' terms into lane
+    /// `i % LANES` in cell order and folds with [`lanes::sum_lanes`] —
+    /// the exact operations of [`lanes::shadowed_beam_sum`], at a cost per
+    /// anchor of one add per cell and step.
+    ///
+    /// Memory: the band holds `grid width × footprint height × sun-up
+    /// steps` terms.
+    ///
+    /// ```
+    /// use pv_geom::{CellCoord, Footprint};
+    /// use pv_gis::{RoofBuilder, SolarExtractor, Site};
+    /// use pv_units::{Degrees, Meters, SimulationClock};
+    /// let roof = RoofBuilder::new(Meters::new(4.0), Meters::new(2.0))
+    ///     .undulation(Degrees::new(5.0), Meters::new(2.0), 3)
+    ///     .build();
+    /// let data = SolarExtractor::new(Site::turin(), SimulationClock::days_at_minutes(1, 120))
+    ///     .extract(&roof);
+    /// let footprint = Footprint::from_cells(3, 2, Meters::new(0.2));
+    /// let anchors = [CellCoord::new(0, 0), CellCoord::new(5, 4)];
+    /// data.sweep_mean_irradiance(footprint, &anchors, 0..data.num_steps(), |n, means| {
+    ///     let a = anchors[n];
+    ///     let cells: Vec<CellCoord> = (0..2)
+    ///         .flat_map(|dy| (0..3).map(move |dx| CellCoord::new(a.x + dx, a.y + dy)))
+    ///         .collect();
+    ///     let mut want = vec![0.0; means.len()];
+    ///     data.mean_irradiance_group_into(&data.irradiance_group(&cells), 0..data.num_steps(), &mut want);
+    ///     assert_eq!(means, &want[..]);
+    /// });
+    /// ```
+    ///
+    /// # Panics
+    ///
+    /// Panics if `steps` exceeds the clock range or a footprint at one of
+    /// `anchors` leaves the grid.
+    pub fn sweep_mean_irradiance(
+        &self,
+        footprint: Footprint,
+        anchors: &[CellCoord],
+        steps: core::ops::Range<u32>,
+        mut visit: impl FnMut(usize, &[f64]),
+    ) {
+        assert!(steps.end <= self.num_steps(), "step range out of bounds");
+        let (w, h) = (footprint.width_cells(), footprint.height_cells());
+        let dims = self.dims();
+        let cells_at = |a: CellCoord| {
+            assert!(
+                a.x + w <= dims.width() && a.y + h <= dims.height(),
+                "footprint at {a:?} leaves the grid"
+            );
+            (0..h).flat_map(move |dy| (0..w).map(move |dx| CellCoord::new(a.x + dx, a.y + dy)))
+        };
+        let mut means = vec![0.0f64; steps.len()];
+        if self.is_planar() {
+            let mut cells = Vec::with_capacity(w * h);
+            for (n, &anchor) in anchors.iter().enumerate() {
+                cells.clear();
+                cells.extend(cells_at(anchor));
+                let group = self.irradiance_group(&cells);
+                self.mean_irradiance_group_into(&group, steps.clone(), &mut means);
+                visit(n, &means);
+            }
+            return;
+        }
+
+        // Sun-up steps of the range, with what a beam term needs of each.
+        let up: Vec<u32> = steps
+            .clone()
+            .filter(|&i| self.conditions(i).sun_up)
+            .collect();
+        let suns: Vec<([f64; 3], Option<&[u64]>)> = up
+            .iter()
+            .map(|&i| (self.conditions(i).sun_direction, self.shadow_row_words(i)))
+            .collect();
+        // Per cell, the sun-up steps padded to whole register blocks
+        // (padding terms stay zero and are never read back).
+        let stride = up.len().div_ceil(STEP_BLOCK) * STEP_BLOCK;
+        let width = dims.width();
+        // Band slot `y % h` holds grid row `y`: `[x][sun-up step]` terms.
+        let mut band = vec![0.0f64; h * width * stride];
+        let mut band_rows = vec![usize::MAX; h];
+        let mut offsets = Vec::with_capacity(w * h);
+        let mut svfs = Vec::with_capacity(w * h);
+        let inv_count = 1.0 / (w * h) as f64;
+        for (n, &anchor) in anchors.iter().enumerate() {
+            for y in anchor.y..anchor.y + h {
+                let slot = y % h;
+                if band_rows[slot] != y {
+                    band_rows[slot] = y;
+                    let row = &mut band[slot * width * stride..(slot + 1) * width * stride];
+                    for (x, terms) in row.chunks_exact_mut(stride.max(1)).enumerate() {
+                        let cell = y * width + x;
+                        let n = self.cell_normal_linear(cell);
+                        for (term, &(sun, shadow)) in terms.iter_mut().zip(&suns) {
+                            // `shadowed_beam_sum`'s term, operation for operation.
+                            let dot = sun[0] * n[0] + sun[1] * n[1] + sun[2] * n[2];
+                            let keep =
+                                shadow.map_or(1.0, |words| lanes::keep_factor(words, cell as u32));
+                            *term = keep * dot.max(0.0);
+                        }
+                    }
+                }
+            }
+            offsets.clear();
+            offsets.extend(cells_at(anchor).map(|c| ((c.y % h) * width + c.x) * stride));
+            svfs.clear();
+            svfs.extend(cells_at(anchor).map(|c| self.sky_view_factor(c)));
+            let svf_mean = lanes::sum(&svfs) * inv_count;
+            // Term `i` of each step goes to lane `i % LANES`, in cell
+            // order; a block of steps keeps its lanes in registers.
+            for (block, steps_up) in up.chunks(STEP_BLOCK).enumerate() {
+                let k = block * STEP_BLOCK;
+                let mut acc = [[0.0f64; STEP_BLOCK]; lanes::LANES];
+                let mut quads = offsets.chunks_exact(lanes::LANES);
+                for quad in &mut quads {
+                    for (lane, &off) in acc.iter_mut().zip(quad) {
+                        add_block(lane, &band[off + k..off + k + STEP_BLOCK]);
+                    }
+                }
+                for (lane, &off) in acc.iter_mut().zip(quads.remainder()) {
+                    add_block(lane, &band[off + k..off + k + STEP_BLOCK]);
+                }
+                for (j, &i) in steps_up.iter().enumerate() {
+                    let cond = self.conditions(i);
+                    let beam_sum = lanes::sum_lanes([acc[0][j], acc[1][j], acc[2][j], acc[3][j]]);
+                    means[(i - steps.start) as usize] = compose(
+                        cond,
+                        cond.beam_normal.as_w_per_m2(),
+                        beam_sum,
+                        inv_count,
+                        svf_mean,
+                    );
+                }
+            }
+            visit(n, &means);
         }
     }
 }

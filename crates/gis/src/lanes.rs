@@ -187,7 +187,7 @@ pub fn shadowed_beam_sum_scalar(
 /// `1.0` when `cell`'s shadow bit is clear, else `0.0` — pure integer
 /// arithmetic, no branch.
 #[inline]
-fn keep_factor(words: &[u64], cell: u32) -> f64 {
+pub(crate) fn keep_factor(words: &[u64], cell: u32) -> f64 {
     (1 ^ ((words[cell as usize / 64] >> (cell % 64)) & 1)) as f64
 }
 

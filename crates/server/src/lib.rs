@@ -4,8 +4,8 @@
 //! Every other entry point in the workspace (`pvplan` and its `suite`,
 //! the bench bins) is a batch run: extract a site, place modules, print, exit
 //! — and the warm-reuse machinery of the incremental evaluator (the shared
-//! [`TraceMemo`](pv_floorplan::TraceMemo), `anneal_with_memo`,
-//! `optimal_placement_with_memo`) dies with the process. This crate turns
+//! [`TraceMemo`](pv_floorplan::TraceMemo) behind `anneal_with_memo` and
+//! every report) dies with the process. This crate turns
 //! that machinery into a *service*: a [`PlacementService`] keeps an LRU of
 //! per-site state — extracted [`SolarDataset`](pv_gis::SolarDataset),
 //! [`SuitabilityMap`](pv_floorplan::SuitabilityMap) and a warm

@@ -1054,6 +1054,53 @@ mod tests {
     }
 
     #[test]
+    fn exact_requests_leave_the_site_memo_to_the_other_placers() {
+        // A budget the 1×1 search fits on every generated site.
+        let config = ServiceConfig {
+            exact_budget: 20_000,
+            ..ServiceConfig::tiny()
+        };
+        let spec = ScenarioSpec::generate(2018, 0);
+        let exact = format!(
+            r#"{{"spec": "{}", "placer": "exact", "series": 1, "strings": 1}}"#,
+            spec.to_spec_string()
+        );
+        let anneal = format!(
+            r#"{{"spec": "{}", "placer": "anneal"}}"#,
+            spec.to_spec_string()
+        );
+        let memo_len = |service: &PlacementService| {
+            let (site, _) = service
+                .site_for(
+                    &spec,
+                    config.days,
+                    config.step_minutes,
+                    &mut StageTimes::default(),
+                )
+                .unwrap();
+            site.memo.len()
+        };
+
+        // Exact on a fresh site, then anneal.
+        let exact_first = PlacementService::new(config);
+        let before = memo_len(&exact_first);
+        let (exact_bytes, _) = exact_first.place(&exact).unwrap();
+        assert!(
+            memo_len(&exact_first) <= before + 1,
+            "the search must publish at most its winner's anchor, not every candidate"
+        );
+        let (anneal_after_exact, _) = exact_first.place(&anneal).unwrap();
+
+        // Anneal on a fresh site, then exact.
+        let anneal_first = PlacementService::new(config);
+        let (anneal_alone, _) = anneal_first.place(&anneal).unwrap();
+        let (exact_after_anneal, _) = anneal_first.place(&exact).unwrap();
+
+        assert_eq!(anneal_after_exact, anneal_alone);
+        assert_eq!(exact_bytes, exact_after_anneal);
+    }
+
+    #[test]
     fn seed_changes_the_anneal_chain_not_the_site() {
         let service = service();
         let with_seed = |seed: u64| {
