@@ -441,4 +441,72 @@ mod tests {
             .energy;
         assert!(best_energy.as_wh() >= greedy_energy.as_wh() - 1e-9);
     }
+
+    #[test]
+    fn sweep_fed_search_matches_a_fresh_context_per_leaf_at_any_thread_count() {
+        // An undulating roof with a chimney: traces take the band sweep.
+        // The reference scores every non-overlapping combination in index
+        // order with its own kernel-built context and keeps the first
+        // maximum, as the search did before it swept.
+        let roof = RoofBuilder::new(Meters::new(4.0), Meters::new(2.0))
+            .undulation(pv_units::Degrees::new(6.0), Meters::new(1.2), 5)
+            .obstacle(Obstacle::chimney(
+                Meters::new(3.4),
+                Meters::new(1.4),
+                Meters::new(0.4),
+                Meters::new(0.4),
+                Meters::new(1.0),
+            ))
+            .build();
+        let data = SolarExtractor::new(Site::turin(), SimulationClock::days_at_minutes(2, 120))
+            .seed(3)
+            .extract(&roof);
+        let candidates = fitting_anchors(&data, config(1, 1).footprint());
+        // Index combinations of size `k` below `prefix`, in lexicographic order.
+        fn combos(n: usize, k: usize, prefix: &mut Vec<usize>, out: &mut Vec<Vec<usize>>) {
+            if prefix.len() == k {
+                out.push(prefix.clone());
+                return;
+            }
+            let start = prefix.last().map_or(0, |&i| i + 1);
+            for i in start..n {
+                prefix.push(i);
+                combos(n, k, prefix, out);
+                prefix.pop();
+            }
+        }
+        // Three modules re-anchor from the middle level as well.
+        for cfg in [config(1, 1), config(2, 1), config(3, 1)] {
+            let evaluator = EnergyEvaluator::new(&cfg).with_runtime(Runtime::sequential());
+            let mut all = Vec::new();
+            combos(
+                candidates.len(),
+                cfg.topology().num_modules(),
+                &mut Vec::new(),
+                &mut all,
+            );
+            let mut reference: Option<(Vec<CellCoord>, WattHours)> = None;
+            for combo in all {
+                let anchors: Vec<CellCoord> = combo.iter().map(|&i| candidates[i]).collect();
+                if let Some(plan) = build_plan(&anchors, &data, &cfg) {
+                    let energy = evaluator.evaluate(&data, &plan).unwrap().energy;
+                    if reference
+                        .as_ref()
+                        .is_none_or(|(_, e)| energy.as_wh() > e.as_wh())
+                    {
+                        reference = Some((anchors, energy));
+                    }
+                }
+            }
+            let (anchors, energy) = reference.expect("the roof fits the topology");
+            for threads in [1usize, 3] {
+                let (plan, wh) =
+                    optimum(&data, &cfg, 1_000_000, Runtime::with_threads(threads)).unwrap();
+                let found: Vec<CellCoord> =
+                    plan.placement.modules().iter().map(|m| m.anchor).collect();
+                assert_eq!(found, anchors, "{threads} thread(s)");
+                assert_eq!(wh.as_wh().to_bits(), energy.as_wh().to_bits());
+            }
+        }
+    }
 }
