@@ -645,7 +645,7 @@ pub fn proposal_loop_timings(
     let memo = TraceMemo::new();
     let warm_context = || {
         let mut ctx = evaluator
-            .context_with_memo(dataset, plan, &memo)
+            .context(dataset, plan, Some(&memo))
             .expect("sized plan");
         for &anchor in &probe {
             ctx.try_move(0, anchor).expect("probed anchor");

@@ -99,7 +99,7 @@ pub fn anneal_with_memo(
     // modules. Rejected proposals roll back from the undo buffer (no
     // second irradiance recompute) and the per-anchor memo turns revisited
     // proposal anchors into lookups.
-    let mut ctx = evaluator.context_with_memo(dataset, initial, memo)?;
+    let mut ctx = evaluator.context(dataset, initial, Some(memo))?;
     let mut current_energy = ctx.evaluate().energy;
     let mut best_anchors = ctx.anchors();
     let mut best_energy = current_energy;

@@ -11,18 +11,19 @@
 //! placements that differ from the previous one by a *single module*.
 //! [`EvaluationContext`] therefore caches everything a re-score needs:
 //!
-//! - **per-module traces** — each module's per-step mean irradiance and
-//!   operating point, in module-major SoA blocks, built in parallel at
-//!   construction ([`Runtime::for_each_chunk_mut`]) by a *fused*
+//! - **per-module traces** — each module's per-step operating point
+//!   (voltage and current), in module-major SoA blocks, built in parallel
+//!   at construction ([`Runtime::for_each_chunk_mut`]) by a *fused*
 //!   transposition + operating-point pass: each [`FUSE_TILE`]-step tile
 //!   runs the single-group POA kernel
-//!   ([`pv_gis::SolarDataset::mean_irradiance_group_into`]) and then the
-//!   module's own operating-point sweep
+//!   ([`pv_gis::SolarDataset::mean_irradiance_group_into`]) into a scratch
+//!   tile and then the module's own operating-point sweep
 //!   ([`EmpiricalModule::operating_points`], bit-identical to its
 //!   [`ModuleModel`] calls) while the means are still hot in cache — one
 //!   sweep over the step range instead of two, with tiling provably
 //!   invisible in the bits (both kernels are elementwise / sub-range
-//!   stable);
+//!   stable). The means themselves are not kept: every fold reads only
+//!   voltage and current;
 //! - **per-string aggregates** — each string's per-step series voltage sum
 //!   and bottleneck current, so a move touches only the affected string;
 //! - the **undo buffer** of a try/commit/rollback move API
@@ -52,6 +53,7 @@ use pv_model::{string_wiring_overhead, EmpiricalModule, ModuleModel, OperatingPo
 use pv_runtime::Runtime;
 use pv_units::{Amperes, Irradiance, Meters, Volts, WattHours, Watts};
 use std::collections::BTreeMap;
+use std::ops::Range;
 use std::sync::{Arc, Mutex};
 
 /// Time steps per parallel work unit of the integration loop.
@@ -60,12 +62,14 @@ use std::sync::{Arc, Mutex};
 /// always folded over identical step windows.
 const STEP_CHUNK: usize = 256;
 
-/// Per-module trace block layout: `[mean G | V | I]`, each of length
-/// `num_steps` — one contiguous module-major block per module.
-pub(crate) const TRACE_FIELDS: usize = 3;
+/// Per-module trace block layout: `[V | I]`, the module's per-step MPP
+/// voltage and current, each of length `num_steps` — one contiguous
+/// module-major block per module.
+const TRACE_FIELDS: usize = 2;
 
 /// Steps per tile of the fused transposition + operating-point pass
-/// (≈ 3 × 512 × 8 B = 12 KiB of trace per tile, comfortably L1-resident).
+/// (4 KiB of means scratch and 8 KiB of trace per tile, comfortably
+/// L1-resident).
 ///
 /// The tile size cannot affect the output bits: the POA kernel is
 /// sub-range stable (documented contract of `mean_irradiance_group_into`)
@@ -122,14 +126,15 @@ impl EnergyReport {
 
 /// Shared memo of per-anchor module traces.
 ///
-/// A module's trace (per-step mean irradiance and operating point) is a
-/// pure function of its anchor for a fixed dataset, footprint and module
-/// model, so search loops that revisit anchors — the annealer proposing a
-/// previously seen position, a later request on the same site — can reuse
-/// it. Create one memo per (dataset, config) pair and pass it to
-/// [`EnergyEvaluator::context_with_memo`]; it is thread-safe, so parallel
-/// users share one memo. The exhaustive search does not use one: it
-/// traces every candidate in one sweep over the roof.
+/// A module's trace (its per-step operating point, voltage and current)
+/// is a pure function of its anchor for a fixed dataset, footprint and
+/// module model, so search loops that revisit anchors — the annealer
+/// proposing a previously seen position, a later request on the same
+/// site — can reuse it. Create one memo per (dataset, config) pair and
+/// pass it to [`EnergyEvaluator::context`]; it is thread-safe, so parallel
+/// users share one memo. A trace takes `2 × steps × 8` bytes. The
+/// exhaustive search does not use one: it traces every candidate in one
+/// sweep over the roof.
 ///
 /// Memoized traces are byte copies of kernel output, so memo hits are
 /// bit-identical to recomputation. Memory is bounded by a byte budget
@@ -153,11 +158,11 @@ impl EnergyReport {
 /// let evaluator = EnergyEvaluator::new(&config);
 ///
 /// let memo = TraceMemo::new();
-/// let first = evaluator.context_with_memo(&data, &plan, &memo)?.evaluate();
+/// let first = evaluator.context(&data, &plan, Some(&memo))?.evaluate();
 /// assert_eq!(memo.len(), 2); // both module anchors published
 /// // A second context on the same (dataset, config) pair starts warm —
 /// // and memo hits are bit-identical to recomputation.
-/// let second = evaluator.context_with_memo(&data, &plan, &memo)?.evaluate();
+/// let second = evaluator.context(&data, &plan, Some(&memo))?.evaluate();
 /// assert_eq!(first, second);
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
@@ -174,7 +179,7 @@ impl Default for TraceMemo {
 }
 
 impl TraceMemo {
-    /// Default cache budget: 256 MiB of trace data (e.g. ~300 anchors at
+    /// Default cache budget: 256 MiB of trace data (e.g. 478 anchors at
     /// the paper's 35,040-step clock, or every anchor of any smoke-scale
     /// roof).
     pub const DEFAULT_BYTE_BUDGET: usize = 256 << 20;
@@ -262,6 +267,12 @@ impl<'a> EnergyEvaluator<'a> {
     /// Builds a reusable [`EvaluationContext`] for `plan` — the entry
     /// point for search loops that evaluate many variations of one plan.
     ///
+    /// With a shared per-anchor [`TraceMemo`], module traces for anchors
+    /// already in the memo are copied instead of recomputed, and freshly
+    /// computed traces are published to it. The memo must only be shared
+    /// between contexts built from the *same* dataset and configuration (a
+    /// trace is a pure function of the anchor only under that pairing).
+    ///
     /// # Errors
     ///
     /// Returns [`FloorplanError::PlacementSizeMismatch`] when the plan's
@@ -270,35 +281,22 @@ impl<'a> EnergyEvaluator<'a> {
         &self,
         dataset: &'d SolarDataset,
         plan: &FloorplanResult,
+        memo: Option<&'d TraceMemo>,
     ) -> Result<EvaluationContext<'d>, FloorplanError>
     where
         'a: 'd,
     {
-        EvaluationContext::new(dataset, self.config, self.runtime, plan, None)
-    }
-
-    /// [`context`](Self::context) with a shared per-anchor [`TraceMemo`]:
-    /// module traces for anchors already in the memo are copied instead of
-    /// recomputed, and freshly computed traces are published to it.
-    ///
-    /// The memo must only be shared between contexts built from the *same*
-    /// dataset and configuration (a trace is a pure function of the anchor
-    /// only under that pairing).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FloorplanError::PlacementSizeMismatch`] when the plan's
-    /// module count differs from the configured topology.
-    pub fn context_with_memo<'d>(
-        &self,
-        dataset: &'d SolarDataset,
-        plan: &FloorplanResult,
-        memo: &'d TraceMemo,
-    ) -> Result<EvaluationContext<'d>, FloorplanError>
-    where
-        'a: 'd,
-    {
-        EvaluationContext::new(dataset, self.config, self.runtime, plan, Some(memo))
+        let module = self.config.module();
+        EvaluationContext::new(
+            dataset,
+            self.config,
+            plan,
+            self.runtime,
+            memo,
+            |k, ambient, block| {
+                fill_module_trace(dataset, &plan.placement, k, module, ambient, memo, block);
+            },
+        )
     }
 
     /// Integrates the yearly energy of `plan` over `dataset`.
@@ -312,7 +310,7 @@ impl<'a> EnergyEvaluator<'a> {
         dataset: &SolarDataset,
         plan: &FloorplanResult,
     ) -> Result<EnergyReport, FloorplanError> {
-        Ok(self.context(dataset, plan)?.evaluate())
+        Ok(self.context(dataset, plan, None)?.evaluate())
     }
 }
 
@@ -364,7 +362,7 @@ struct PendingMove {
 ///     .extract(&roof);
 /// let config = FloorplanConfig::paper(Topology::new(2, 1)?)?;
 /// let plan = greedy_placement(&data, &config)?;
-/// let mut ctx = EnergyEvaluator::new(&config).context(&data, &plan)?;
+/// let mut ctx = EnergyEvaluator::new(&config).context(&data, &plan, None)?;
 /// let baseline = ctx.evaluate();
 ///
 /// // Propose moving module 0 to the first feasible free anchor.
@@ -401,8 +399,8 @@ pub struct EvaluationContext<'d> {
     /// sweep never chases `StepConditions` per module × step.
     ambient: Vec<f64>,
     /// Module-major trace cache: module `k` owns the contiguous block
-    /// `[k·3S, (k+1)·3S)` holding its mean-irradiance, voltage and current
-    /// traces (`S` steps each; zeros while the sun is down).
+    /// `[k·2S, (k+1)·2S)` holding its voltage and current traces (`S`
+    /// steps each; zeros while the sun is down).
     trace: Vec<f64>,
     /// String-major aggregate cache: string `j` owns `[j·2S, (j+1)·2S)`
     /// holding its per-step series voltage sum and bottleneck current.
@@ -410,77 +408,35 @@ pub struct EvaluationContext<'d> {
     memo: Option<&'d TraceMemo>,
     /// Undo metadata of the pending proposal, if any.
     pending: Option<PendingMove>,
-    /// Persistent undo scratch: the displaced trace block (3S values).
+    /// Persistent undo scratch: the displaced trace block (2S values).
     undo_trace: Vec<f64>,
     /// Persistent undo scratch: the displaced aggregate block (2S values).
     undo_agg: Vec<f64>,
 }
 
 impl<'d> EvaluationContext<'d> {
-    fn new(
+    /// The context of `plan` whose module `k`'s trace block is written by
+    /// `fill(k, ambient, block)` (`ambient` is the per-step ambient
+    /// temperature), one block per module in parallel on `runtime`; `memo`
+    /// serves the kernel fills of later [`try_move`](Self::try_move)s.
+    /// Each block is an independent pure function of its anchor, so the
+    /// thread count cannot affect the bytes.
+    pub(crate) fn new(
         dataset: &'d SolarDataset,
         config: &'d FloorplanConfig,
-        runtime: Runtime,
         plan: &FloorplanResult,
+        runtime: Runtime,
         memo: Option<&'d TraceMemo>,
+        fill: impl Fn(usize, &[f64], &mut [f64]) + Sync,
     ) -> Result<Self, FloorplanError> {
         check_size(config, plan)?;
-        let ambient = ambient_trace(dataset);
-        // Per-module traces, one contiguous block per module, filled in
-        // parallel (each block is an independent pure function of its
-        // anchor, so thread count cannot affect the bytes).
-        let module = config.module();
-        let block_len = TRACE_FIELDS * dataset.num_steps() as usize;
-        let mut trace = vec![0.0f64; plan.placement.len() * block_len];
-        runtime.for_each_chunk_mut(&mut trace, block_len, |k, block| {
-            fill_module_trace(dataset, &plan.placement, k, module, &ambient, memo, block);
-        });
-        Ok(Self::assemble(
-            dataset, config, runtime, plan, ambient, trace, memo,
-        ))
-    }
-
-    /// A sequential context for `plan` whose module `k`'s trace block
-    /// (`[mean G | V | I]`, as this context would compute it) is written
-    /// by `fill(k, block)` instead of the kernel: the exhaustive search's
-    /// traces come from one sweep over the roof.
-    pub(crate) fn with_traces(
-        dataset: &'d SolarDataset,
-        config: &'d FloorplanConfig,
-        plan: &FloorplanResult,
-        mut fill: impl FnMut(usize, &mut [f64]),
-    ) -> Result<Self, FloorplanError> {
-        check_size(config, plan)?;
-        let block_len = TRACE_FIELDS * dataset.num_steps() as usize;
-        let mut trace = vec![0.0f64; plan.placement.len() * block_len];
-        for (k, block) in trace.chunks_exact_mut(block_len).enumerate() {
-            fill(k, block);
-        }
-        let ambient = ambient_trace(dataset);
-        Ok(Self::assemble(
-            dataset,
-            config,
-            Runtime::sequential(),
-            plan,
-            ambient,
-            trace,
-            None,
-        ))
-    }
-
-    /// The context of `plan` around its filled module traces: string
-    /// membership, per-string aggregates and wiring overheads.
-    fn assemble(
-        dataset: &'d SolarDataset,
-        config: &'d FloorplanConfig,
-        runtime: Runtime,
-        plan: &FloorplanResult,
-        ambient: Vec<f64>,
-        trace: Vec<f64>,
-        memo: Option<&'d TraceMemo>,
-    ) -> Self {
         let topology = config.topology();
         let num_steps = dataset.num_steps() as usize;
+        let ambient = ambient_trace(dataset);
+        let mut trace = vec![0.0f64; plan.placement.len() * trace_len(num_steps)];
+        runtime.for_each_chunk_mut(&mut trace, trace_len(num_steps), |k, block| {
+            fill(k, &ambient, block);
+        });
         // Per-string module order (series connection order = enumeration
         // order within the string).
         let mut strings: Vec<Vec<usize>> =
@@ -490,33 +446,27 @@ impl<'d> EvaluationContext<'d> {
         }
         debug_assert!(strings.iter().all(|s| s.len() == topology.series()));
 
-        // Per-string aggregates over the traces.
-        let mut agg = vec![0.0f64; strings.len() * AGG_FIELDS * num_steps];
-        runtime.for_each_chunk_mut(&mut agg, AGG_FIELDS * num_steps, |j, block| {
-            fill_string_agg(&trace, &strings[j], num_steps, block);
-        });
-
         let mut context = Self {
             dataset,
             config,
             runtime,
             placement: plan.placement.clone(),
+            agg: vec![0.0f64; strings.len() * AGG_FIELDS * num_steps],
             strings,
             string_of: plan.string_of.clone(),
             wiring: WiringSpec::awg10(),
             string_extra: vec![Meters::ZERO; topology.strings()],
             ambient,
             trace,
-            agg,
             memo,
             pending: None,
-            undo_trace: vec![0.0f64; TRACE_FIELDS * num_steps],
+            undo_trace: vec![0.0f64; trace_len(num_steps)],
             undo_agg: vec![0.0f64; AGG_FIELDS * num_steps],
         };
         for j in 0..context.strings.len() {
-            context.refresh_string_wiring(j);
+            context.refresh_string(j);
         }
-        context
+        Ok(context)
     }
 
     /// The current placement under evaluation.
@@ -582,13 +532,7 @@ impl<'d> EvaluationContext<'d> {
             self.memo,
             &mut self.trace[trace_block(k, num_steps)],
         );
-        fill_string_agg(
-            &self.trace,
-            &self.strings[s],
-            num_steps,
-            &mut self.agg[agg_block(s, num_steps)],
-        );
-        self.refresh_string_wiring(s);
+        self.refresh_string(s);
 
         self.pending = Some(PendingMove {
             module: k,
@@ -629,9 +573,9 @@ impl<'d> EvaluationContext<'d> {
     }
 
     /// Re-anchors modules `from..` at `anchors` (module `from + j` at
-    /// `anchors[j]`, its trace block written by `fill(j, block)` as in
-    /// [`with_traces`](Self::with_traces)), and refreshes the aggregates
-    /// and wiring of their strings: the exhaustive search's leaf step. A
+    /// `anchors[j]`, its trace block written by `fill(from + j, ambient,
+    /// block)` as in [`new`](Self::new)), and refreshes the aggregates and
+    /// wiring of their strings: the exhaustive search's leaf step. A
     /// pending proposal is committed first.
     ///
     /// # Panics
@@ -642,7 +586,7 @@ impl<'d> EvaluationContext<'d> {
         &mut self,
         from: usize,
         anchors: &[CellCoord],
-        mut fill: impl FnMut(usize, &mut [f64]),
+        fill: impl Fn(usize, &[f64], &mut [f64]),
     ) {
         assert_eq!(
             from + anchors.len(),
@@ -658,23 +602,35 @@ impl<'d> EvaluationContext<'d> {
             self.placement
                 .try_place(anchor, self.dataset.valid())
                 .expect("loaded modules fit the roof side by side");
-            fill(j, &mut self.trace[trace_block(from + j, num_steps)]);
+            let k = from + j;
+            fill(k, &self.ambient, &mut self.trace[trace_block(k, num_steps)]);
         }
         for s in 0..self.strings.len() {
             if self.strings[s].iter().any(|&k| k >= from) {
-                fill_string_agg(
-                    &self.trace,
-                    &self.strings[s],
-                    num_steps,
-                    &mut self.agg[agg_block(s, num_steps)],
-                );
-                self.refresh_string_wiring(s);
+                self.refresh_string(s);
             }
         }
     }
 
-    /// Recomputes the wiring overhead of string `j` from current centres.
-    fn refresh_string_wiring(&mut self, j: usize) {
+    /// Refolds string `j`'s aggregate block `[Σ V | min I]` from its
+    /// members' traces and recomputes its wiring overhead from their
+    /// current centres.
+    ///
+    /// The fold is member-outer and elementwise (two streaming lane folds
+    /// per member, in series-connection order) rather than step-outer with
+    /// an inner member gather — the same per-element fold order over
+    /// members, so bit-identical to the cold path's inline string fold,
+    /// but the inner loops vectorize.
+    fn refresh_string(&mut self, j: usize) {
+        let num_steps = self.num_steps();
+        let (v_sum, i_min) = self.agg[agg_block(j, num_steps)].split_at_mut(num_steps);
+        v_sum.fill(0.0);
+        i_min.fill(f64::INFINITY);
+        for &k in &self.strings[j] {
+            let (volts, amps) = self.trace[trace_block(k, num_steps)].split_at(num_steps);
+            lanes::add_assign(v_sum, volts);
+            lanes::min_assign(i_min, amps);
+        }
         let centers: Vec<pv_geom::Point> = self.strings[j]
             .iter()
             .map(|&k| self.placement.center(k))
@@ -713,8 +669,8 @@ impl<'d> EvaluationContext<'d> {
                     }
                     for k in 0..n_modules {
                         let base = k * TRACE_FIELDS * num_steps;
-                        let v = self.trace[base + num_steps + i];
-                        let c = self.trace[base + 2 * num_steps + i];
+                        let v = self.trace[base + i];
+                        let c = self.trace[base + num_steps + i];
                         unconstrained += (Volts::new(v) * Amperes::new(c)).as_watts();
                     }
 
@@ -767,7 +723,7 @@ impl<'d> EvaluationContext<'d> {
     ///     .extract(&roof);
     /// let config = FloorplanConfig::paper(Topology::new(2, 1)?)?;
     /// let plan = greedy_placement(&data, &config)?;
-    /// let ctx = EnergyEvaluator::new(&config).context(&data, &plan)?;
+    /// let ctx = EnergyEvaluator::new(&config).context(&data, &plan, None)?;
     /// let warm = ctx.evaluate();
     /// let cold = ctx.evaluate_cold();
     /// assert_eq!(warm.energy.as_wh().to_bits(), cold.energy.as_wh().to_bits());
@@ -884,27 +840,27 @@ fn check_size(config: &FloorplanConfig, plan: &FloorplanResult) -> Result<(), Fl
     }
 }
 
+/// Values in one module's trace block at `num_steps` steps.
+#[inline]
+pub(crate) const fn trace_len(num_steps: usize) -> usize {
+    TRACE_FIELDS * num_steps
+}
+
 /// Index range of module `k`'s trace block.
 #[inline]
-const fn trace_block(k: usize, num_steps: usize) -> std::ops::Range<usize> {
-    k * TRACE_FIELDS * num_steps..(k + 1) * TRACE_FIELDS * num_steps
+const fn trace_block(k: usize, num_steps: usize) -> Range<usize> {
+    k * trace_len(num_steps)..(k + 1) * trace_len(num_steps)
 }
 
 /// Index range of string `j`'s aggregate block.
 #[inline]
-const fn agg_block(j: usize, num_steps: usize) -> std::ops::Range<usize> {
+const fn agg_block(j: usize, num_steps: usize) -> Range<usize> {
     j * AGG_FIELDS * num_steps..(j + 1) * AGG_FIELDS * num_steps
 }
 
-/// Fills module `k`'s trace block `[mean G | V | I]` for its cells in
-/// `placement`, consulting (and feeding) the optional per-anchor memo;
-/// the module's irradiance group is built only on a memo miss.
-///
-/// The fused transposition + operating-point pass: each tile of steps
-/// runs the POA mean kernel and then the module's operating-point sweep
-/// while the means are still cache-hot, instead of two full-range
-/// sweeps. Sun-down steps carry `mean G = 0`, for which the sweep yields
-/// exact `0.0` volts and amps.
+/// Fills module `k`'s trace block for its cells in `placement`,
+/// consulting (and feeding) the optional per-anchor memo; the module's
+/// irradiance group is built only on a memo miss.
 fn fill_module_trace(
     dataset: &SolarDataset,
     placement: &Placement,
@@ -915,57 +871,56 @@ fn fill_module_trace(
     block: &mut [f64],
 ) {
     let anchor = placement.modules()[k].anchor;
-    if let Some(memo) = memo {
-        if let Some(cached) = memo.get(anchor) {
-            assert_eq!(
-                cached.len(),
-                block.len(),
-                "memoized trace length mismatch: the memo was built for a \
-                 different dataset or configuration"
-            );
-            block.copy_from_slice(&cached);
-            return;
-        }
+    if let Some(cached) = memo.and_then(|memo| memo.get(anchor)) {
+        assert_eq!(
+            cached.len(),
+            block.len(),
+            "memoized trace length mismatch: the memo was built for a \
+             different dataset or configuration"
+        );
+        block.copy_from_slice(&cached);
+        return;
     }
     let cells: Vec<CellCoord> = placement.cells_of(k).collect();
     let group = dataset.irradiance_group(&cells);
-    let num_steps = block.len() / TRACE_FIELDS;
-    let (means, ops) = block.split_at_mut(num_steps);
-    let (volts, amps) = ops.split_at_mut(num_steps);
-    for start in (0..num_steps).step_by(FUSE_TILE) {
-        let tile = start..(start + FUSE_TILE).min(num_steps);
-        dataset.mean_irradiance_group_into(
-            &group,
-            tile.start as u32..tile.end as u32,
-            &mut means[tile.clone()],
-        );
-        module.operating_points(
-            &means[tile.clone()],
-            &ambient[tile.clone()],
-            &mut volts[tile.clone()],
-            &mut amps[tile],
-        );
-    }
+    trace_from_means(
+        module,
+        ambient,
+        |steps, means| {
+            dataset.mean_irradiance_group_into(&group, steps.start as u32..steps.end as u32, means);
+        },
+        block,
+    );
     if let Some(memo) = memo {
         memo.insert(anchor, block);
     }
 }
 
-/// Fills string `j`'s aggregate block `[Σ V | min I]` from the module
-/// traces, folding members in series-connection order.
-///
-/// Member-outer and elementwise (two streaming lane folds per member)
-/// rather than step-outer with an inner member gather — same per-element
-/// fold order over members, so bit-identical to the cold path's inline
-/// string fold, but the inner loops vectorize.
-fn fill_string_agg(trace: &[f64], members: &[usize], num_steps: usize, block: &mut [f64]) {
-    let (v_sum, i_min) = block.split_at_mut(num_steps);
-    v_sum.fill(0.0);
-    i_min.fill(f64::INFINITY);
-    for &k in members {
-        let base = k * TRACE_FIELDS * num_steps;
-        lanes::add_assign(v_sum, &trace[base + num_steps..base + 2 * num_steps]);
-        lanes::min_assign(i_min, &trace[base + 2 * num_steps..base + 3 * num_steps]);
+/// Writes a module's trace block `[V | I]` from its mean irradiance, the
+/// fused transposition + operating-point pass: for each [`FUSE_TILE`] of
+/// steps, `means(steps, tile)` writes the module's means into a scratch
+/// tile, and the module's operating-point sweep turns the tile into
+/// voltage and current while it is still cache-hot. Sun-down steps carry
+/// a mean of 0, for which the sweep yields exact `0.0` volts and amps.
+pub(crate) fn trace_from_means(
+    module: &EmpiricalModule,
+    ambient: &[f64],
+    mut means: impl FnMut(Range<usize>, &mut [f64]),
+    block: &mut [f64],
+) {
+    let num_steps = ambient.len();
+    let (volts, amps) = block.split_at_mut(num_steps);
+    let mut scratch = [0.0f64; FUSE_TILE];
+    for start in (0..num_steps).step_by(FUSE_TILE) {
+        let tile = start..(start + FUSE_TILE).min(num_steps);
+        let g = &mut scratch[..tile.len()];
+        means(tile.clone(), g);
+        module.operating_points(
+            g,
+            &ambient[tile.clone()],
+            &mut volts[tile.clone()],
+            &mut amps[tile],
+        );
     }
 }
 
@@ -1054,7 +1009,7 @@ mod tests {
             for threads in [1usize, 3] {
                 let ctx = EnergyEvaluator::new(&cfg)
                     .with_runtime(Runtime::with_threads(threads))
-                    .context(&data, &plan)
+                    .context(&data, &plan, None)
                     .unwrap();
                 assert_eq!(
                     ctx.evaluate(),
@@ -1071,7 +1026,7 @@ mod tests {
         let cfg = config(2, 1);
         let plan = greedy_placement(&data, &cfg).unwrap();
         let evaluator = EnergyEvaluator::new(&cfg).with_runtime(Runtime::sequential());
-        let mut ctx = evaluator.context(&data, &plan).unwrap();
+        let mut ctx = evaluator.context(&data, &plan, None).unwrap();
 
         // Move module 1 to a fresh anchor, then compare against a context
         // built from scratch on the moved placement.
@@ -1084,13 +1039,16 @@ mod tests {
             string_of: plan.string_of.clone(),
             mean_anchor_score: f64::NAN,
         };
-        let fresh = evaluator.context(&data, &moved_plan).unwrap().evaluate();
+        let fresh = evaluator
+            .context(&data, &moved_plan, None)
+            .unwrap()
+            .evaluate();
         assert_eq!(ctx.evaluate(), fresh);
 
         // Undo restores the original report exactly.
         ctx.try_move(1, old).unwrap();
         ctx.commit_move();
-        let original = evaluator.context(&data, &plan).unwrap().evaluate();
+        let original = evaluator.context(&data, &plan, None).unwrap().evaluate();
         assert_eq!(ctx.evaluate(), original);
     }
 
@@ -1101,7 +1059,7 @@ mod tests {
         let plan = greedy_placement(&data, &cfg).unwrap();
         let memo = TraceMemo::new();
         let evaluator = EnergyEvaluator::new(&cfg).with_runtime(Runtime::sequential());
-        let mut ctx = evaluator.context_with_memo(&data, &plan, &memo).unwrap();
+        let mut ctx = evaluator.context(&data, &plan, Some(&memo)).unwrap();
         let pristine = ctx.clone();
 
         let target = pv_geom::CellCoord::new(30, 10);
@@ -1132,7 +1090,7 @@ mod tests {
         let plan = greedy_placement(&data, &cfg).unwrap();
         let memo = TraceMemo::new();
         let evaluator = EnergyEvaluator::new(&cfg).with_runtime(Runtime::sequential());
-        let mut ctx = evaluator.context_with_memo(&data, &plan, &memo).unwrap();
+        let mut ctx = evaluator.context(&data, &plan, Some(&memo)).unwrap();
         assert_eq!(memo.len(), 2); // both initial anchors published
 
         let target = pv_geom::CellCoord::new(30, 10);
@@ -1147,7 +1105,7 @@ mod tests {
         assert_eq!(memo.len(), 3);
 
         // A second context sharing the memo reproduces the same report.
-        let fresh = evaluator.context_with_memo(&data, &plan, &memo).unwrap();
+        let fresh = evaluator.context(&data, &plan, Some(&memo)).unwrap();
         assert_eq!(fresh.evaluate(), ctx.evaluate());
     }
 
@@ -1157,15 +1115,24 @@ mod tests {
         let cfg = config(2, 1);
         let plan = greedy_placement(&data, &cfg).unwrap();
         let evaluator = EnergyEvaluator::new(&cfg).with_runtime(Runtime::sequential());
+        let unmemoized = evaluator.context(&data, &plan, None).unwrap().evaluate();
         // A budget too small for a single trace: nothing is admitted, and
         // every evaluation still produces the unmemoized result.
         let tiny = TraceMemo::with_byte_budget(64);
-        let ctx = evaluator.context_with_memo(&data, &plan, &tiny).unwrap();
+        let ctx = evaluator.context(&data, &plan, Some(&tiny)).unwrap();
         assert!(tiny.is_empty());
-        assert_eq!(
-            ctx.evaluate(),
-            evaluator.context(&data, &plan).unwrap().evaluate()
-        );
+        assert_eq!(ctx.evaluate(), unmemoized);
+
+        // A budget of exactly k two-field blocks `[V | I]` admits k anchors
+        // and refuses the (k+1)-th; here k = 2, the plan's module count.
+        let block_bytes = 2 * data.num_steps() as usize * std::mem::size_of::<f64>();
+        let memo = TraceMemo::with_byte_budget(2 * block_bytes);
+        let mut ctx = evaluator.context(&data, &plan, Some(&memo)).unwrap();
+        assert_eq!(memo.len(), 2);
+        ctx.try_move(1, pv_geom::CellCoord::new(30, 10)).unwrap();
+        assert_eq!(memo.len(), 2);
+        ctx.rollback_move();
+        assert_eq!(ctx.evaluate(), unmemoized);
     }
 
     #[test]
@@ -1175,7 +1142,7 @@ mod tests {
         let cfg = config(2, 1);
         let plan = greedy_placement(&data, &cfg).unwrap();
         let evaluator = EnergyEvaluator::new(&cfg).with_runtime(Runtime::sequential());
-        let mut ctx = evaluator.context(&data, &plan).unwrap();
+        let mut ctx = evaluator.context(&data, &plan, None).unwrap();
         let before = ctx.evaluate();
         let other = ctx.placement().modules()[0].anchor;
         assert!(matches!(

@@ -20,13 +20,14 @@
 
 use crate::config::FloorplanConfig;
 use crate::error::FloorplanError;
-use crate::evaluate::{ambient_trace, EvaluationContext, TRACE_FIELDS};
+use crate::evaluate::{ambient_trace, trace_from_means, trace_len, EvaluationContext};
 use crate::greedy::FloorplanResult;
 use crate::suitability::fitting_anchors;
 use pv_geom::{CellCoord, Footprint, Placement};
 use pv_gis::SolarDataset;
 use pv_runtime::Runtime;
 use pv_units::WattHours;
+use std::ops::Range;
 
 /// Exhaustively searches all anchor combinations and returns the
 /// energy-optimal placement together with its energy.
@@ -40,7 +41,7 @@ use pv_units::WattHours;
 ///
 /// Memory beyond the evaluation contexts: one rolling band of beam terms
 /// per worker (grid width × footprint height × sun-up steps), and for two
-/// or more modules a table of every candidate's trace (candidates × 3 ×
+/// or more modules a table of every candidate's trace (candidates × 2 ×
 /// steps values, bounded through the node budget).
 ///
 /// # Errors
@@ -87,7 +88,7 @@ pub fn optimal_placement(
         config,
         candidates: &candidates,
         ambient: ambient_trace(dataset),
-        block_len: TRACE_FIELDS * dataset.num_steps() as usize,
+        block_len: trace_len(dataset.num_steps() as usize),
     };
     // Each chunk of the candidate order keeps its own winner; merging
     // them in chunk order with a strict `>` keeps the first-seen winner of
@@ -97,9 +98,9 @@ pub fn optimal_placement(
         let per_worker = candidates.len().div_ceil(runtime.threads()).max(1);
         runtime.map_chunks(candidates.len(), per_worker, |range| {
             let mut leaves = Leaves::new(&search);
-            search.sweep(range.clone(), |n, means| {
+            search.traces(range.clone(), |n, trace| {
                 leaves.stale_from = 0;
-                leaves.score(&[range.start + n], |_, block| search.fill(means, block));
+                leaves.score(&[range.start + n], |_| trace);
             });
             leaves.best
         })
@@ -149,28 +150,24 @@ struct Search<'a> {
 }
 
 impl Search<'_> {
-    /// Streams the mean-irradiance trace of every candidate in `range`, in
-    /// order, from one band sweep: `visit(n, means)` for candidate
-    /// `range.start + n`.
-    fn sweep(&self, range: std::ops::Range<usize>, visit: impl FnMut(usize, &[f64])) {
+    /// Streams the trace block of every candidate in `range`, in order,
+    /// from one band sweep of mean irradiance: `visit(n, trace)` for
+    /// candidate `range.start + n`.
+    fn traces(&self, range: Range<usize>, mut visit: impl FnMut(usize, &[f64])) {
         let num_steps = self.dataset.num_steps();
+        let mut trace = vec![0.0f64; self.block_len];
         self.dataset.sweep_mean_irradiance(
             self.config.footprint(),
             &self.candidates[range],
             0..num_steps,
-            visit,
+            |n, means| {
+                let swept = |steps: Range<usize>, tile: &mut [f64]| {
+                    tile.copy_from_slice(&means[steps]);
+                };
+                trace_from_means(self.config.module(), &self.ambient, swept, &mut trace);
+                visit(n, &trace);
+            },
         );
-    }
-
-    /// Writes a candidate's trace block `[mean G | V | I]` from its means:
-    /// the module's operating-point sweep, as the evaluator runs it.
-    fn fill(&self, means: &[f64], block: &mut [f64]) {
-        let (g, ops) = block.split_at_mut(means.len());
-        let (volts, amps) = ops.split_at_mut(means.len());
-        g.copy_from_slice(means);
-        self.config
-            .module()
-            .operating_points(g, &self.ambient, volts, amps);
     }
 
     /// Every candidate's trace block, candidate-major: the search-local
@@ -182,11 +179,8 @@ impl Search<'_> {
         runtime.for_each_chunk_mut(&mut table, per_worker * self.block_len, |c, rows| {
             let start = c * per_worker;
             let count = rows.len() / self.block_len;
-            self.sweep(start..start + count, |n, means| {
-                self.fill(
-                    means,
-                    &mut rows[n * self.block_len..(n + 1) * self.block_len],
-                );
+            self.traces(start..start + count, |n, trace| {
+                rows[n * self.block_len..(n + 1) * self.block_len].copy_from_slice(trace);
             });
         });
         table
@@ -203,9 +197,7 @@ impl Search<'_> {
     ) {
         if chosen.len() == n_modules {
             let block_of = |i: usize| &table[i * self.block_len..(i + 1) * self.block_len];
-            leaves.score(chosen, |k, block| {
-                block.copy_from_slice(block_of(chosen[k]))
-            });
+            leaves.score(chosen, |k| block_of(chosen[k]));
             return;
         }
         let level = chosen.len();
@@ -255,9 +247,10 @@ impl<'a> Leaves<'a> {
     }
 
     /// Scores the non-overlapping combination `chosen` (candidate
-    /// indices); `fill(k, block)` writes module `k`'s trace block.
-    fn score(&mut self, chosen: &[usize], mut fill: impl FnMut(usize, &mut [f64])) {
+    /// indices); `trace_of(k)` is module `k`'s trace block.
+    fn score<'t>(&mut self, chosen: &[usize], trace_of: impl Fn(usize) -> &'t [f64] + Sync) {
         let search = self.search;
+        let fill = |k: usize, _: &[f64], block: &mut [f64]| block.copy_from_slice(trace_of(k));
         let from = if self.context.is_some() {
             self.stale_from
         } else {
@@ -268,15 +261,21 @@ impl<'a> Leaves<'a> {
             .extend(chosen[from..].iter().map(|&i| search.candidates[i]));
         let context = match &mut self.context {
             Some(context) => {
-                context.load_modules(from, &self.anchors, |j, block| fill(from + j, block));
+                context.load_modules(from, &self.anchors, fill);
                 context
             }
             None => {
                 let plan = build_plan(&self.anchors, search.dataset, search.config)
                     .expect("pruned combinations do not overlap");
-                let context =
-                    EvaluationContext::with_traces(search.dataset, search.config, &plan, fill)
-                        .expect("the plan places the configured module count");
+                let context = EvaluationContext::new(
+                    search.dataset,
+                    search.config,
+                    &plan,
+                    Runtime::sequential(),
+                    None,
+                    fill,
+                )
+                .expect("the plan places the configured module count");
                 self.context.insert(context)
             }
         };

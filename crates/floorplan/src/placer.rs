@@ -119,7 +119,7 @@ impl Placer {
     ) -> Result<(FloorplanResult, EnergyReport), FloorplanError> {
         let evaluator = EnergyEvaluator::new(config).with_runtime(runtime);
         let report_of = |plan: &FloorplanResult| -> Result<EnergyReport, FloorplanError> {
-            Ok(evaluator.context_with_memo(dataset, plan, memo)?.evaluate())
+            Ok(evaluator.context(dataset, plan, Some(memo))?.evaluate())
         };
         match self {
             Self::Greedy => {

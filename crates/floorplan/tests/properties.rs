@@ -202,7 +202,7 @@ proptest! {
         let evaluator = EnergyEvaluator::new(&config)
             .with_runtime(Runtime::with_threads(threads));
         let memo = TraceMemo::new();
-        let mut ctx = evaluator.context_with_memo(&data, &plan, &memo).unwrap();
+        let mut ctx = evaluator.context(&data, &plan, Some(&memo)).unwrap();
         for &(kv, av, accept) in &moves {
             let k = kv as usize % plan.placement.len();
             let anchor = anchors[av as usize % anchors.len()];

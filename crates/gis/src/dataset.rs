@@ -78,56 +78,23 @@ pub struct SolarDataset {
 }
 
 impl SolarDataset {
-    /// Assembles a dataset from its parts. Intended for use by
-    /// [`SolarExtractor`](crate::SolarExtractor); exposed for tests and
-    /// custom pipelines.
+    /// Assembles a dataset from its parts, as
+    /// [`SolarExtractor`](crate::SolarExtractor) and the decoders of
+    /// untrusted bytes (`pv_store`) do; exposed for tests and custom
+    /// pipelines.
     ///
     /// `shadow_rows` must contain one bit-packed row of `dims.num_cells()`
     /// bits (padded to whole `u64`s) per *beam step*, in ascending step
     /// order; `beam_row_of_step[i]` maps step `i` to its row or `u32::MAX`.
-    ///
-    /// # Panics
-    ///
-    /// Panics with the message of
-    /// [`try_from_parts`](Self::try_from_parts) if the parts are
-    /// inconsistent: array lengths that disagree with `clock`/`dims`, or a
-    /// beam-row index past the end of `shadow_rows`.
-    #[must_use]
-    #[allow(clippy::too_many_arguments)]
-    pub fn from_parts(
-        clock: SimulationClock,
-        dims: GridDims,
-        valid: CellMask,
-        steps: Vec<StepConditions>,
-        svf: Vec<f32>,
-        beam_row_of_step: Vec<u32>,
-        shadow_rows: Vec<u64>,
-        base_normal: [f64; 3],
-        cell_normals: Option<Vec<[f32; 3]>>,
-    ) -> Self {
-        Self::try_from_parts(
-            clock,
-            dims,
-            valid,
-            steps,
-            svf,
-            beam_row_of_step,
-            shadow_rows,
-            base_normal,
-            cell_normals,
-        )
-        .unwrap_or_else(|part| panic!("inconsistent dataset parts: {part}"))
-    }
-
-    /// Non-panicking [`from_parts`](Self::from_parts) for decoders of
-    /// untrusted bytes (`pv_store`): returns a description of the first
-    /// inconsistency instead of panicking. Besides the array lengths it
-    /// validates that every beam-row index points inside `shadow_rows`, so
-    /// all shadow queries on the result are in-bounds by construction.
+    /// Besides the array lengths this validates that every beam-row index
+    /// points inside `shadow_rows`, so all shadow queries on the result
+    /// are in-bounds by construction.
     ///
     /// # Errors
     ///
-    /// Returns the name of the first inconsistent part.
+    /// Returns the name of the first inconsistent part: an array length
+    /// that disagrees with `clock`/`dims`, or a beam-row index past the
+    /// end of `shadow_rows`.
     #[allow(clippy::too_many_arguments)]
     pub fn try_from_parts(
         clock: SimulationClock,
@@ -190,7 +157,7 @@ impl SolarDataset {
     }
 
     /// The per-step shared conditions, in step order (a
-    /// [`from_parts`](Self::from_parts) part, exposed for serializers).
+    /// [`try_from_parts`](Self::try_from_parts) part, exposed for serializers).
     #[inline]
     #[must_use]
     pub fn step_conditions(&self) -> &[StepConditions] {
@@ -198,7 +165,7 @@ impl SolarDataset {
     }
 
     /// The per-cell sky-view factors in linear cell order (a
-    /// [`from_parts`](Self::from_parts) part, exposed for serializers).
+    /// [`try_from_parts`](Self::try_from_parts) part, exposed for serializers).
     #[inline]
     #[must_use]
     pub fn sky_view_factors(&self) -> &[f32] {
@@ -206,7 +173,7 @@ impl SolarDataset {
     }
 
     /// The step → beam-row map (`u32::MAX` for beamless steps; a
-    /// [`from_parts`](Self::from_parts) part, exposed for serializers).
+    /// [`try_from_parts`](Self::try_from_parts) part, exposed for serializers).
     #[inline]
     #[must_use]
     pub fn beam_row_map(&self) -> &[u32] {
@@ -214,7 +181,7 @@ impl SolarDataset {
     }
 
     /// The bit-packed shadow table, row-major `[beam_step][cell]` (a
-    /// [`from_parts`](Self::from_parts) part, exposed for serializers).
+    /// [`try_from_parts`](Self::try_from_parts) part, exposed for serializers).
     #[inline]
     #[must_use]
     pub fn shadow_row_data(&self) -> &[u64] {
@@ -222,7 +189,7 @@ impl SolarDataset {
     }
 
     /// World-frame unit normal of the base roof plane (a
-    /// [`from_parts`](Self::from_parts) part, exposed for serializers).
+    /// [`try_from_parts`](Self::try_from_parts) part, exposed for serializers).
     #[inline]
     #[must_use]
     pub const fn base_normal(&self) -> [f64; 3] {
@@ -230,7 +197,7 @@ impl SolarDataset {
     }
 
     /// The per-cell unit normals, or `None` on planar roofs (a
-    /// [`from_parts`](Self::from_parts) part, exposed for serializers).
+    /// [`try_from_parts`](Self::try_from_parts) part, exposed for serializers).
     #[inline]
     #[must_use]
     pub fn cell_normal_data(&self) -> Option<&[[f32; 3]]> {
@@ -470,7 +437,7 @@ mod tests {
         // Cell (0,0) (bit 0) shadowed during the single beam step.
         let shadow_rows = vec![0b0001u64];
         let beam_row_of_step = vec![0, u32::MAX];
-        SolarDataset::from_parts(
+        SolarDataset::try_from_parts(
             clock,
             dims,
             CellMask::full(dims),
@@ -481,6 +448,7 @@ mod tests {
             up,
             None,
         )
+        .unwrap()
     }
 
     #[test]
@@ -517,11 +485,12 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "svf length")]
+    // The quotes around the part name pin the whole error string.
+    #[should_panic(expected = "Err` value: \"svf length\"")]
     fn inconsistent_parts_rejected() {
         let clock = SimulationClock::days_at_minutes(1, 720);
         let dims = GridDims::new(2, 2);
-        let _ = SolarDataset::from_parts(
+        let _ = SolarDataset::try_from_parts(
             clock,
             dims,
             CellMask::full(dims),
@@ -531,15 +500,16 @@ mod tests {
             vec![],
             [0.0, 0.0, 1.0],
             None,
-        );
+        )
+        .unwrap();
     }
 
     #[test]
-    #[should_panic(expected = "steps length")]
+    #[should_panic(expected = "Err` value: \"steps length\"")]
     fn wrong_steps_length_rejected() {
         let clock = SimulationClock::days_at_minutes(1, 720); // 2 steps
         let dims = GridDims::new(2, 2);
-        let _ = SolarDataset::from_parts(
+        let _ = SolarDataset::try_from_parts(
             clock,
             dims,
             CellMask::full(dims),
@@ -549,15 +519,16 @@ mod tests {
             vec![],
             [0.0, 0.0, 1.0],
             None,
-        );
+        )
+        .unwrap();
     }
 
     #[test]
-    #[should_panic(expected = "row map length")]
+    #[should_panic(expected = "Err` value: \"row map length\"")]
     fn wrong_beam_row_map_length_rejected() {
         let clock = SimulationClock::days_at_minutes(1, 720);
         let dims = GridDims::new(2, 2);
-        let _ = SolarDataset::from_parts(
+        let _ = SolarDataset::try_from_parts(
             clock,
             dims,
             CellMask::full(dims),
@@ -567,16 +538,17 @@ mod tests {
             vec![],
             [0.0, 0.0, 1.0],
             None,
-        );
+        )
+        .unwrap();
     }
 
     #[test]
-    #[should_panic(expected = "shadow rows")]
+    #[should_panic(expected = "Err` value: \"shadow rows\"")]
     fn ragged_shadow_rows_rejected() {
         // 70 cells -> 2 words per row; 3 words is not a whole row count.
         let clock = SimulationClock::days_at_minutes(1, 720);
         let dims = GridDims::new(10, 7);
-        let _ = SolarDataset::from_parts(
+        let _ = SolarDataset::try_from_parts(
             clock,
             dims,
             CellMask::full(dims),
@@ -586,15 +558,16 @@ mod tests {
             vec![0u64; 3], // wrong: not a multiple of row_words = 2
             [0.0, 0.0, 1.0],
             None,
-        );
+        )
+        .unwrap();
     }
 
     #[test]
-    #[should_panic(expected = "valid mask dims")]
+    #[should_panic(expected = "Err` value: \"valid mask dims\"")]
     fn wrong_valid_mask_dims_rejected() {
         let clock = SimulationClock::days_at_minutes(1, 720);
         let dims = GridDims::new(2, 2);
-        let _ = SolarDataset::from_parts(
+        let _ = SolarDataset::try_from_parts(
             clock,
             dims,
             CellMask::full(GridDims::new(3, 2)), // wrong
@@ -604,15 +577,16 @@ mod tests {
             vec![],
             [0.0, 0.0, 1.0],
             None,
-        );
+        )
+        .unwrap();
     }
 
     #[test]
-    #[should_panic(expected = "cell normals length")]
+    #[should_panic(expected = "Err` value: \"cell normals length\"")]
     fn wrong_cell_normals_length_rejected() {
         let clock = SimulationClock::days_at_minutes(1, 720);
         let dims = GridDims::new(2, 2);
-        let _ = SolarDataset::from_parts(
+        let _ = SolarDataset::try_from_parts(
             clock,
             dims,
             CellMask::full(dims),
@@ -622,17 +596,18 @@ mod tests {
             vec![],
             [0.0, 0.0, 1.0],
             Some(vec![[0.0, 0.0, 1.0]; 3]), // wrong
-        );
+        )
+        .unwrap();
     }
 
     #[test]
-    #[should_panic(expected = "beam row index out of range")]
+    #[should_panic(expected = "Err` value: \"beam row index out of range\"")]
     fn out_of_range_beam_row_rejected() {
         // Row 1 of a one-row shadow table: the first shadow query of
         // step 0 would index past the table.
         let clock = SimulationClock::days_at_minutes(1, 720);
         let dims = GridDims::new(2, 2);
-        let _ = SolarDataset::from_parts(
+        let _ = SolarDataset::try_from_parts(
             clock,
             dims,
             CellMask::full(dims),
@@ -642,7 +617,8 @@ mod tests {
             vec![0u64],
             [0.0, 0.0, 1.0],
             None,
-        );
+        )
+        .unwrap();
     }
 
     #[test]
@@ -664,7 +640,7 @@ mod tests {
         .expect("consistent parts decode");
         assert_eq!(ok.num_steps(), 2);
 
-        // Same length error as the panicking constructor.
+        // The first inconsistent part is named.
         let err = SolarDataset::try_from_parts(
             clock,
             dims,
@@ -735,7 +711,7 @@ mod tests {
             },
             StepConditions::default(),
         ];
-        let d = SolarDataset::from_parts(
+        let d = SolarDataset::try_from_parts(
             clock,
             dims,
             CellMask::full(dims),
@@ -745,7 +721,8 @@ mod tests {
             vec![0u64],
             up,
             Some(vec![[0.0, 0.0, 1.0], tilted]),
-        );
+        )
+        .unwrap();
         let flat = d.irradiance(CellCoord::new(0, 0), 0).as_w_per_m2();
         let slanted = d.irradiance(CellCoord::new(1, 0), 0).as_w_per_m2();
         assert!((flat - 800.0).abs() < 1e-9);

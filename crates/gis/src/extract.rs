@@ -205,7 +205,7 @@ impl SolarExtractor {
             None
         };
 
-        SolarDataset::from_parts(
+        SolarDataset::try_from_parts(
             self.clock,
             dims,
             dsm.valid().clone(),
@@ -216,6 +216,7 @@ impl SolarExtractor {
             dsm.base_normal(),
             cell_normals,
         )
+        .expect("extraction assembles consistent dataset parts")
     }
 }
 

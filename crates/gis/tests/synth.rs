@@ -14,8 +14,8 @@ proptest! {
     /// site invariants: parameters inside their documented ranges, every
     /// obstacle footprint inside the roof rectangle, at least one
     /// placeable cell, and a DSM that assembles into a `SolarDataset`
-    /// (`SolarDataset::from_parts` runs inside extraction and asserts all
-    /// its own length/consistency invariants).
+    /// (`SolarDataset::try_from_parts` runs inside extraction and checks
+    /// all its own length/consistency invariants).
     #[test]
     fn generated_scenarios_satisfy_site_invariants(corpus_seed in 0u64..1_000_000, index in 0u32..512) {
         let spec = ScenarioSpec::generate(corpus_seed, index);
@@ -40,8 +40,9 @@ proptest! {
                 "{}: obstacle exceeds depth", scenario.name);
         }
 
-        // Extraction accepts the scenario end-to-end (SolarDataset::from_parts
-        // panics on any inconsistency) and the site actually sees the sun.
+        // Extraction accepts the scenario end-to-end (it panics when
+        // SolarDataset::try_from_parts finds an inconsistency) and the
+        // site actually sees the sun.
         // 240-minute steps sample local noon — at 60°N in January the sun
         // clears the horizon only around midday.
         let clock = SimulationClock::days_at_minutes(1, 240);

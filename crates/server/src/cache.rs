@@ -48,6 +48,8 @@ impl CachedSite {
     pub(crate) fn new(dataset: SolarDataset, map: SuitabilityMap, from_store: bool) -> Self {
         let steps = dataset.num_steps() as usize;
         let cells = dataset.dims().num_cells();
+        // 512 module traces of `2 × steps` f64s each (11,520 B at the
+        // 720-step serving clock), within 256 KiB–64 MiB.
         let memo_budget = (steps * 8 * 1024).clamp(256 << 10, 64 << 20);
         Self {
             // Footprint estimate: per-step shadow words + per-cell

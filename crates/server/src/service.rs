@@ -347,7 +347,7 @@ impl PlacementService {
         let Some(store) = &self.store else {
             return Err("pre-warming needs a snapshot store (--store-dir)".into());
         };
-        let (days, step) = (self.config.days, self.config.step_minutes);
+        let (days, step) = self.resolve_clock(None, None)?;
         let meta = self.snapshot_meta(spec, days, step);
         let key = cache_key(&meta);
         if store.contains(key) {
@@ -459,17 +459,9 @@ impl PlacementService {
         spans: &mut StageTimes,
     ) -> Result<(String, bool), (u16, String)> {
         let request = PlaceRequest::parse(body).map_err(|e| (400, error_body(&e)))?;
-        let days = request.days.unwrap_or(self.config.days);
-        let step = request.step.unwrap_or(self.config.step_minutes);
-        if days == 0 || days > 365 {
-            return Err((400, error_body("'days' must be in 1..=365")));
-        }
-        if step == 0 || !1440u32.is_multiple_of(step) {
-            return Err((
-                400,
-                error_body("'step' must divide the 1440-minute day evenly"),
-            ));
-        }
+        let (days, step) = self
+            .resolve_clock(request.days, request.step)
+            .map_err(|e| (400, error_body(&e)))?;
 
         let (site, cache_hit) = self.site_for(&request.spec, days, step, spans)?;
         // Persist a cold build behind the response. The snapshot holds
@@ -533,6 +525,34 @@ impl PlacementService {
             render_place_response(request, days, step, options.seed, &config, site, &solved);
         spans.add(Stage::Encode, encode_timer.elapsed_us());
         Ok(response)
+    }
+
+    /// The clock a solve runs on: the request's overrides, else the
+    /// service's defaults, checked once resolved. A clock may have at most
+    /// as many steps as the paper's year at 15 minutes (35,040): the shadow
+    /// table that extraction allocates grows with steps × cells, and
+    /// `MAX_GRID_CELLS` bounds only the cells.
+    ///
+    /// # Errors
+    ///
+    /// Why the resolved clock is out of range.
+    fn resolve_clock(&self, days: Option<u32>, step: Option<u32>) -> Result<(u32, u32), String> {
+        let days = days.unwrap_or(self.config.days);
+        let step = step.unwrap_or(self.config.step_minutes);
+        if days == 0 || days > 365 {
+            return Err("'days' must be in 1..=365".into());
+        }
+        if step == 0 || !1440u32.is_multiple_of(step) {
+            return Err("'step' must divide the 1440-minute day evenly".into());
+        }
+        let (steps, max_steps) = (days * (1440 / step), SimulationClock::paper().num_steps());
+        if steps > max_steps {
+            return Err(format!(
+                "'days' and 'step' must make at most {max_steps} steps (the paper's year \
+                 at 15 minutes), got {steps}"
+            ));
+        }
+        Ok((days, step))
     }
 
     /// The identity a site is cached and persisted under.
@@ -1051,6 +1071,29 @@ mod tests {
         let (status, message) = service.place(&body).unwrap_err();
         assert_eq!(status, 422, "{message}");
         assert!(message.contains("placement failed"));
+    }
+
+    #[test]
+    fn clocks_longer_than_the_paper_year_are_refused() {
+        let service = service();
+        assert_eq!(service.resolve_clock(Some(365), Some(15)), Ok((365, 15)));
+        // A year at 1-minute steps is 525,600 steps: refused before
+        // extraction builds its shadow table.
+        let body = format!(r#"{{"spec": "{}", "days": 365, "step": 1}}"#, spec_body(0));
+        let (status, message) = service.place(&body).unwrap_err();
+        assert_eq!(status, 400, "{message}");
+        assert!(message.contains("at most 35040 steps"), "{message}");
+        // A service default beyond the bound is refused the same way,
+        // while a request that overrides it with a shorter clock runs.
+        let long = PlacementService::new(ServiceConfig {
+            days: 365,
+            step_minutes: 10,
+            ..ServiceConfig::tiny()
+        });
+        let (status, message) = long.place(&spec_body(0)).unwrap_err();
+        assert_eq!(status, 400, "{message}");
+        let body = format!(r#"{{"spec": "{}", "days": 1, "step": 240}}"#, spec_body(0));
+        assert!(long.place(&body).is_ok());
     }
 
     #[test]

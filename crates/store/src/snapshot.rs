@@ -475,7 +475,7 @@ pub(crate) mod tests_support {
             },
             StepConditions::default(),
         ];
-        let dataset = SolarDataset::from_parts(
+        let dataset = SolarDataset::try_from_parts(
             clock,
             dims,
             CellMask::full(dims),
@@ -485,7 +485,8 @@ pub(crate) mod tests_support {
             vec![0b0001u64],
             up,
             None,
-        );
+        )
+        .unwrap();
         let scores = Grid::from_vec(dims, vec![1.0, 2.0, f64::NAN, 4.0]);
         let g_pct = Grid::from_vec(dims, vec![10.0, 20.0, f64::NAN, 40.0]);
         let map = SuitabilityMap::from_parts(scores, g_pct, 0.75).unwrap();

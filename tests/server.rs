@@ -291,10 +291,9 @@ fn malformed_place_requests_get_a_deterministic_400_not_a_dropped_connection() {
     // across worker counts, and carrying no timing or cache metadata.
     // The out-of-range specs must be refused before a solve worker builds
     // the roof: a panic there would cost the worker, not just the request.
+    let spec = ScenarioSpec::generate(2018, 0).to_spec_string();
     let out_of_range = |key: &str, value: &str| {
-        let canonical = ScenarioSpec::generate(2018, 0).to_spec_string();
-        canonical
-            .split_whitespace()
+        spec.split_whitespace()
             .map(|field| match field.split_once('=') {
                 Some((k, _)) if k == key => format!("{key}={value}"),
                 _ => field.to_string(),
@@ -307,6 +306,8 @@ fn malformed_place_requests_get_a_deterministic_400_not_a_dropped_connection() {
         r#"{"spec": 3}"#.to_string(),    // wrong type
         "not a spec at all".to_string(), // not a spec string
         r#"{"days": 9000}"#.to_string(), // out-of-range knob
+        // A year at 1-minute steps: more steps than the paper's year.
+        format!(r#"{{"spec": "{spec}", "days": 365, "step": 1}}"#),
         out_of_range("tilt", "95.0"),
         out_of_range("tilt", "NaN"),
         out_of_range("width", "1e9"),
