@@ -668,7 +668,7 @@ impl<'d> EvaluationContext<'d> {
                         continue;
                     }
                     for k in 0..n_modules {
-                        let base = k * TRACE_FIELDS * num_steps;
+                        let base = k * trace_len(num_steps);
                         let v = self.trace[base + i];
                         let c = self.trace[base + num_steps + i];
                         unconstrained += (Volts::new(v) * Amperes::new(c)).as_watts();

@@ -305,8 +305,9 @@ fn malformed_place_requests_get_a_deterministic_400_not_a_dropped_connection() {
         "{".to_string(),                 // truncated JSON
         r#"{"spec": 3}"#.to_string(),    // wrong type
         "not a spec at all".to_string(), // not a spec string
-        r#"{"days": 9000}"#.to_string(), // out-of-range knob
-        // A year at 1-minute steps: more steps than the paper's year.
+        // Out-of-range clock knobs: more days than a year, and a year at
+        // 1-minute steps (more steps than the paper's year at 15 min).
+        format!(r#"{{"spec": "{spec}", "days": 9000}}"#),
         format!(r#"{{"spec": "{spec}", "days": 365, "step": 1}}"#),
         out_of_range("tilt", "95.0"),
         out_of_range("tilt", "NaN"),
