@@ -1,20 +1,18 @@
 //! The portfolio runner: fan a [`ScenarioCorpus`] across the parallel
 //! runtime and score every site with the full placer ensemble.
 //!
-//! Each scenario is one *work unit* on the same site-solve path the
-//! placement service takes, under the same [`ServiceConfig`] settings
+//! Each scenario is one *work unit* solved through the placement
+//! service's own functions, under the same [`ServiceConfig`] settings
 //! (clock, horizon sectors, module cap, anneal iterations, exact budget):
-//! extract its solar dataset, compute the topology-free
-//! [`SuitabilityMap::paper`], pick the first
-//! [`TOPOLOGY_LADDER`](pv_floorplan::TOPOLOGY_LADDER) entry within
-//! [`ServiceConfig::max_modules`] whose greedy placement fits
-//! ([`fit_topology`]), then score the site with every [`Placer`] in
-//! [`Placer::all`] order: the fit's greedy plan (greedy is placed once,
-//! inside the fit), simulated annealing from that plan, and — where the
-//! search space is small enough — the exhaustive optimum. All placer runs
-//! on a site share one warm per-anchor [`TraceMemo`], so the annealer and
-//! the exact search start from the traces the greedy evaluation already
-//! paid for.
+//! [`CachedSite::extract`] builds the site (solar dataset and
+//! topology-free suitability map), and [`CachedSite::solve`] runs every
+//! [`Placer`] in [`Placer::all`] order on the site's ladder fit, exactly
+//! as a default-topology `/v1/place` request does: the fit's greedy plan
+//! (greedy is placed once, inside the fit), simulated annealing from that
+//! plan, and — where the search space is small enough — the exhaustive
+//! optimum. All placer runs on a site share the site's warm per-anchor
+//! trace memo. This module only maps the three solves into a
+//! [`PortfolioRecord`].
 //!
 //! # Work distribution and determinism
 //!
@@ -33,9 +31,11 @@
 //! `name` core, validated offline by the `check_bench_json` bin).
 
 use crate::json;
-use pv_floorplan::{fit_topology, Placer, PlacerOptions, SuitabilityMap, TraceMemo};
+use pv_floorplan::Placer;
 use pv_gis::{CorpusPreset, ScenarioCorpus, SiteScenario};
+use pv_obs::StageTimes;
 use pv_runtime::Runtime;
+use pv_server::cache::CachedSite;
 use pv_server::ServiceConfig;
 use pv_units::SimulationClock;
 use std::path::PathBuf;
@@ -139,14 +139,9 @@ pub fn run_portfolio(
 #[must_use]
 pub fn run_scenario(scenario: &SiteScenario, config: &ServiceConfig) -> PortfolioRecord {
     let t0 = Instant::now();
-    let sequential = Runtime::sequential();
+    let spans = &mut StageTimes::default();
     let clock = SimulationClock::days_at_minutes(config.days, config.step_minutes);
-    let dataset = scenario
-        .extractor(clock)
-        .horizon_sectors(config.horizon_sectors)
-        .runtime(sequential)
-        .extract(&scenario.dsm);
-
+    let site = CachedSite::extract(scenario, clock, config.horizon_sectors, spans);
     let (archetype, latitude_deg, seed) = match &scenario.spec {
         Some(spec) => (
             spec.archetype.name().to_string(),
@@ -155,49 +150,28 @@ pub fn run_scenario(scenario: &SiteScenario, config: &ServiceConfig) -> Portfoli
         ),
         None => ("paper".to_string(), scenario.site.latitude().value(), 2018),
     };
-    let mut record = PortfolioRecord {
+    let [greedy, anneal, exact] = Placer::all().map(|placer| {
+        let solved = site.solve(config, placer, None, seed, spans).ok();
+        solved.map(|(fitted, (_, report))| (fitted.topology(), report.energy.as_wh()))
+    });
+    // A roof too encumbered for even one module has no ladder fit and
+    // keeps a zero record; the exhaustive search records nothing beyond
+    // its node budget.
+    let (topology, greedy_wh) = greedy.unzip();
+    let anneal_wh = greedy_wh.map(|_| anneal.expect("annealing starts from the ladder fit").1);
+    PortfolioRecord {
         scenario: scenario.name.clone(),
         archetype,
         latitude_deg,
-        dims: (dataset.dims().width(), dataset.dims().height()),
-        ng: dataset.valid().count(),
-        series: 0,
-        strings: 0,
-        greedy_wh: 0.0,
-        anneal_wh: 0.0,
-        exact_wh: None,
-        wall_ms: 0.0,
-    };
-
-    // One map serves every ladder entry. A roof too encumbered for even
-    // one module keeps a zero record.
-    let map = SuitabilityMap::paper(&dataset, sequential);
-    if let Some((fitted, plan)) = fit_topology(&dataset, &map, config.max_modules) {
-        record.series = fitted.topology().series();
-        record.strings = fitted.topology().strings();
-        // One warm per-anchor memo for every placer run on this site: the
-        // greedy evaluation seeds it, the annealing chain reuses and
-        // extends it, and each report reads it.
-        let memo = TraceMemo::new();
-        let options = PlacerOptions {
-            anneal_iterations: config.anneal_iterations,
-            seed,
-            exact_budget: config.exact_budget,
-        };
-        let greedy = || Ok(plan.clone());
-        let [greedy_wh, anneal_wh, exact_wh] = Placer::all().map(|placer| {
-            placer
-                .place_with_memo(&dataset, &fitted, greedy, &options, sequential, &memo)
-                .ok()
-                .map(|(_, report)| report.energy.as_wh())
-        });
-        record.greedy_wh = greedy_wh.expect("the ladder fit is a greedy fit");
-        record.anneal_wh = anneal_wh.expect("annealing starts from the fitting greedy plan");
-        // The exhaustive search records nothing beyond its node budget.
-        record.exact_wh = exact_wh;
+        dims: (site.dataset.dims().width(), site.dataset.dims().height()),
+        ng: site.dataset.valid().count(),
+        series: topology.map_or(0, |t| t.series()),
+        strings: topology.map_or(0, |t| t.strings()),
+        greedy_wh: greedy_wh.unwrap_or(0.0),
+        anneal_wh: anneal_wh.unwrap_or(0.0),
+        exact_wh: exact.map(|(_, wh)| wh),
+        wall_ms: t0.elapsed().as_secs_f64() * 1e3,
     }
-    record.wall_ms = t0.elapsed().as_secs_f64() * 1e3;
-    record
 }
 
 /// Default path of the portfolio artifact, relative to the working
@@ -253,22 +227,26 @@ pub fn render_portfolio_json(
     json::render_record_array(&items)
 }
 
-/// The front-end driver behind `pvplan suite`: builds the preset corpus,
-/// runs the portfolio under `config` on `runtime`, prints the summary
-/// table, and writes the artifact — to `out` when given, otherwise to
+/// The front-end driver behind `pvplan suite`: checks `config`'s clock
+/// with [`ServiceConfig::clock`], builds the preset corpus, runs the
+/// portfolio under `config` on `runtime`, prints the summary table, and
+/// writes the artifact — to `out` when given, otherwise to
 /// [`PORTFOLIO_JSON`]. Returns the written path.
 ///
 /// # Errors
 ///
-/// Propagates filesystem errors from writing the artifact.
+/// A refused clock, or a filesystem error writing the artifact.
 pub fn drive(
     preset: CorpusPreset,
     seed: u64,
     config: &ServiceConfig,
     runtime: Runtime,
     out: Option<&str>,
-) -> std::io::Result<PathBuf> {
-    let steps = SimulationClock::days_at_minutes(config.days, config.step_minutes).num_steps();
+) -> Result<PathBuf, String> {
+    let (days, step) = config
+        .clock(None, None)
+        .map_err(|e| format!("the portfolio clock is refused: {e:?}"))?;
+    let steps = SimulationClock::days_at_minutes(days, step).num_steps();
     // pvlint: allow(R03): progress narration for the interactive harness; the artifact itself goes to the JSON file
     eprintln!(
         "portfolio: preset {preset} (seed {seed}), {} scenario(s), {steps} steps, {} thread(s)...",
@@ -293,7 +271,8 @@ pub fn drive(
     std::fs::write(
         &path,
         render_portfolio_json(corpus.name(), &scale, &records),
-    )?;
+    )
+    .map_err(|e| format!("writing {}: {e}", path.display()))?;
     println!("wrote {}", path.display()); // pvlint: allow(R02): drive() is the body of `pvplan suite`; stdout is its user interface
     Ok(path)
 }

@@ -61,11 +61,13 @@ pub fn parse_trace_id(text: &str) -> Option<u64> {
 /// The instrumented stages of a placement request: the handler's stages
 /// in pipeline order, then the transport's.
 ///
-/// `CacheLookup` covers the warm-cache probe, `StoreHydrate` the
-/// snapshot-store read on a cache miss, `Extract` the cold GIS
+/// `CacheLookup` covers the warm-cache probe, `Extract` the cold GIS
 /// extraction, `Suitability` the cold site's suitability map, `MemoWarm`
-/// the ladder-choice memoization, `Solve` the placement solve itself, and
-/// `Encode` response rendering. `Read` runs
+/// the topology choice (on a site's first default-topology request, the
+/// ladder fit with its greedy placement), `Solve` the placement solve
+/// itself, and `Encode` response rendering. `StoreHydrate` is no request
+/// stage: it is recorded once per process, when the snapshot store
+/// hydrates the cache at startup. `Read` runs
 /// from `accept` until the whole request is parsed, and `QueueWait` from
 /// the parsed request's hand-off to the worker pool until a worker takes
 /// it.
@@ -77,9 +79,11 @@ pub enum Stage {
     Suitability,
     /// Warm per-site cache probe.
     CacheLookup,
-    /// Snapshot-store read on a cache miss.
+    /// Snapshot-store hydration of the cache, recorded once at startup.
     StoreHydrate,
-    /// Ladder-choice memo warm-up.
+    /// Topology choice: a pinned topology's config, or the site's
+    /// memoized ladder fit, which its first default-topology request
+    /// computes, greedy placement included.
     MemoWarm,
     /// The placement solve.
     Solve,

@@ -1,4 +1,4 @@
-//! The byte-budgeted LRU of warm per-site state.
+//! Warm per-site state and the byte-budgeted LRU that holds it.
 //!
 //! One entry holds everything that is expensive to rebuild for a site and
 //! *value-neutral* to reuse: the extracted [`SolarDataset`] (shadow masks,
@@ -9,12 +9,23 @@
 //! placer on warm traces; by the incremental evaluator's bit-identity
 //! contract this changes request *latency only*, never response bytes.
 //!
+//! [`CachedSite::extract`] and [`CachedSite::solve`] are the one site-solve
+//! path of `/v1/place`, store pre-warming and the `pv_bench` portfolio.
+//!
 //! Keys are the canonical spec hash combined with the extraction clock
 //! (see `PlacementService`), so two requests reach the same entry exactly
 //! when extraction would produce identical data.
 
-use pv_floorplan::{FloorplanConfig, FloorplanResult, SuitabilityMap, TraceMemo};
-use pv_gis::SolarDataset;
+use crate::service::{error_body, ServiceConfig};
+use pv_floorplan::{
+    fit_topology, greedy_placement_with_map, EnergyReport, FloorplanConfig, FloorplanResult,
+    Placer, PlacerOptions, SuitabilityMap, TraceMemo,
+};
+use pv_gis::{SiteScenario, SolarDataset};
+use pv_model::Topology;
+use pv_obs::{Stage, StageTimes, Timer};
+use pv_runtime::Runtime;
+use pv_units::SimulationClock;
 use std::sync::{Arc, OnceLock};
 
 /// Warm state for one site, shared with in-flight requests via `Arc` (an
@@ -62,6 +73,105 @@ impl CachedSite {
             from_store,
         }
     }
+
+    /// Builds a cold site on [`Runtime::sequential`]: extracts `scenario`
+    /// on `clock` with `horizon_sectors`, then its
+    /// [`SuitabilityMap::paper`], recording both spans.
+    #[must_use]
+    pub fn extract(
+        scenario: &SiteScenario,
+        clock: SimulationClock,
+        horizon_sectors: usize,
+        spans: &mut StageTimes,
+    ) -> Self {
+        let extract_timer = Timer::start();
+        let dataset = scenario
+            .extractor(clock)
+            .horizon_sectors(horizon_sectors)
+            .runtime(Runtime::sequential())
+            .extract(&scenario.dsm);
+        spans.add(Stage::Extract, extract_timer.elapsed_us());
+        let suitability_timer = Timer::start();
+        let map = SuitabilityMap::paper(&dataset, Runtime::sequential());
+        spans.add(Stage::Suitability, suitability_timer.elapsed_us());
+        Self::new(dataset, map, false)
+    }
+
+    /// Runs `placer` under `config` on the warm memo and
+    /// [`Runtime::sequential`], annealing seeded by `seed`, on `topology`
+    /// or else the [`fit_topology`] ladder fit, whose greedy plan answers
+    /// `greedy` and starts `anneal`. The fit is memoized under the first
+    /// `config.max_modules` that asks, so solve a site under one config.
+    /// Returns the config placed on with the plan and its report,
+    /// recording the `MemoWarm` and `Solve` spans.
+    ///
+    /// # Errors
+    ///
+    /// `(status, body)`: `400` for a topology `config` refuses, `422` when
+    /// no ladder topology fits or the placer fails.
+    pub fn solve(
+        &self,
+        config: &ServiceConfig,
+        placer: Placer,
+        topology: Option<(usize, usize)>,
+        seed: u64,
+        spans: &mut StageTimes,
+    ) -> Result<(FloorplanConfig, (FloorplanResult, EnergyReport)), (u16, String)> {
+        let memo_timer = Timer::start();
+        let max_modules = config.max_modules;
+        let (fitted, plan) = match topology {
+            Some((m, n)) => (pinned_config(m, n, max_modules)?, None),
+            // A pure function of (site, max_modules): only the first
+            // default-topology solve on a site pays the fit.
+            None => match self
+                .ladder_fit
+                .get_or_init(|| fit_topology(&self.dataset, &self.map, max_modules))
+            {
+                Some((fitted, plan)) => (fitted.clone(), Some(plan)),
+                None => {
+                    let why = "no ladder topology fits this site (roof too encumbered)";
+                    return Err((422, error_body(why)));
+                }
+            },
+        };
+        spans.add(Stage::MemoWarm, memo_timer.elapsed_us());
+        // The ladder fit's plan, or a fresh greedy plan for a pinned
+        // topology, placed only when the placer asks for it.
+        let greedy = || match plan {
+            Some(plan) => Ok(plan.clone()),
+            None => greedy_placement_with_map(&self.dataset, &fitted, &self.map),
+        };
+        let options = PlacerOptions {
+            anneal_iterations: config.anneal_iterations,
+            seed,
+            exact_budget: config.exact_budget,
+        };
+        let solve_timer = Timer::start();
+        let solved = placer
+            .place_with_memo(
+                &self.dataset,
+                &fitted,
+                greedy,
+                &options,
+                Runtime::sequential(),
+                &self.memo,
+            )
+            .map_err(|e| (422, error_body(&format!("placement failed: {e}"))))?;
+        spans.add(Stage::Solve, solve_timer.elapsed_us());
+        Ok((fitted, solved))
+    }
+}
+
+/// The paper config of a pinned `m`×`n` topology, refused (`400`) when it
+/// is malformed or has more than `max_modules` modules.
+fn pinned_config(m: usize, n: usize, max_modules: usize) -> Result<FloorplanConfig, (u16, String)> {
+    let bad = |e: &dyn std::fmt::Display| (400, error_body(&format!("bad topology: {e}")));
+    let topology = Topology::new(m, n).map_err(|e| bad(&e))?;
+    if topology.num_modules() > max_modules {
+        let why = format!("topology {m}x{n} exceeds the service limit of {max_modules} modules");
+        return Err((400, error_body(&why)));
+    }
+    FloorplanConfig::paper(topology).map_err(|e| bad(&e))
 }
 
 /// A small LRU keyed by `u64`, evicting least-recently-used entries once

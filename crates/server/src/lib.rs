@@ -83,5 +83,5 @@ pub mod stats;
 pub use ring::HashRing;
 pub use router::{place_shard_key, Router, RouterConfig};
 pub use server::{Handler, RequestContext, Server, READ_DEADLINE};
-pub use service::{PlaceRequest, PlacementService, ServiceConfig};
+pub use service::{ClockRefusal, PlaceRequest, PlacementService, ServiceConfig};
 pub use stats::{percentile_us, ServiceStats, StatsSnapshot};

@@ -6,18 +6,13 @@
 use crate::cache::{CachedSite, SiteCache};
 use crate::server::{route_path, RequestContext};
 use crate::stats::{ServiceStats, StatsSnapshot};
-use pv_floorplan::{
-    fit_topology, greedy_placement_with_map, EnergyReport, FloorplanConfig, FloorplanResult,
-    Placer, PlacerOptions, SuitabilityMap,
-};
+use pv_floorplan::{EnergyReport, FloorplanConfig, FloorplanResult, Placer};
 use pv_gis::synth::fnv1a;
 use pv_gis::ScenarioSpec;
 use pv_json::{JsonValue, ObjectBuilder};
-use pv_model::Topology;
 use pv_obs::{derive_trace_id, event_line, Stage, StageTimes, Timer, TraceLog};
-use pv_runtime::Runtime;
 use pv_store::{SiteStore, SnapshotMeta};
-use pv_units::SimulationClock;
+use pv_units::{ClockError, SimulationClock};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 
@@ -95,6 +90,43 @@ impl ServiceConfig {
         self.cache_bytes = bytes;
         self
     }
+
+    /// The clock a solve runs on, as `(days, step)`: the overrides, else
+    /// this config's defaults. It must be a clock
+    /// ([`SimulationClock::try_days_at_minutes`]) of at most the paper
+    /// year's 35,040 steps, since extraction's shadow table grows with
+    /// steps × cells and `MAX_GRID_CELLS` bounds only the cells. Every
+    /// serving entry point checks its clock here.
+    ///
+    /// # Errors
+    ///
+    /// Why the clock is refused; each front end words it.
+    pub fn clock(&self, days: Option<u32>, step: Option<u32>) -> Result<(u32, u32), ClockRefusal> {
+        let days = days.unwrap_or(self.days);
+        let step = step.unwrap_or(self.step_minutes);
+        let steps = SimulationClock::try_days_at_minutes(days, step)
+            .map_err(ClockRefusal::Invalid)?
+            .num_steps();
+        let max = SimulationClock::paper().num_steps();
+        if steps > max {
+            return Err(ClockRefusal::TooLong { steps, max });
+        }
+        Ok((days, step))
+    }
+}
+
+/// Why [`ServiceConfig::clock`] refuses a clock.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum ClockRefusal {
+    /// The days/step pair names no clock.
+    Invalid(ClockError),
+    /// A clock longer than a served solve may simulate.
+    TooLong {
+        /// The clock's step count.
+        steps: u32,
+        /// The most steps a served clock may have.
+        max: u32,
+    },
 }
 
 /// A parsed `/v1/place` request.
@@ -278,18 +310,6 @@ impl PlacementService {
         self.store.as_ref()
     }
 
-    /// The attached trace log, if any.
-    #[must_use]
-    pub fn trace_log(&self) -> Option<&Arc<TraceLog>> {
-        self.trace_log.as_ref()
-    }
-
-    /// The service configuration.
-    #[must_use]
-    pub fn config(&self) -> &ServiceConfig {
-        &self.config
-    }
-
     /// The live counters (`/v1/stats` reads these).
     #[must_use]
     pub fn stats(&self) -> &ServiceStats {
@@ -347,21 +367,20 @@ impl PlacementService {
         let Some(store) = &self.store else {
             return Err("pre-warming needs a snapshot store (--store-dir)".into());
         };
-        let (days, step) = self.resolve_clock(None, None)?;
+        let (days, step) = self.config.clock(None, None).map_err(clock_message)?;
         let meta = self.snapshot_meta(spec, days, step);
         let key = cache_key(&meta);
         if store.contains(key) {
             return Ok(false);
         }
-        // The solve validates the site end to end: a site no placer can
-        // serve fails here rather than on its first request. The
-        // snapshot's bytes do not depend on it. The bare spec string
-        // parses as the default greedy request.
-        let (request, mut spans) = (PlaceRequest::parse(&meta.spec)?, StageTimes::default());
+        // The default greedy solve validates the site end to end: a site
+        // no placer can serve fails here rather than on its first request.
+        // The snapshot's bytes do not depend on it.
+        let mut spans = StageTimes::default();
         let (site, _) = self
             .site_for(spec, days, step, &mut spans)
             .map_err(|(_, body)| body)?;
-        self.solve(&request, days, step, &site, &mut spans)
+        site.solve(&self.config, Placer::Greedy, None, spec.seed, &mut spans)
             .map_err(|(_, body)| body)?;
         store
             .save(key, &meta, &site.dataset, &site.map)
@@ -460,8 +479,9 @@ impl PlacementService {
     ) -> Result<(String, bool), (u16, String)> {
         let request = PlaceRequest::parse(body).map_err(|e| (400, error_body(&e)))?;
         let (days, step) = self
-            .resolve_clock(request.days, request.step)
-            .map_err(|e| (400, error_body(&e)))?;
+            .config
+            .clock(request.days, request.step)
+            .map_err(|e| (400, error_body(&clock_message(e))))?;
 
         let (site, cache_hit) = self.site_for(&request.spec, days, step, spans)?;
         // Persist a cold build behind the response. The snapshot holds
@@ -476,83 +496,15 @@ impl PlacementService {
                 Arc::clone(&site.map),
             );
         }
-        let response = self.solve(&request, days, step, &site, spans)?;
-        Ok((response, cache_hit))
-    }
-
-    /// Resolves `request`'s topology, runs its placer on `site`'s warm
-    /// memo and renders the response body for the `days`/`step` clock.
-    fn solve(
-        &self,
-        request: &PlaceRequest,
-        days: u32,
-        step: u32,
-        site: &CachedSite,
-        spans: &mut StageTimes,
-    ) -> Result<String, (u16, String)> {
-        let memo_timer = Timer::start();
-        let (config, fitted) = self.choose_config(site, request.topology)?;
-        spans.add(Stage::MemoWarm, memo_timer.elapsed_us());
-        // The ladder fit's plan, or a fresh greedy plan for a pinned
-        // topology, placed only when the placer asks for it.
-        let greedy = || match fitted {
-            Some(plan) => Ok(plan.clone()),
-            None => greedy_placement_with_map(&site.dataset, &config, &site.map),
-        };
-        let options = PlacerOptions {
-            anneal_iterations: self.config.anneal_iterations,
-            // Deterministic per-request seed: the caller's override, or the
-            // spec's own seed — never ambient state.
-            seed: request.seed.unwrap_or(request.spec.seed),
-            exact_budget: self.config.exact_budget,
-        };
-        let solve_timer = Timer::start();
-        let solved = request
-            .placer
-            .place_with_memo(
-                &site.dataset,
-                &config,
-                greedy,
-                &options,
-                Runtime::sequential(),
-                &site.memo,
-            )
-            .map_err(|e| (422, error_body(&format!("placement failed: {e}"))))?;
-        spans.add(Stage::Solve, solve_timer.elapsed_us());
-
+        // Deterministic per-request seed: the caller's override, or the
+        // spec's own seed — never ambient state.
+        let seed = request.seed.unwrap_or(request.spec.seed);
+        let (config, solved) =
+            site.solve(&self.config, request.placer, request.topology, seed, spans)?;
         let encode_timer = Timer::start();
-        let response =
-            render_place_response(request, days, step, options.seed, &config, site, &solved);
+        let response = render_place_response(&request, days, step, seed, &config, &site, &solved);
         spans.add(Stage::Encode, encode_timer.elapsed_us());
-        Ok(response)
-    }
-
-    /// The clock a solve runs on: the request's overrides, else the
-    /// service's defaults, checked once resolved. A clock may have at most
-    /// as many steps as the paper's year at 15 minutes (35,040): the shadow
-    /// table that extraction allocates grows with steps × cells, and
-    /// `MAX_GRID_CELLS` bounds only the cells.
-    ///
-    /// # Errors
-    ///
-    /// Why the resolved clock is out of range.
-    fn resolve_clock(&self, days: Option<u32>, step: Option<u32>) -> Result<(u32, u32), String> {
-        let days = days.unwrap_or(self.config.days);
-        let step = step.unwrap_or(self.config.step_minutes);
-        if days == 0 || days > 365 {
-            return Err("'days' must be in 1..=365".into());
-        }
-        if step == 0 || !1440u32.is_multiple_of(step) {
-            return Err("'step' must divide the 1440-minute day evenly".into());
-        }
-        let (steps, max_steps) = (days * (1440 / step), SimulationClock::paper().num_steps());
-        if steps > max_steps {
-            return Err(format!(
-                "'days' and 'step' must make at most {max_steps} steps (the paper's year \
-                 at 15 minutes), got {steps}"
-            ));
-        }
-        Ok((days, step))
+        Ok((response, cache_hit))
     }
 
     /// The identity a site is cached and persisted under.
@@ -598,63 +550,17 @@ impl PlacementService {
             }
             return Ok((site, true));
         }
-        let extract_timer = Timer::start();
+        // Building the scenario from its spec is part of the cold extract.
+        let build_timer = Timer::start();
         let scenario = spec.build();
+        spans.add(Stage::Extract, build_timer.elapsed_us());
         let clock = SimulationClock::days_at_minutes(days, step);
-        let dataset = scenario
-            .extractor(clock)
-            .horizon_sectors(self.config.horizon_sectors)
-            .runtime(Runtime::sequential())
-            .extract(&scenario.dsm);
-        spans.add(Stage::Extract, extract_timer.elapsed_us());
-        let suitability_timer = Timer::start();
-        let map = SuitabilityMap::paper(&dataset, Runtime::sequential());
-        spans.add(Stage::Suitability, suitability_timer.elapsed_us());
-        let site = CachedSite::new(dataset, map, false);
+        let site = CachedSite::extract(&scenario, clock, self.config.horizon_sectors, spans);
         self.cache
             .lock()
             .map_err(|_| internal_error("site cache lock poisoned"))?
             .insert(key, site.clone());
         Ok((site, false))
-    }
-
-    /// Resolves the request's topology: explicit pair (without a plan),
-    /// or the ladder topology [`fit_topology`] picks for the site together
-    /// with its greedy plan.
-    fn choose_config<'s>(
-        &self,
-        site: &'s CachedSite,
-        explicit: Option<(usize, usize)>,
-    ) -> Result<(FloorplanConfig, Option<&'s FloorplanResult>), (u16, String)> {
-        if let Some((m, n)) = explicit {
-            let topology = Topology::new(m, n)
-                .map_err(|e| (400, error_body(&format!("bad topology: {e}"))))?;
-            if topology.num_modules() > self.config.max_modules {
-                return Err((
-                    400,
-                    error_body(&format!(
-                        "topology {m}x{n} exceeds the service limit of {} modules",
-                        self.config.max_modules
-                    )),
-                ));
-            }
-            return FloorplanConfig::paper(topology)
-                .map(|config| (config, None))
-                .map_err(|e| (400, error_body(&format!("bad topology: {e}"))));
-        }
-        // The ladder outcome is a pure function of (site, max_modules);
-        // memoize it in the cache entry so only the first request on a
-        // site pays the greedy fit.
-        site.ladder_fit
-            .get_or_init(|| fit_topology(&site.dataset, &site.map, self.config.max_modules))
-            .as_ref()
-            .map(|(config, plan)| (config.clone(), Some(plan)))
-            .ok_or_else(|| {
-                (
-                    422,
-                    error_body("no ladder topology fits this site (roof too encumbered)"),
-                )
-            })
     }
 
     /// Fills the one stats snapshot both `/v1/stats` and `/v1/metrics`
@@ -723,6 +629,20 @@ pub(crate) fn error_body(msg: &str) -> String {
         .field("error", msg)
         .build()
         .to_json_string()
+}
+
+/// The `/v1/place` wording of a refused clock.
+fn clock_message(refusal: ClockRefusal) -> String {
+    match refusal {
+        ClockRefusal::Invalid(ClockError::Days(_)) => "'days' must be in 1..=365".into(),
+        ClockRefusal::Invalid(ClockError::Step(_)) => {
+            "'step' must divide the 1440-minute day evenly".into()
+        }
+        ClockRefusal::TooLong { steps, max } => format!(
+            "'days' and 'step' must make at most {max} steps (the paper's year at 15 minutes), \
+             got {steps}"
+        ),
+    }
 }
 
 /// `500` with a structured body, for states that should be unreachable
@@ -1075,8 +995,19 @@ mod tests {
 
     #[test]
     fn clocks_longer_than_the_paper_year_are_refused() {
+        let (tiny, max) = (ServiceConfig::tiny(), 35_040);
+        assert_eq!(tiny.clock(Some(365), Some(15)), Ok((365, 15)));
+        for (days, step, steps) in [(365, 1, 525_600), (30, 1, 43_200)] {
+            let refused = Err(ClockRefusal::TooLong { steps, max });
+            assert_eq!(tiny.clock(Some(days), Some(step)), refused);
+        }
+        let refused = Err(ClockRefusal::Invalid(ClockError::Days(366)));
+        assert_eq!(tiny.clock(Some(366), Some(15)), refused);
+        // Absent overrides resolve to the config's own clock: the standard
+        // 30 days at 1 minute are too long although each value is valid.
+        let refused = Err(ClockRefusal::TooLong { steps: 43_200, max });
+        assert_eq!(ServiceConfig::standard().clock(None, Some(1)), refused);
         let service = service();
-        assert_eq!(service.resolve_clock(Some(365), Some(15)), Ok((365, 15)));
         // A year at 1-minute steps is 525,600 steps: refused before
         // extraction builds its shadow table.
         let body = format!(r#"{{"spec": "{}", "days": 365, "step": 1}}"#, spec_body(0));

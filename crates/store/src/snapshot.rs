@@ -32,7 +32,7 @@ use crate::StoreError;
 use pv_floorplan::SuitabilityMap;
 use pv_geom::{CellMask, Grid, GridDims};
 use pv_gis::{SolarDataset, StepConditions};
-use pv_units::{Celsius, Irradiance, SimulationClock, MINUTES_PER_DAY};
+use pv_units::{Celsius, Irradiance, SimulationClock};
 
 /// File magic: identifies a pvfloorplan site snapshot.
 pub const MAGIC: [u8; 8] = *b"PVSNAPS\0";
@@ -225,7 +225,8 @@ fn decode_snapshot(bytes: &[u8]) -> Result<SiteSnapshot, StoreError> {
     }
 
     let meta = decode_meta(meta_payload)?;
-    let clock = clock_of(&meta)?;
+    let clock = SimulationClock::try_days_at_minutes(meta.days, meta.step_minutes)
+        .map_err(|e| StoreError::Corrupt(e.to_string()))?;
     let (dataset, dims) = decode_data(data_payload, clock)?;
     let map = decode_smap(smap_payload, dims)?;
     Ok(SiteSnapshot { meta, dataset, map })
@@ -284,27 +285,6 @@ fn decode_meta(payload: &[u8]) -> Result<SnapshotMeta, StoreError> {
         step_minutes,
         horizon_sectors,
     })
-}
-
-/// Validates the clock parameters *before* constructing the (asserting)
-/// [`SimulationClock`], keeping the decode path total.
-fn clock_of(meta: &SnapshotMeta) -> Result<SimulationClock, StoreError> {
-    if meta.days == 0 || meta.days > 365 {
-        return Err(StoreError::Corrupt(format!(
-            "days {} outside 1..=365",
-            meta.days
-        )));
-    }
-    if meta.step_minutes == 0 || !MINUTES_PER_DAY.is_multiple_of(meta.step_minutes) {
-        return Err(StoreError::Corrupt(format!(
-            "step {} does not divide a day",
-            meta.step_minutes
-        )));
-    }
-    Ok(SimulationClock::days_at_minutes(
-        meta.days,
-        meta.step_minutes,
-    ))
 }
 
 fn decode_dims(r: &mut Reader<'_>) -> Result<GridDims, StoreError> {

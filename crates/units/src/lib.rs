@@ -45,4 +45,4 @@ pub use energy::{KilowattHours, MegawattHours, WattHours, Watts};
 pub use irradiance::Irradiance;
 pub use length::Meters;
 pub use temperature::Celsius;
-pub use time::{Minutes, SimulationClock, TimeStep, MINUTES_PER_DAY, MINUTES_PER_YEAR};
+pub use time::{ClockError, Minutes, SimulationClock, TimeStep, MINUTES_PER_DAY, MINUTES_PER_YEAR};

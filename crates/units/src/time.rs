@@ -88,23 +88,11 @@ pub struct SimulationClock {
 }
 
 impl SimulationClock {
-    /// A full-year clock with the given step in minutes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `step_minutes` is zero or does not divide the day evenly.
+    /// A full-year clock with the given step in minutes; panics like
+    /// [`days_at_minutes`](Self::days_at_minutes).
     #[must_use]
     pub fn year_at_minutes(step_minutes: u32) -> Self {
-        assert!(step_minutes > 0, "step must be positive");
-        assert_eq!(
-            MINUTES_PER_DAY % step_minutes,
-            0,
-            "step must divide the day evenly"
-        );
-        Self {
-            step_minutes,
-            num_steps: MINUTES_PER_YEAR / step_minutes,
-        }
+        Self::days_at_minutes(365, step_minutes)
     }
 
     /// The paper's configuration: one year at 15-minute steps.
@@ -113,20 +101,35 @@ impl SimulationClock {
         Self::year_at_minutes(15)
     }
 
-    /// A clock covering only the first `days` days of the year (for tests
-    /// and fast experiments).
+    /// A clock covering the first `days` days of the year, or why the
+    /// pair names none. The one home of the rule: `days` in `1..=365`, and
+    /// `step_minutes` dividing the 1440-minute day.
+    ///
+    /// # Errors
+    ///
+    /// [`ClockError::Days`], else [`ClockError::Step`].
+    pub fn try_days_at_minutes(days: u32, step_minutes: u32) -> Result<Self, ClockError> {
+        if !(1..=365).contains(&days) {
+            return Err(ClockError::Days(days));
+        }
+        if step_minutes == 0 || !MINUTES_PER_DAY.is_multiple_of(step_minutes) {
+            return Err(ClockError::Step(step_minutes));
+        }
+        Ok(Self {
+            step_minutes,
+            num_steps: days * (MINUTES_PER_DAY / step_minutes),
+        })
+    }
+
+    /// [`try_days_at_minutes`](Self::try_days_at_minutes) for a known-good
+    /// clock (tests and fast experiments).
     ///
     /// # Panics
     ///
-    /// Panics on a zero step, a step not dividing the day, or `days > 365`.
+    /// Panics with the [`ClockError`].
     #[must_use]
     pub fn days_at_minutes(days: u32, step_minutes: u32) -> Self {
-        assert!(days <= 365, "at most one simulation year");
-        let full = Self::year_at_minutes(step_minutes);
-        Self {
-            num_steps: days * (MINUTES_PER_DAY / step_minutes),
-            ..full
-        }
+        Self::try_days_at_minutes(days, step_minutes).unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// Step duration.
@@ -161,6 +164,24 @@ impl SimulationClock {
     /// Iterates over all steps of the simulated period.
     pub fn steps(self) -> impl Iterator<Item = TimeStep> {
         (0..self.num_steps).map(move |i| self.step_at(i))
+    }
+}
+
+/// Why a `(days, step_minutes)` pair names no [`SimulationClock`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum ClockError {
+    /// The day count, outside `1..=365`.
+    Days(u32),
+    /// The step in minutes, zero or not dividing the day.
+    Step(u32),
+}
+
+impl core::fmt::Display for ClockError {
+    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
+        match self {
+            Self::Days(days) => write!(f, "days {days} outside 1..=365"),
+            Self::Step(step) => write!(f, "step {step} does not divide the day evenly"),
+        }
     }
 }
 
@@ -203,6 +224,22 @@ mod tests {
     fn truncated_clock() {
         let clock = SimulationClock::days_at_minutes(7, 30);
         assert_eq!(clock.num_steps(), 7 * 48);
+    }
+
+    #[test]
+    fn one_rule_names_every_clock() {
+        for (days, step) in [(1, 15), (365, 15), (365, 1440)] {
+            let clock = SimulationClock::try_days_at_minutes(days, step).unwrap();
+            assert_eq!(clock.num_steps(), days * (MINUTES_PER_DAY / step));
+        }
+        for (days, step, why) in [
+            (0, 60, ClockError::Days(0)),
+            (366, 60, ClockError::Days(366)),
+            (30, 0, ClockError::Step(0)),
+            (30, 7, ClockError::Step(7)),
+        ] {
+            assert_eq!(SimulationClock::try_days_at_minutes(days, step), Err(why));
+        }
     }
 
     #[test]

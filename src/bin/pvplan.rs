@@ -55,7 +55,8 @@ use pv_bench::portfolio::drive;
 use pvfloorplan::floorplan::{greedy_placement_with_map, render, traditional_placement_with_map};
 use pvfloorplan::gis::synth::{check_roof, CorpusPreset, CORPUS_SEED};
 use pvfloorplan::prelude::*;
-use pvfloorplan::server::{PlacementService, Server, ServiceConfig};
+use pvfloorplan::server::{ClockRefusal, PlacementService, Server, ServiceConfig};
+use pvfloorplan::units::ClockError;
 use std::sync::Arc;
 
 /// The `--help` text, pinned by a unit test so the documented environment
@@ -181,20 +182,29 @@ fn threads_flag(m: &Matches) -> Result<Option<usize>, String> {
     )
 }
 
-/// `--days`/`--step`, range-checked once for every subcommand that takes
-/// them; `None` when absent.
+/// `--days`/`--step`, `None` when absent. Each subcommand checks them as
+/// one clock once its defaults fill the gaps.
 fn clock_flags(m: &Matches) -> Result<(Option<u32>, Option<u32>), String> {
-    let days = m.get("--days", "a day count")?;
-    if let Some(days) = days.filter(|d| !(1..=365).contains(d)) {
-        return Err(format!("--days must be in 1..=365, got {days}"));
+    Ok((
+        m.get("--days", "a day count")?,
+        m.get("--step", "a step in minutes")?,
+    ))
+}
+
+/// The flag wording of a refused `--days`/`--step` clock.
+fn clock_error(refusal: ClockRefusal) -> String {
+    match refusal {
+        ClockRefusal::Invalid(ClockError::Days(days)) => {
+            format!("--days must be in 1..=365, got {days}")
+        }
+        ClockRefusal::Invalid(ClockError::Step(step)) => {
+            format!("--step must divide the 1440-minute day evenly, got {step}")
+        }
+        ClockRefusal::TooLong { steps, max } => format!(
+            "--days and --step must make at most {max} steps when serving (the paper's year \
+             at 15 minutes), got {steps}"
+        ),
     }
-    let step = m.get("--step", "a step in minutes")?;
-    if let Some(step) = step.filter(|&s| s == 0 || !1440u32.is_multiple_of(s)) {
-        return Err(format!(
-            "--step must divide the 1440-minute day evenly, got {step}"
-        ));
-    }
-    Ok((days, step))
 }
 
 /// `--chimney`/`--hvac` obstacles: every `X,Y,H` triple, metres, with a
@@ -253,6 +263,8 @@ fn parse_args(args: &[String]) -> Result<Args, String> {
         hvacs: obstacle_flags(&m, "--hvac")?,
         help: m.help,
     };
+    SimulationClock::try_days_at_minutes(parsed.days, parsed.step)
+        .map_err(|e| clock_error(ClockRefusal::Invalid(e)))?;
     check_roof(parsed.width, parsed.depth, parsed.tilt, parsed.azimuth)
         .map_err(|(key, e)| format!("--{key} {e}"))?;
     Ok(parsed)
@@ -312,9 +324,7 @@ fn run_suite(args: &[String]) -> Result<(), String> {
         ServiceConfig::smoke()
     };
     let out = parsed.out.as_deref();
-    drive(parsed.preset, parsed.seed, &config, runtime, out)
-        .map(|_| ())
-        .map_err(|e| format!("writing BENCH_portfolio.json: {e}"))
+    drive(parsed.preset, parsed.seed, &config, runtime, out).map(|_| ())
 }
 
 /// Parsed `pvplan serve` flags. Clock and cache flags stay `None` when
@@ -334,30 +344,31 @@ struct ServeArgs {
     help: bool,
 }
 
-/// The base [`ServiceConfig`] for a `--profile` name.
-fn base_config(profile: &str) -> Option<ServiceConfig> {
-    match profile {
-        "standard" => Some(ServiceConfig::standard()),
-        "smoke" => Some(ServiceConfig::smoke()),
-        "tiny" => Some(ServiceConfig::tiny()),
-        _ => None,
-    }
-}
-
-/// Resolves a profile plus optional overrides into the serving config.
+/// Resolves a `--profile` name plus optional overrides into the serving
+/// config, whose clock [`ServiceConfig::clock`] checks before anything
+/// binds, spawns or writes.
 fn resolve_config(
     profile: &str,
     days: Option<u32>,
     step: Option<u32>,
     cache_mb: Option<usize>,
 ) -> Result<ServiceConfig, String> {
-    let base = base_config(profile)
-        .ok_or_else(|| format!("--profile expects standard|smoke|tiny, got '{profile}'"))?;
+    let base = match profile {
+        "standard" => ServiceConfig::standard(),
+        "smoke" => ServiceConfig::smoke(),
+        "tiny" => ServiceConfig::tiny(),
+        _ => {
+            return Err(format!(
+                "--profile expects standard|smoke|tiny, got '{profile}'"
+            ))
+        }
+    };
     let config = ServiceConfig {
         days: days.unwrap_or(base.days),
         step_minutes: step.unwrap_or(base.step_minutes),
         ..base
     };
+    config.clock(None, None).map_err(clock_error)?;
     let cache_mb = cache_mb.unwrap_or(config.cache_bytes >> 20);
     Ok(config.with_cache_bytes(cache_mb << 20))
 }
@@ -377,14 +388,13 @@ fn serve_args(m: &Matches) -> Result<ServeArgs, String> {
     if let Some(mb) = cache_mb.filter(|&mb| mb > usize::MAX >> 20) {
         return Err(format!("--cache-mb is out of range, got {mb}"));
     }
-    let profile = m.parse("--profile", "standard|smoke|tiny", |v| {
-        base_config(v).map(|_| v.to_string())
-    })?;
+    let profile = m.value("--profile").unwrap_or("standard").to_string();
     let (days, step) = clock_flags(m)?;
+    resolve_config(&profile, days, step, cache_mb)?;
     Ok(ServeArgs {
         port: m.get("--port", "0..=65535")?.unwrap_or(8080),
         threads: threads_flag(m)?,
-        profile: profile.unwrap_or_else(|| "standard".to_string()),
+        profile,
         cache_mb,
         days,
         step,
@@ -476,77 +486,50 @@ fn write_port_file(path: Option<&str>, addr: std::net::SocketAddr) -> Result<(),
     Ok(())
 }
 
-/// Parsed `pvplan route` flags. The clock/cache/profile flags mirror
-/// `serve` — they are forwarded to every worker.
+/// Parsed `pvplan route` flags: `--shards` plus the serving flags, whose
+/// profile, threads, cache and clock flags are forwarded to every worker
+/// and whose `--store-dir` is the partition root.
 #[derive(Clone, Debug, PartialEq, Eq)]
 struct RouteArgs {
     shards: usize,
-    port: u16,
-    threads: Option<usize>,
-    profile: String,
-    cache_mb: Option<usize>,
-    days: Option<u32>,
-    step: Option<u32>,
-    store_dir: String,
-    port_file: Option<String>,
-    trace_log: Option<String>,
-    watch_stdin: bool,
+    /// `--help`, which waives `--shards` (the same flag as `serve.help`).
     help: bool,
+    serve: ServeArgs,
 }
 
-/// Parses the `route` flags (everything after `route`): the serving
-/// flags plus `--shards`.
+/// Parses the `route` flags (everything after `route`).
 fn parse_route_args(args: &[String]) -> Result<RouteArgs, String> {
     let m = cli::parse("route", &[SERVING_FLAGS, ROUTE_FLAGS], args)?;
     let shards = m.parse("--shards", "an integer in 1..=64", |v| {
         v.parse().ok().filter(|n| (1..=64).contains(n))
     })?;
-    let ServeArgs {
-        port,
-        threads,
-        profile,
-        cache_mb,
-        days,
-        step,
-        store_dir,
-        port_file,
-        trace_log,
-        watch_stdin,
-        help,
-    } = serve_args(&m)?;
+    let serve = serve_args(&m)?;
+    let help = serve.help;
     if !help && shards.is_none() {
         return Err("route requires --shards N (1..=64)".to_string());
     }
+    let shards = shards.unwrap_or(0);
     Ok(RouteArgs {
-        shards: shards.unwrap_or(0),
-        port,
-        threads,
-        profile,
-        cache_mb,
-        days,
-        step,
-        store_dir: store_dir.unwrap_or_else(|| "target/router_store".to_string()),
-        port_file,
-        trace_log,
-        watch_stdin,
+        shards,
         help,
+        serve,
     })
 }
 
 /// The `serve` argv `route` gives every worker (the router appends the
 /// per-shard port, store and stdin flags): the route's own profile,
-/// threads, cache and clock flags.
-fn worker_args(route: &RouteArgs) -> Vec<String> {
+/// threads, cache and clock flags, from its `serve` flags.
+fn worker_args(serve: &ServeArgs) -> Vec<String> {
     let mut args = vec![
         "serve".to_string(),
         "--profile".to_string(),
-        route.profile.clone(),
+        serve.profile.clone(),
     ];
     let forwarded = [
-        ("--threads", route.threads.map(|n| n.to_string())),
-        ("--cache-mb", route.cache_mb.map(|mb| mb.to_string())),
-        ("--days", route.days.map(|d| d.to_string())),
-        ("--step", route.step.map(|s| s.to_string())),
+        ("--threads", serve.threads.map(|n| n.to_string())),
+        ("--cache-mb", serve.cache_mb.map(|mb| mb.to_string())),
+        ("--days", serve.days.map(|d| d.to_string())),
+        ("--step", serve.step.map(|s| s.to_string())),
     ];
     for (flag, value) in forwarded {
         if let Some(value) = value {
@@ -559,15 +542,17 @@ fn worker_args(route: &RouteArgs) -> Vec<String> {
 /// Runs the `route` subcommand: spawns the worker fleet behind a
 /// consistent-hash router and blocks like `serve` does.
 fn run_route(args: &[String]) -> Result<(), String> {
-    let parsed = parse_route_args(args)?;
-    if parsed.help {
+    let route = parse_route_args(args)?;
+    let (shards, parsed) = (route.shards, route.serve);
+    if route.help {
         println!("{HELP}");
         return Ok(());
     }
     let exe = std::env::current_exe()
         .map_err(|e| format!("locating the pvplan executable for workers: {e}"))?;
 
-    let mut config = pvfloorplan::server::RouterConfig::new(parsed.shards, exe, &parsed.store_dir);
+    let store_dir = parsed.store_dir.as_deref().unwrap_or("target/router_store");
+    let mut config = pvfloorplan::server::RouterConfig::new(shards, exe, store_dir);
     config.worker_args = worker_args(&parsed);
     if let Some(path) = &parsed.trace_log {
         config.trace_log_base = Some(path.into());
@@ -585,7 +570,7 @@ fn run_route(args: &[String]) -> Result<(), String> {
     let per_worker = parsed
         .threads
         .unwrap_or_else(|| Runtime::from_env().threads());
-    let transport = Runtime::with_threads(parsed.shards * per_worker + 2);
+    let transport = Runtime::with_threads(shards * per_worker + 2);
     let server = Server::bind(
         ("127.0.0.1", parsed.port),
         Arc::clone(&router),
@@ -597,9 +582,9 @@ fn run_route(args: &[String]) -> Result<(), String> {
     println!(
         "routing on http://{} ({} shard(s), profile {}, store root '{}')",
         server.local_addr(),
-        parsed.shards,
+        shards,
         parsed.profile,
-        parsed.store_dir
+        store_dir
     );
     println!("endpoints: POST /v1/place   GET /v1/healthz   GET /v1/stats   GET /v1/metrics");
     if parsed.watch_stdin {
@@ -626,8 +611,8 @@ struct ExtractArgs {
 /// Parses the `extract` flags (everything after `extract`).
 fn parse_extract_args(args: &[String]) -> Result<ExtractArgs, String> {
     let m = cli::parse("extract", &[EXTRACT_FLAGS], args)?;
-    let defaults = ServiceConfig::standard();
     let (days, step) = clock_flags(&m)?;
+    let config = resolve_config("standard", days, step, None)?;
     let parsed = ExtractArgs {
         store_dir: m.value("--store-dir").map(str::to_string),
         sites: m
@@ -636,8 +621,8 @@ fn parse_extract_args(args: &[String]) -> Result<ExtractArgs, String> {
             })?
             .unwrap_or(4),
         seed: m.get("--seed", "an integer")?.unwrap_or(CORPUS_SEED),
-        days: days.unwrap_or(defaults.days),
-        step: step.unwrap_or(defaults.step_minutes),
+        days: config.days,
+        step: config.step_minutes,
         help: m.help,
     };
     if !parsed.help && parsed.store_dir.is_none() {
@@ -659,13 +644,9 @@ fn run_extract(args: &[String]) -> Result<(), String> {
     let Some(dir) = &parsed.store_dir else {
         return Err("extract requires --store-dir PATH".to_string());
     };
-    // The serving config for these clock flags: the snapshot's extraction
-    // horizon must match what `serve` will compute keys with.
-    let config = ServiceConfig {
-        days: parsed.days,
-        step_minutes: parsed.step,
-        ..ServiceConfig::standard()
-    };
+    // The standard serving config for these clock flags: the snapshot's
+    // extraction horizon must match what `serve` will compute keys with.
+    let config = resolve_config("standard", Some(parsed.days), Some(parsed.step), None)?;
     let store = pvfloorplan::store::SiteStore::open(dir)
         .map_err(|e| format!("opening snapshot store '{dir}': {e}"))?;
     let store = Arc::new(store);
@@ -977,12 +958,13 @@ mod tests {
         ]))
         .unwrap();
         assert_eq!(parsed.shards, 3);
+        let parsed = parsed.serve;
         assert_eq!(parsed.port, 0);
         assert_eq!(parsed.threads, Some(1));
         assert_eq!(parsed.cache_mb, Some(32));
         assert_eq!((parsed.days, parsed.step), (Some(2), Some(120)));
         assert_eq!(parsed.profile, "tiny");
-        assert_eq!(parsed.store_dir, "target/router");
+        assert_eq!(parsed.store_dir.as_deref(), Some("target/router"));
         assert_eq!(parsed.port_file.as_deref(), Some("target/router.port"));
         assert_eq!(parsed.trace_log.as_deref(), Some("target/router.trace"));
         assert!(parsed.watch_stdin);
@@ -1002,6 +984,11 @@ mod tests {
             ),
             (vec!["--shards", "2", "--days", "366"], "--days must be"),
             (vec!["--shards", "2", "--step", "7"], "--step must divide"),
+            (
+                vec!["--shards", "2", "--days", "365", "--step", "1"],
+                "at most 35040 steps",
+            ),
+            (vec!["--shards", "2", "--step", "1"], "at most 35040 steps"),
             (vec!["--shards", "2", "--sites", "4"], "unknown route flag"),
         ] {
             let err = parse_route_args(&strings(&args)).unwrap_err();
@@ -1046,6 +1033,14 @@ mod tests {
                 "--step must divide",
             ),
             (
+                vec!["--store-dir", "d", "--days", "365", "--step", "1"],
+                "at most 35040 steps",
+            ),
+            (
+                vec!["--store-dir", "d", "--step", "1"],
+                "at most 35040 steps",
+            ),
+            (
                 vec!["--store-dir", "d", "--threads", "2"],
                 "unknown extract flag",
             ),
@@ -1073,6 +1068,10 @@ mod tests {
             (vec!["--days", "366"], "--days must be in 1..=365"),
             (vec!["--days", "0"], "--days must be in 1..=365"),
             (vec!["--step", "7"], "--step must divide"),
+            // Each flag is in range, but the clock is longer than the
+            // service allows (the standard profile plans on 30 days).
+            (vec!["--days", "365", "--step", "1"], "at most 35040 steps"),
+            (vec!["--step", "1"], "at most 35040 steps"),
             (vec!["--step"], "--step needs a value"),
             (vec!["--profile", "mega"], "--profile expects"),
             (vec!["--serve-hard"], "unknown serve flag"),
@@ -1188,10 +1187,11 @@ mod tests {
 
         let route = "--shards 2 --threads 1 --profile standard --store-dir x/store";
         let route = parse_route_args(&argv(&format!("{route} {tail}"))).unwrap();
-        assert_eq!((route.shards, route.threads, route.port), (2, Some(1), 0));
+        let (shards, route) = (route.shards, route.serve);
+        assert_eq!((shards, route.threads, route.port), (2, Some(1), 0));
         assert_eq!(
-            (route.profile.as_str(), route.store_dir.as_str()),
-            ("standard", "x/store")
+            (route.profile.as_str(), route.store_dir.as_deref()),
+            ("standard", Some("x/store"))
         );
         assert!(route.watch_stdin);
 
@@ -1206,7 +1206,7 @@ mod tests {
     fn worker_args_parse_back_to_the_route_settings() {
         let tuned = "--shards 3 --profile tiny --threads 2 --cache-mb 16 --days 3 --step 30";
         for route in ["--shards 2", tuned] {
-            let route = parse_route_args(&argv(route)).unwrap();
+            let route = parse_route_args(&argv(route)).unwrap().serve;
             let mut worker = worker_args(&route);
             assert_eq!(worker.remove(0), "serve");
             // What `Router::start` appends for each shard.

@@ -16,7 +16,8 @@
 //!
 //! Finally, the two front ends of the site solve must not fork: the
 //! placement service answers a generated site with the same topology and
-//! energy the portfolio runner records for it.
+//! greedy, anneal and exact energies the portfolio runner records for it,
+//! and refuses the exact search where the record has no exact energy.
 
 use pv_bench::portfolio::{run_portfolio, run_scenario, PortfolioRecord};
 use pvfloorplan::gis::synth::LATITUDE_BANDS;
@@ -106,28 +107,50 @@ fn diverse64_is_thread_count_invariant_and_diverse() {
 #[test]
 fn service_and_portfolio_agree_on_the_first_diverse64_sites() {
     let corpus = ScenarioCorpus::preset(CorpusPreset::Diverse64);
-    let config = ServiceConfig::smoke();
-    let service = PlacementService::new(config);
-    for scenario in &corpus.scenarios()[..16] {
-        let record = run_scenario(scenario, &config);
-        let spec = scenario
-            .spec
-            .as_ref()
-            .expect("diverse64 sites are generated");
-        for (placer, wh) in [("greedy", record.greedy_wh), ("anneal", record.anneal_wh)] {
-            let body = format!(
-                r#"{{"spec": "{}", "placer": "{placer}"}}"#,
-                spec.to_spec_string()
-            );
-            let (response, _) = service
-                .place(&body)
-                .unwrap_or_else(|e| panic!("{} {placer}: {e:?}", record.scenario));
-            let response = json::parse(&response).expect("response is JSON");
-            let field = |key: &str| response.get(key).and_then(JsonValue::as_number);
-            let what = format!("{} {placer}", record.scenario);
-            assert_eq!(field("series"), Some(record.series as f64), "{what}");
-            assert_eq!(field("strings"), Some(record.strings as f64), "{what}");
-            assert_eq!(field("energy_wh"), Some(json::rounded(wh, 3)), "{what}");
+    // The smoke ladder fits topologies whose exact search is over budget
+    // on every one of these sites; capped at one module, the search fits
+    // on some of them.
+    let single = ServiceConfig {
+        max_modules: 1,
+        ..ServiceConfig::smoke()
+    };
+    let mut exact_agreements = 0;
+    for config in [ServiceConfig::smoke(), single] {
+        let service = PlacementService::new(config);
+        for scenario in &corpus.scenarios()[..16] {
+            let record = run_scenario(scenario, &config);
+            let spec = scenario
+                .spec
+                .as_ref()
+                .expect("diverse64 sites are generated");
+            let placers = [
+                ("greedy", Some(record.greedy_wh)),
+                ("anneal", Some(record.anneal_wh)),
+                ("exact", record.exact_wh),
+            ];
+            for (placer, wh) in placers {
+                let body = format!(
+                    r#"{{"spec": "{}", "placer": "{placer}"}}"#,
+                    spec.to_spec_string()
+                );
+                let what = format!("{} {placer} (max {})", record.scenario, config.max_modules);
+                let answer = service.place(&body);
+                // The record has no exact energy exactly where the service
+                // refuses the search.
+                let Some(wh) = wh else {
+                    let (status, _) = answer.expect_err(&what);
+                    assert_eq!(status, 422, "{what}");
+                    continue;
+                };
+                let (response, _) = answer.unwrap_or_else(|e| panic!("{what}: {e:?}"));
+                let response = json::parse(&response).expect("response is JSON");
+                let field = |key: &str| response.get(key).and_then(JsonValue::as_number);
+                assert_eq!(field("series"), Some(record.series as f64), "{what}");
+                assert_eq!(field("strings"), Some(record.strings as f64), "{what}");
+                assert_eq!(field("energy_wh"), Some(json::rounded(wh, 3)), "{what}");
+                exact_agreements += usize::from(placer == "exact");
+            }
         }
     }
+    assert!(exact_agreements > 0, "no site compared an exact energy");
 }
