@@ -7,10 +7,9 @@
 //!
 //! Usage: `cargo run -p pv_bench --bin ablation_greedy --release [--fast|--smoke] [--threads N]`
 
-use pv_bench::{extract_scenario_with, parse_harness_args, Resolution};
-use pv_floorplan::{greedy_placement_with_map, EnergyEvaluator, FloorplanConfig, SuitabilityMap};
+use pv_bench::{extract_scenario_with, paper_config, parse_harness_args, Resolution};
+use pv_floorplan::{greedy_placement_with_map, EnergyEvaluator, SuitabilityMap};
 use pv_gis::{PaperRoof, RoofScenario};
-use pv_model::Topology;
 
 fn main() {
     let cli: Vec<String> = std::env::args().skip(1).collect();
@@ -22,7 +21,6 @@ fn main() {
     let runtime = args.runtime();
     let scenario = RoofScenario::build(PaperRoof::Roof2);
     let dataset = extract_scenario_with(&scenario, resolution, runtime);
-    let topology = Topology::new(8, 4).expect("valid topology");
     // No variant changes the metric, so they all rank by one map.
     let map = SuitabilityMap::paper(&dataset, runtime);
 
@@ -36,34 +34,24 @@ fn main() {
     );
 
     for (label, config) in [
-        (
-            "paper (series-first + threshold)",
-            FloorplanConfig::paper(topology).expect("config"),
-        ),
+        ("paper (series-first + threshold)", paper_config(32)),
         (
             "no distance threshold",
-            FloorplanConfig::paper(topology)
-                .expect("config")
-                .with_distance_threshold(None),
+            paper_config(32).with_distance_threshold(None),
         ),
         (
             "interleaved strings",
-            FloorplanConfig::paper(topology)
-                .expect("config")
-                .with_series_first(false),
+            paper_config(32).with_series_first(false),
         ),
         (
             "interleaved + no threshold",
-            FloorplanConfig::paper(topology)
-                .expect("config")
+            paper_config(32)
                 .with_series_first(false)
                 .with_distance_threshold(None),
         ),
         (
             "tight threshold (1.0x)",
-            FloorplanConfig::paper(topology)
-                .expect("config")
-                .with_distance_threshold(Some(1.0)),
+            paper_config(32).with_distance_threshold(Some(1.0)),
         ),
     ] {
         let plan = greedy_placement_with_map(&dataset, &config, &map).expect("fits");

@@ -13,10 +13,9 @@
 //!
 //! Usage: `cargo run -p pv_bench --bin ablation_percentile --release [--fast|--smoke] [--threads N]`
 
-use pv_bench::{extract_scenario_with, parse_harness_args, Resolution};
+use pv_bench::{extract_scenario_with, paper_config, parse_harness_args, Resolution};
 use pv_floorplan::{greedy_placement_with_map, EnergyEvaluator, FloorplanConfig, SuitabilityMap};
 use pv_gis::{PaperRoof, RoofScenario, SolarDataset};
-use pv_model::Topology;
 use pv_runtime::Runtime;
 
 /// The metric rows in print order: label, percentile, f(T) correction.
@@ -42,7 +41,6 @@ fn main() {
     let runtime = args.runtime();
     let scenario = RoofScenario::build(PaperRoof::Roof2);
     let dataset = extract_scenario_with(&scenario, resolution, runtime);
-    let topology = Topology::new(8, 2).expect("valid topology");
 
     println!(
         "A1: suitability-metric ablation — {} (Roof 2, N = 16)\n",
@@ -57,7 +55,7 @@ fn main() {
                 Some(why) => Err(why),
                 None => Ok(run(
                     &dataset,
-                    row_config(topology, percentile, correction),
+                    row_config(paper_config(16), percentile, correction),
                     runtime,
                 )),
             },
@@ -91,10 +89,8 @@ fn dark_rank(dataset: &SolarDataset, percentile: f64) -> Option<String> {
     (rank <= dark).then(|| format!("nearest rank {rank} of {total} is among {dark} dark steps"))
 }
 
-fn row_config(topology: Topology, percentile: f64, correction: bool) -> FloorplanConfig {
-    FloorplanConfig::paper(topology)
-        .expect("config")
-        .with_percentile(percentile)
+fn row_config(base: FloorplanConfig, percentile: f64, correction: bool) -> FloorplanConfig {
+    base.with_percentile(percentile)
         .with_temperature_correction(correction)
 }
 
@@ -113,6 +109,7 @@ fn run(dataset: &SolarDataset, config: FloorplanConfig, runtime: Runtime) -> f64
 mod tests {
     use super::*;
     use pv_gis::{RoofBuilder, Site, SolarExtractor};
+    use pv_model::Topology;
     use pv_units::{Meters, SimulationClock};
 
     #[test]
@@ -124,10 +121,10 @@ mod tests {
             .seed(5)
             .runtime(Runtime::sequential())
             .extract(&roof);
-        let topology = Topology::new(1, 1).unwrap();
+        let base = FloorplanConfig::paper(Topology::new(1, 1).unwrap()).unwrap();
         let mut refused = Vec::new();
         for (label, percentile, correction) in ROWS {
-            let config = row_config(topology, percentile, correction);
+            let config = row_config(base.clone(), percentile, correction);
             let map = SuitabilityMap::compute_with(&data, &config, Runtime::sequential());
             let lit = map.scores().iter().any(|&s| s > 0.0);
             let dark = dark_rank(&data, percentile);

@@ -16,12 +16,11 @@
 //! and `kernel_*` rows.
 
 use pv_bench::{
-    extract_scenario_with, kernel_probe_timings, parse_harness_args, proposal_loop_timings,
-    write_bench_records, HarnessArgs, Resolution,
+    extract_scenario_with, kernel_probe_timings, paper_config, parse_harness_args,
+    proposal_loop_timings, write_bench_records, HarnessArgs, Resolution,
 };
 use pv_floorplan::*;
 use pv_gis::{HorizonMap, PaperRoof, RoofBuilder, RoofScenario, Site, SolarExtractor};
-use pv_model::Topology;
 use pv_obs::{Histogram, Timer};
 use pv_runtime::Runtime;
 use pv_units::Meters;
@@ -44,7 +43,7 @@ fn run(args: &HarnessArgs) -> Result<(), String> {
     let resolution = args.resolution_or(Resolution::Fast);
     let scenario = RoofScenario::build(PaperRoof::Roof2);
     let dataset = extract_scenario_with(&scenario, resolution, runtime);
-    let config = FloorplanConfig::paper(Topology::new(8, 4).unwrap()).unwrap();
+    let config = paper_config(32);
     let map = SuitabilityMap::compute_with(&dataset, &config, runtime);
     let anchors = map.anchor_scores(config.footprint());
     let mut scores: Vec<f64> = anchors.iter().copied().filter(|s| s.is_finite()).collect();
@@ -99,7 +98,7 @@ fn run(args: &HarnessArgs) -> Result<(), String> {
 fn timings(runtime: Runtime) -> Result<(), String> {
     let scenario = RoofScenario::build(PaperRoof::Roof2);
     let clock = Resolution::Smoke.clock();
-    let config = FloorplanConfig::paper(Topology::new(8, 4).unwrap()).unwrap();
+    let config = paper_config(32);
     println!(
         "Sec. V-D timing probe — Roof 2, {} steps, N = 32, {} worker thread(s)",
         clock.num_steps(),
@@ -185,8 +184,7 @@ fn timings(runtime: Runtime) -> Result<(), String> {
             .runtime(runtime)
             .extract(&roof)
     });
-    let sweep_config = |n: usize| FloorplanConfig::paper(Topology::new(8, n / 8).unwrap()).unwrap();
-    let config_16 = sweep_config(16);
+    let config_16 = paper_config(16);
     for data in &sweep {
         let t = time(&mut || {
             std::hint::black_box(SuitabilityMap::compute_with(data, &config_16, runtime));
@@ -198,7 +196,7 @@ fn timings(runtime: Runtime) -> Result<(), String> {
     }
     let wide = &sweep[2];
     for n in [8usize, 16, 32] {
-        let config = sweep_config(n);
+        let config = paper_config(n);
         let map = SuitabilityMap::compute_with(wide, &config, runtime);
         let t = time(&mut || {
             std::hint::black_box(greedy_placement_with_map(wide, &config, &map).unwrap());

@@ -5,13 +5,12 @@
 //!
 //! Usage: `cargo run -p pv_bench --bin fig7_placements --release [--fast|--smoke] [--threads N]`
 
-use pv_bench::{extract_scenario_with, parse_harness_args, Resolution};
+use pv_bench::{extract_scenario_with, paper_config, parse_harness_args, Resolution};
 use pv_floorplan::{
     greedy_placement_with_map, render, traditional_placement_with_map, EnergyEvaluator,
-    FloorplanConfig, SuitabilityMap,
+    SuitabilityMap,
 };
 use pv_gis::paper_roofs;
-use pv_model::Topology;
 
 fn main() {
     let cli: Vec<String> = std::env::args().skip(1).collect();
@@ -21,8 +20,7 @@ fn main() {
     });
     let resolution = args.resolution_or(Resolution::Paper);
     let runtime = args.runtime();
-    let config =
-        FloorplanConfig::paper(Topology::new(8, 4).expect("valid topology")).expect("paper config");
+    let config = paper_config(32);
     println!(
         "Fig 7 reproduction (N = 32, 4 strings of 8) — {}\n",
         resolution.label()

@@ -7,10 +7,10 @@
 //!
 //! Usage: `cargo run -p pv_bench --bin overhead --release [--fast|--smoke] [--threads N]`
 
-use pv_bench::{extract_scenario_with, parse_harness_args, Resolution};
-use pv_floorplan::{greedy_placement_with_map, EnergyEvaluator, FloorplanConfig, SuitabilityMap};
+use pv_bench::{extract_scenario_with, paper_config, parse_harness_args, Resolution};
+use pv_floorplan::{greedy_placement_with_map, EnergyEvaluator, SuitabilityMap};
 use pv_gis::paper_roofs;
-use pv_model::{Topology, WiringSpec};
+use pv_model::WiringSpec;
 use pv_units::{Amperes, Meters};
 
 fn main() {
@@ -46,8 +46,7 @@ fn main() {
         let dataset = extract_scenario_with(&scenario, resolution, runtime);
         let map = SuitabilityMap::paper(&dataset, runtime);
         for n in [16usize, 32] {
-            let topology = Topology::new(8, n / 8).expect("paper topology");
-            let config = FloorplanConfig::paper(topology).expect("paper config");
+            let config = paper_config(n);
             let plan = greedy_placement_with_map(&dataset, &config, &map).expect("fits");
             let report = EnergyEvaluator::new(&config)
                 .with_runtime(runtime)

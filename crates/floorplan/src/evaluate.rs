@@ -49,7 +49,9 @@ use crate::error::FloorplanError;
 use crate::greedy::FloorplanResult;
 use pv_geom::{CellCoord, Placement};
 use pv_gis::{lanes, IrradianceGroup, SolarDataset};
-use pv_model::{string_wiring_overhead, EmpiricalModule, ModuleModel, OperatingPoint, WiringSpec};
+use pv_model::{
+    panel_step, string_wiring_overhead, EmpiricalModule, ModuleModel, OperatingPoint, WiringSpec,
+};
 use pv_runtime::Runtime;
 use pv_units::{Amperes, Irradiance, Meters, Volts, WattHours, Watts};
 use std::collections::BTreeMap;
@@ -631,11 +633,8 @@ impl<'d> EvaluationContext<'d> {
             lanes::add_assign(v_sum, volts);
             lanes::min_assign(i_min, amps);
         }
-        let centers: Vec<pv_geom::Point> = self.strings[j]
-            .iter()
-            .map(|&k| self.placement.center(k))
-            .collect();
-        self.string_extra[j] = string_wiring_overhead(&centers, &self.wiring).extra_length;
+        let centers = self.strings[j].iter().map(|&k| self.placement.center(k));
+        self.string_extra[j] = string_wiring_overhead(centers, &self.wiring);
     }
 
     /// Re-scores the current placement from the cached traces and string
@@ -652,7 +651,6 @@ impl<'d> EvaluationContext<'d> {
     pub fn evaluate(&self) -> EnergyReport {
         let wiring = &self.wiring;
         let n_modules = self.placement.len();
-        let n_strings = self.strings.len();
         let num_steps = self.num_steps();
 
         let (gross, loss, unconstrained) = self.runtime.reduce_chunks(
@@ -676,22 +674,14 @@ impl<'d> EvaluationContext<'d> {
 
                     // Series/parallel bottleneck (paper Sec. III-B1) from
                     // the cached per-string aggregates.
-                    let mut v_panel = f64::INFINITY;
-                    let mut i_panel = 0.0f64;
-                    let mut step_loss = 0.0f64;
-                    for j in 0..n_strings {
+                    let strings = self.string_extra.iter().enumerate().map(|(j, &extra)| {
                         let base = j * AGG_FIELDS * num_steps;
-                        let v = self.agg[base + i];
-                        let i_str = self.agg[base + num_steps + i];
-                        v_panel = v_panel.min(v);
-                        i_panel += i_str;
-                        step_loss += wiring
-                            .power_loss(self.string_extra[j], Amperes::new(i_str))
-                            .as_watts();
-                    }
-                    let p_panel = (Volts::new(v_panel) * Amperes::new(i_panel)).as_watts();
-                    gross += p_panel;
-                    loss += step_loss.min(p_panel);
+                        let v = Volts::new(self.agg[base + i]);
+                        (v, Amperes::new(self.agg[base + num_steps + i]), extra)
+                    });
+                    let (p_panel, step_loss) = panel_step(strings, wiring);
+                    gross += p_panel.as_watts();
+                    loss += step_loss.as_watts();
                 }
                 (gross, loss, unconstrained)
             },
@@ -775,24 +765,18 @@ impl<'d> EvaluationContext<'d> {
                     }
 
                     // Series/parallel bottleneck (paper Sec. III-B1).
-                    let mut v_panel = f64::INFINITY;
-                    let mut i_panel = 0.0f64;
-                    let mut step_loss = 0.0f64;
-                    for (j, mods) in self.strings.iter().enumerate() {
+                    let members = self.strings.iter().zip(&self.string_extra);
+                    let strings = members.map(|(mods, &extra)| {
                         let v: f64 = mods.iter().map(|&k| ops[k].voltage.value()).sum();
                         let i_str = mods
                             .iter()
                             .map(|&k| ops[k].current.value())
                             .fold(f64::INFINITY, f64::min);
-                        v_panel = v_panel.min(v);
-                        i_panel += i_str;
-                        step_loss += wiring
-                            .power_loss(self.string_extra[j], Amperes::new(i_str))
-                            .as_watts();
-                    }
-                    let p_panel = (Volts::new(v_panel) * Amperes::new(i_panel)).as_watts();
-                    gross += p_panel;
-                    loss += step_loss.min(p_panel);
+                        (Volts::new(v), Amperes::new(i_str), extra)
+                    });
+                    let (p_panel, step_loss) = panel_step(strings, wiring);
+                    gross += p_panel.as_watts();
+                    loss += step_loss.as_watts();
                 }
                 (gross, loss, unconstrained)
             },

@@ -137,7 +137,9 @@ proptest! {
     }
 
     /// Energy reports always satisfy net <= gross <= sum-of-modules, with
-    /// non-negative wiring loss and a mismatch fraction in [0, 1].
+    /// non-negative wiring loss and a mismatch fraction in [0, 1]. The
+    /// sum-of-modules energy is the sum of the anchors' standalone
+    /// energies E_a (a 1×1 evaluation at each), so net <= Σ E_a.
     #[test]
     fn energy_report_inequalities(seed in 0u64..300, m in 1usize..4, cx in 2.0..10.0f64) {
         let data = dataset(14.0, 5.0, seed, cx);
@@ -147,6 +149,26 @@ proptest! {
         prop_assert!(r.wiring_loss.as_wh() >= 0.0);
         prop_assert!(r.energy.as_wh() <= r.gross_energy.as_wh() + 1e-9);
         prop_assert!(r.gross_energy.as_wh() <= r.sum_of_module_energy.as_wh() + 1e-9);
+        let single = FloorplanConfig::paper(Topology::new(1, 1).unwrap()).unwrap();
+        let standalone: f64 = plan
+            .placement
+            .modules()
+            .iter()
+            .map(|module| {
+                let mut placement = Placement::new(data.dims(), single.footprint());
+                placement.try_place(module.anchor, data.valid()).unwrap();
+                let one = FloorplanResult {
+                    placement,
+                    string_of: vec![0],
+                    mean_anchor_score: f64::NAN,
+                };
+                let e_a = EnergyEvaluator::new(&single).evaluate(&data, &one).unwrap();
+                e_a.energy.as_wh()
+            })
+            .sum();
+        let sum = r.sum_of_module_energy.as_wh();
+        prop_assert!((sum - standalone).abs() <= 1e-9 * sum,
+            "sum of module energy {} != sum of standalone energies {}", sum, standalone);
         prop_assert!((0.0..=1.0).contains(&r.mismatch_fraction()));
         prop_assert!(r.extra_wire.as_meters() >= 0.0);
         prop_assert!((r.wire_cost - r.extra_wire.as_meters()).abs() < 1e-9);

@@ -589,31 +589,17 @@ impl ScenarioSpec {
         builder
     }
 
-    /// Encodes the spec as one `key=value` line; [`parse_spec_string`]
-    /// round-trips it exactly (floats are printed shortest-round-trip).
+    /// The spec's canonical one-line encoding, its [`Display`] form.
     ///
-    /// [`parse_spec_string`]: Self::parse_spec_string
+    /// [`Display`]: core::fmt::Display
     #[must_use]
     pub fn to_spec_string(&self) -> String {
-        format!(
-            "pvscn index={} seed={} archetype={} width={:?} depth={:?} tilt={:?} \
-             azimuth={:?} latitude={:?} weather={} density={:?} horizon={}",
-            self.index,
-            self.seed,
-            self.archetype.name(),
-            self.width_m,
-            self.depth_m,
-            self.tilt_deg,
-            self.azimuth_deg,
-            self.latitude_deg,
-            self.weather.name(),
-            self.obstacle_density,
-            self.horizon_class,
-        )
+        self.to_string()
     }
 
     /// Stable 64-bit identity of this spec, for cache keying: FNV-1a over
-    /// the canonical [`to_spec_string`](Self::to_spec_string) encoding.
+    /// the canonical [`to_spec_string`](Self::to_spec_string) encoding,
+    /// streamed through [`Fnv1a`] without building the string.
     ///
     /// Because the hash is taken over the *re-rendered* canonical string
     /// (not the bytes a client happened to send), any two spec strings
@@ -633,7 +619,10 @@ impl ScenarioSpec {
     /// ```
     #[must_use]
     pub fn canonical_hash(&self) -> u64 {
-        fnv1a(self.to_spec_string().as_bytes())
+        use core::fmt::Write as _;
+        let mut hash = Fnv1a::default();
+        let _ = write!(hash, "{self}");
+        hash.finish()
     }
 
     /// Parses a [`to_spec_string`](Self::to_spec_string) line.
@@ -736,6 +725,30 @@ impl ScenarioSpec {
     }
 }
 
+impl core::fmt::Display for ScenarioSpec {
+    /// Encodes the spec as one `key=value` line;
+    /// [`parse_spec_string`](ScenarioSpec::parse_spec_string) round-trips
+    /// it exactly (floats are printed shortest-round-trip).
+    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
+        write!(
+            f,
+            "pvscn index={} seed={} archetype={} width={:?} depth={:?} tilt={:?} \
+             azimuth={:?} latitude={:?} weather={} density={:?} horizon={}",
+            self.index,
+            self.seed,
+            self.archetype.name(),
+            self.width_m,
+            self.depth_m,
+            self.tilt_deg,
+            self.azimuth_deg,
+            self.latitude_deg,
+            self.weather.name(),
+            self.obstacle_density,
+            self.horizon_class,
+        )
+    }
+}
+
 /// Rounds to decimetre precision so spec strings stay compact while the
 /// parameter space stays rich.
 fn round_dm(v: f64) -> f64 {
@@ -747,12 +760,53 @@ fn round_dm(v: f64) -> f64 {
 /// releases, and a cache key's stability is part of the service contract).
 #[must_use]
 pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325_u64;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+    let mut hash = Fnv1a::default();
+    hash.write_bytes(bytes);
+    hash.finish()
+}
+
+/// Streaming [`fnv1a`]: hashes every byte written through
+/// [`core::fmt::Write`], so a key can be formatted straight into its hash
+/// without building the string.
+///
+/// ```
+/// use core::fmt::Write;
+/// use pv_gis::synth::{fnv1a, Fnv1a};
+/// let mut hash = Fnv1a::default();
+/// write!(hash, "days={} step={}", 30, 60)?;
+/// assert_eq!(hash.finish(), fnv1a(b"days=30 step=60"));
+/// # Ok::<(), core::fmt::Error>(())
+/// ```
+#[derive(Clone, Copy, Debug)]
+pub struct Fnv1a(u64);
+
+impl Fnv1a {
+    /// The hash of every byte written so far.
+    #[must_use]
+    pub const fn finish(self) -> u64 {
+        self.0
     }
-    hash
+
+    fn write_bytes(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 ^= u64::from(b);
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+}
+
+impl Default for Fnv1a {
+    /// The hash of no bytes (the FNV-1a offset basis).
+    fn default() -> Self {
+        Self(0xcbf2_9ce4_8422_2325)
+    }
+}
+
+impl core::fmt::Write for Fnv1a {
+    fn write_str(&mut self, s: &str) -> core::fmt::Result {
+        self.write_bytes(s.as_bytes());
+        Ok(())
+    }
 }
 
 /// A fully realized site: DSM plus geographic and weather context.

@@ -16,8 +16,8 @@
 //! whole string.
 
 use crate::error::ModelError;
-use crate::module::OperatingPoint;
-use pv_units::{Amperes, Volts, Watts};
+use crate::wiring::WiringSpec;
+use pv_units::{Amperes, Meters, Volts, Watts};
 
 /// An `m × n` series/parallel panel topology: `strings` parallel strings,
 /// each of `series` modules in series (the paper's `m` and `n`,
@@ -83,97 +83,57 @@ impl core::fmt::Display for Topology {
     }
 }
 
-/// Aggregated electrical output of a panel.
-#[derive(Clone, Copy, Debug, PartialEq, Default)]
-pub struct PanelOutput {
-    /// Panel voltage (weakest string's series sum).
-    pub voltage: Volts,
-    /// Panel current (sum of per-string bottleneck currents).
-    pub current: Amperes,
-    /// Panel power `V · I`.
-    pub power: Watts,
-    /// Σ of individual module powers — the unreachable upper bound, useful
-    /// for quantifying the mismatch (bottleneck) loss.
-    pub sum_of_module_powers: Watts,
-}
-
-impl PanelOutput {
-    /// Mismatch loss `1 − P/ΣP` caused by the series/parallel bottleneck,
-    /// in `[0, 1]`. Zero when all modules are identical.
-    #[must_use]
-    pub fn mismatch_loss(&self) -> f64 {
-        let sum = self.sum_of_module_powers.as_watts();
-        if sum <= 0.0 {
-            0.0
-        } else {
-            (1.0 - self.power.as_watts() / sum).max(0.0)
-        }
-    }
-}
-
-/// Aggregates per-module operating points into the panel output.
+/// One time step of the array rule: the panel power and the wiring loss
+/// of a panel whose strings are given as aggregates.
 ///
-/// `modules` must be in *series-first* order: the first `m` entries form
-/// string 0, the next `m` string 1, and so on — the same order the
-/// floorplanner enumerates modules (paper Sec. III-C).
+/// Each item of `strings` is one string's series voltage sum
+/// `Σ_i V(i,j)`, its bottleneck current `min_i I(i,j)` and its extra
+/// cable length (see [`string_wiring_overhead`]). Returns
+/// `(Vpanel · Ipanel, loss)`, where `loss` is the strings' RI² dissipation
+/// ([`WiringSpec::power_loss`] at each string's current), capped at the
+/// panel power.
 ///
-/// # Errors
+/// The panel power never exceeds the sum of the module powers, and
+/// equals it when every module shares one operating point.
 ///
-/// Returns [`ModelError::TopologySizeMismatch`] if `modules.len()` differs
-/// from `topology.num_modules()`.
+/// [`string_wiring_overhead`]: crate::string_wiring_overhead
 ///
 /// ```
-/// use pv_model::{panel_output, Topology};
-/// use pv_model::OperatingPoint;
-/// use pv_units::{Amperes, Volts};
-/// let t = Topology::new(2, 1)?;
-/// let strong = OperatingPoint { voltage: Volts::new(24.0), current: Amperes::new(6.0) };
-/// let weak = OperatingPoint { voltage: Volts::new(23.0), current: Amperes::new(2.0) };
-/// let out = panel_output(&[strong, weak], t)?;
-/// // The string carries the weak module's 2 A at the summed voltage.
-/// assert_eq!(out.voltage.value(), 47.0);
-/// assert_eq!(out.current.value(), 2.0);
-/// assert!(out.mismatch_loss() > 0.3);
-/// # Ok::<(), pv_model::ModelError>(())
+/// use pv_model::{panel_step, WiringSpec};
+/// use pv_units::{Amperes, Meters, Volts};
+/// // A 24 V / 6 A module in series with a shaded 23 V / 2 A one, beside
+/// // a healthy two-module string wired with 3 m of extra cable.
+/// let strings = [
+///     (Volts::new(24.0 + 23.0), Amperes::new(2.0), Meters::ZERO),
+///     (Volts::new(48.0), Amperes::new(6.0), Meters::new(3.0)),
+/// ];
+/// let (power, loss) = panel_step(strings, &WiringSpec::awg10());
+/// // Both strings run at the weaker string's 47 V; the currents add.
+/// assert_eq!(power.as_watts(), 47.0 * 8.0);
+/// // 7 mΩ/m · 3 m · (6 A)² of wiring loss.
+/// assert!((loss.as_watts() - 0.007 * 3.0 * 36.0).abs() < 1e-12);
 /// ```
-pub fn panel_output(
-    modules: &[OperatingPoint],
-    topology: Topology,
-) -> Result<PanelOutput, ModelError> {
-    if modules.len() != topology.num_modules() {
-        return Err(ModelError::TopologySizeMismatch {
-            expected: topology.num_modules(),
-            actual: modules.len(),
-        });
+#[inline]
+pub fn panel_step(
+    strings: impl IntoIterator<Item = (Volts, Amperes, Meters)>,
+    wiring: &WiringSpec,
+) -> (Watts, Watts) {
+    let mut v_panel = Volts::new(f64::INFINITY);
+    let mut i_panel = Amperes::ZERO;
+    let mut loss = Watts::ZERO;
+    for (v, i, extra) in strings {
+        v_panel = v_panel.min(v);
+        i_panel += i;
+        loss += wiring.power_loss(extra, i);
     }
-    let m = topology.series();
-    let mut min_string_voltage = f64::INFINITY;
-    let mut total_current = 0.0;
-    let mut sum_power = 0.0;
-    for j in 0..topology.strings() {
-        let string = &modules[j * m..(j + 1) * m];
-        let v: f64 = string.iter().map(|p| p.voltage.value()).sum();
-        let i: f64 = string
-            .iter()
-            .map(|p| p.current.value())
-            .fold(f64::INFINITY, f64::min);
-        min_string_voltage = min_string_voltage.min(v);
-        total_current += i;
-        sum_power += string.iter().map(|p| p.power().as_watts()).sum::<f64>();
-    }
-    let voltage = Volts::new(min_string_voltage);
-    let current = Amperes::new(total_current);
-    Ok(PanelOutput {
-        voltage,
-        current,
-        power: voltage * current,
-        sum_of_module_powers: Watts::new(sum_power),
-    })
+    let power = v_panel * i_panel;
+    (power, loss.min(power))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::module::OperatingPoint;
 
     fn op(v: f64, i: f64) -> OperatingPoint {
         OperatingPoint {
@@ -182,15 +142,29 @@ mod tests {
         }
     }
 
+    /// Panel power of series-first `modules` (no extra cable) and the sum
+    /// of their powers.
+    fn panel(modules: &[OperatingPoint], t: Topology) -> (f64, f64) {
+        let strings = modules.chunks(t.series()).map(|string| {
+            let v = string.iter().map(|p| p.voltage.value()).sum();
+            let i = string
+                .iter()
+                .map(|p| p.current.value())
+                .fold(f64::INFINITY, f64::min);
+            (Volts::new(v), Amperes::new(i), Meters::ZERO)
+        });
+        let (power, loss) = panel_step(strings, &WiringSpec::awg10());
+        assert_eq!(loss, Watts::ZERO);
+        let sum = modules.iter().map(|p| p.power().as_watts()).sum();
+        (power.as_watts(), sum)
+    }
+
     #[test]
     fn uniform_modules_have_no_mismatch() {
         let t = Topology::new(8, 2).unwrap();
-        let modules = vec![op(24.0, 5.0); 16];
-        let out = panel_output(&modules, t).unwrap();
-        assert_eq!(out.voltage.value(), 8.0 * 24.0);
-        assert_eq!(out.current.value(), 10.0);
-        assert!((out.power.as_watts() - 1920.0).abs() < 1e-9);
-        assert!(out.mismatch_loss() < 1e-12);
+        let (power, sum) = panel(&vec![op(24.0, 5.0); 16], t);
+        assert!((power - 1920.0).abs() < 1e-9);
+        assert!((sum - power).abs() < 1e-9);
     }
 
     #[test]
@@ -198,10 +172,10 @@ mod tests {
         let t = Topology::new(4, 2).unwrap();
         let mut modules = vec![op(24.0, 5.0); 8];
         modules[1] = op(24.0, 1.0); // weak module in string 0
-        let out = panel_output(&modules, t).unwrap();
-        // String 0 contributes 1 A, string 1 its full 5 A.
-        assert_eq!(out.current.value(), 6.0);
-        assert!(out.mismatch_loss() > 0.0);
+        let (power, sum) = panel(&modules, t);
+        // String 0 contributes 1 A, string 1 its full 5 A, at 96 V.
+        assert_eq!(power, 96.0 * 6.0);
+        assert!(power < sum);
     }
 
     #[test]
@@ -209,9 +183,8 @@ mod tests {
         let t = Topology::new(2, 2).unwrap();
         // String 0 has low-voltage modules.
         let modules = vec![op(20.0, 5.0), op(20.0, 5.0), op(24.0, 5.0), op(24.0, 5.0)];
-        let out = panel_output(&modules, t).unwrap();
-        assert_eq!(out.voltage.value(), 40.0);
-        assert_eq!(out.current.value(), 10.0);
+        let (power, _) = panel(&modules, t);
+        assert_eq!(power, 40.0 * 10.0);
     }
 
     #[test]
@@ -220,8 +193,8 @@ mod tests {
         let modules: Vec<OperatingPoint> = (0..9)
             .map(|k| op(20.0 + k as f64, 3.0 + (k % 4) as f64))
             .collect();
-        let out = panel_output(&modules, t).unwrap();
-        assert!(out.power.as_watts() <= out.sum_of_module_powers.as_watts() + 1e-9);
+        let (power, sum) = panel(&modules, t);
+        assert!(power <= sum + 1e-9);
     }
 
     #[test]
@@ -235,16 +208,13 @@ mod tests {
     }
 
     #[test]
-    fn size_mismatch_rejected() {
-        let t = Topology::new(8, 2).unwrap();
-        let out = panel_output(&vec![op(24.0, 5.0); 15], t);
-        assert_eq!(
-            out.unwrap_err(),
-            ModelError::TopologySizeMismatch {
-                expected: 16,
-                actual: 15
-            }
-        );
+    fn wiring_loss_is_capped_at_panel_power() {
+        let wiring = WiringSpec::awg10();
+        let long = Meters::new(1.0e6);
+        let (power, loss) = panel_step([(Volts::new(1.0), Amperes::new(5.0), long)], &wiring);
+        assert_eq!(power.as_watts(), 5.0);
+        assert!(wiring.power_loss(long, Amperes::new(5.0)) > power);
+        assert_eq!(loss, power);
     }
 
     #[test]
@@ -269,8 +239,8 @@ mod tests {
     #[test]
     fn dark_panel_is_zero_with_zero_mismatch() {
         let t = Topology::new(2, 2).unwrap();
-        let out = panel_output(&[op(0.0, 0.0); 4], t).unwrap();
-        assert_eq!(out.power, Watts::ZERO);
-        assert_eq!(out.mismatch_loss(), 0.0);
+        let (power, sum) = panel(&[op(0.0, 0.0); 4], t);
+        assert_eq!(power, 0.0);
+        assert_eq!(sum, 0.0);
     }
 }

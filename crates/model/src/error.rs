@@ -1,6 +1,6 @@
-//! Error type for model construction and aggregation.
+//! Error type for model construction.
 
-/// Errors produced by PV model construction and panel aggregation.
+/// Errors produced by PV model construction.
 #[derive(Clone, Debug, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum ModelError {
@@ -13,14 +13,6 @@ pub enum ModelError {
         /// Requested parallel strings.
         strings: usize,
     },
-    /// The number of module operating points does not match the topology's
-    /// `m × n` module count.
-    TopologySizeMismatch {
-        /// Modules the topology expects.
-        expected: usize,
-        /// Operating points supplied.
-        actual: usize,
-    },
 }
 
 impl core::fmt::Display for ModelError {
@@ -30,10 +22,6 @@ impl core::fmt::Display for ModelError {
             Self::TopologyTooLarge { series, strings } => write!(
                 f,
                 "topology {series} x {strings} has more modules than fit in a usize"
-            ),
-            Self::TopologySizeMismatch { expected, actual } => write!(
-                f,
-                "topology expects {expected} module operating points, got {actual}"
             ),
         }
     }
@@ -48,9 +36,9 @@ mod tests {
     #[test]
     fn display_messages() {
         assert!(ModelError::EmptyTopology.to_string().contains("positive"));
-        let e = ModelError::TopologySizeMismatch {
-            expected: 16,
-            actual: 12,
+        let e = ModelError::TopologyTooLarge {
+            series: 16,
+            strings: 12,
         };
         assert!(e.to_string().contains("16"));
         assert!(e.to_string().contains("12"));

@@ -77,6 +77,7 @@ impl WiringSpec {
 
     /// Instantaneous dissipation of `extra_length` of cable carrying
     /// `current`: `R·I²`.
+    #[inline]
     #[must_use]
     pub fn power_loss(&self, extra_length: Meters, current: Amperes) -> Watts {
         current.dissipation(self.resistance * extra_length)
@@ -96,13 +97,6 @@ impl Default for WiringSpec {
     }
 }
 
-/// Extra wiring of one series string.
-#[derive(Clone, Copy, Debug, PartialEq, Default)]
-pub struct WiringOverhead {
-    /// Total extra cable length beyond the default connectors.
-    pub extra_length: Meters,
-}
-
 /// Computes the extra wiring of a series string whose module centres are
 /// visited in connection order (paper: `Lovh = Σ (d_v + d_h)` minus the
 /// default connector per hop, floored at zero per hop).
@@ -111,21 +105,26 @@ pub struct WiringOverhead {
 /// use pv_model::{string_wiring_overhead, WiringSpec};
 /// use pv_geom::Point;
 /// let centers = [Point::new(0.0, 0.0), Point::new(2.0, 1.0), Point::new(2.0, 2.0)];
-/// let ovh = string_wiring_overhead(&centers, &WiringSpec::awg10());
+/// let extra = string_wiring_overhead(centers, &WiringSpec::awg10());
 /// // Hops: 3.0 m and 1.0 m Manhattan, minus the 1.6 m default connector
 /// // each (floored at zero): 1.4 m + 0 m.
-/// assert!((ovh.extra_length.as_meters() - 1.4).abs() < 1e-12);
+/// assert!((extra.as_meters() - 1.4).abs() < 1e-12);
 /// ```
 #[must_use]
-pub fn string_wiring_overhead(centers: &[Point], spec: &WiringSpec) -> WiringOverhead {
+pub fn string_wiring_overhead(
+    centers: impl IntoIterator<Item = Point>,
+    spec: &WiringSpec,
+) -> Meters {
+    let mut centers = centers.into_iter();
     let mut extra = 0.0;
-    for pair in centers.windows(2) {
-        let hop = manhattan(pair[0], pair[1]).as_meters() - spec.connector_length().as_meters();
-        extra += hop.max(0.0);
+    if let Some(mut prev) = centers.next() {
+        for next in centers {
+            let hop = manhattan(prev, next).as_meters() - spec.connector_length().as_meters();
+            extra += hop.max(0.0);
+            prev = next;
+        }
     }
-    WiringOverhead {
-        extra_length: Meters::new(extra),
-    }
+    Meters::new(extra)
 }
 
 #[cfg(test)]
@@ -138,8 +137,8 @@ mod tests {
         // exactly the default connector length, so a compact row has zero
         // overhead (the paper's Fig. 4-(a)).
         let centers: Vec<Point> = (0..8).map(|i| Point::new(1.6 * i as f64, 0.0)).collect();
-        let ovh = string_wiring_overhead(&centers, &WiringSpec::awg10());
-        assert!(ovh.extra_length.as_meters() < 1e-12);
+        let extra = string_wiring_overhead(centers, &WiringSpec::awg10());
+        assert!(extra.as_meters() < 1e-12);
     }
 
     #[test]
@@ -158,15 +157,15 @@ mod tests {
         let a = Point::new(0.0, 0.0);
         let b = Point::new(10.0, 0.0);
         let c = Point::new(1.0, 0.0);
-        let good = string_wiring_overhead(&[a, c, b], &spec);
-        let bad = string_wiring_overhead(&[a, b, c], &spec);
-        assert!(bad.extra_length.as_meters() > good.extra_length.as_meters());
+        let good = string_wiring_overhead([a, c, b], &spec);
+        let bad = string_wiring_overhead([a, b, c], &spec);
+        assert!(bad > good);
     }
 
     #[test]
     fn single_module_string_has_no_overhead() {
-        let ovh = string_wiring_overhead(&[Point::new(3.0, 3.0)], &WiringSpec::awg10());
-        assert_eq!(ovh.extra_length, Meters::ZERO);
+        let extra = string_wiring_overhead([Point::new(3.0, 3.0)], &WiringSpec::awg10());
+        assert_eq!(extra, Meters::ZERO);
     }
 
     #[test]
@@ -177,9 +176,9 @@ mod tests {
             Point::new(0.1, 0.0),
             Point::new(5.0, 0.0),
         ];
-        let ovh = string_wiring_overhead(&centers, &spec);
+        let extra = string_wiring_overhead(centers, &spec);
         // First hop clamps to 0, second is 4.9 - 1.6 = 3.3.
-        assert!((ovh.extra_length.as_meters() - 3.3).abs() < 1e-12);
+        assert!((extra.as_meters() - 3.3).abs() < 1e-12);
     }
 
     #[test]

@@ -7,12 +7,13 @@ use crate::cache::{CachedSite, SiteCache};
 use crate::server::{route_path, RequestContext};
 use crate::stats::{ServiceStats, StatsSnapshot};
 use pv_floorplan::{EnergyReport, FloorplanConfig, FloorplanResult, Placer};
-use pv_gis::synth::fnv1a;
+use pv_gis::synth::Fnv1a;
 use pv_gis::ScenarioSpec;
 use pv_json::{JsonValue, ObjectBuilder};
 use pv_obs::{derive_trace_id, event_line, Stage, StageTimes, Timer, TraceLog};
 use pv_store::{SiteStore, SnapshotMeta};
 use pv_units::{ClockError, SimulationClock};
+use std::fmt::{Display, Write as _};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 
@@ -246,12 +247,14 @@ fn uint_field(value: &JsonValue, key: &str) -> Result<Option<u64>, String> {
 
 /// The site-cache key: a hash of the canonical spec string and the full
 /// extraction configuration, so two requests share an entry exactly when
-/// extraction would produce identical data. Snapshot hydration recomputes
-/// the same key from the [`SnapshotMeta`] a site is persisted under.
-fn cache_key(meta: &SnapshotMeta) -> u64 {
-    let SnapshotMeta { spec, days, .. } = meta;
-    let (step, horizon) = (meta.step_minutes, meta.horizon_sectors);
-    fnv1a(format!("{spec} days={days} step={step} horizon={horizon}").as_bytes())
+/// extraction would produce identical data. `spec` is a parsed
+/// [`ScenarioSpec`] or the spec string a [`SnapshotMeta`] persists, which
+/// display the same bytes, so snapshot hydration recomputes the key a
+/// site was cached under.
+fn cache_key(spec: impl Display, days: u32, step: u32, horizon: u32) -> u64 {
+    let mut hash = Fnv1a::default();
+    let _ = write!(hash, "{spec} days={days} step={step} horizon={horizon}");
+    hash.finish()
 }
 
 /// The embeddable placement service (see the crate docs for the
@@ -341,7 +344,13 @@ impl PlacementService {
                 store.counters().note_skipped();
                 continue;
             }
-            let key = cache_key(&snap.meta);
+            let meta = &snap.meta;
+            let key = cache_key(
+                &meta.spec,
+                meta.days,
+                meta.step_minutes,
+                meta.horizon_sectors,
+            );
             let site = CachedSite::new(snap.dataset, snap.map, true);
             self.cache
                 .lock()
@@ -368,8 +377,7 @@ impl PlacementService {
             return Err("pre-warming needs a snapshot store (--store-dir)".into());
         };
         let (days, step) = self.config.clock(None, None).map_err(clock_message)?;
-        let meta = self.snapshot_meta(spec, days, step);
-        let key = cache_key(&meta);
+        let key = self.site_key(spec, days, step);
         if store.contains(key) {
             return Ok(false);
         }
@@ -382,6 +390,7 @@ impl PlacementService {
             .map_err(|(_, body)| body)?;
         site.solve(&self.config, Placer::Greedy, None, spec.seed, &mut spans)
             .map_err(|(_, body)| body)?;
+        let meta = self.snapshot_meta(spec, days, step);
         store
             .save(key, &meta, &site.dataset, &site.map)
             .map_err(|e| e.to_string())?;
@@ -488,10 +497,9 @@ impl PlacementService {
         // only the extraction artifacts, which are immutable once built,
         // so its bytes do not depend on when the writer thread runs.
         if let (Some(store), false) = (&self.store, cache_hit) {
-            let meta = self.snapshot_meta(&request.spec, days, step);
             store.save_behind(
-                cache_key(&meta),
-                meta,
+                self.site_key(&request.spec, days, step),
+                self.snapshot_meta(&request.spec, days, step),
                 Arc::clone(&site.dataset),
                 Arc::clone(&site.map),
             );
@@ -507,7 +515,12 @@ impl PlacementService {
         Ok((response, cache_hit))
     }
 
-    /// The identity a site is cached and persisted under.
+    /// The key a site is cached and persisted under.
+    fn site_key(&self, spec: &ScenarioSpec, days: u32, step: u32) -> u64 {
+        cache_key(spec, days, step, self.config.horizon_sectors as u32)
+    }
+
+    /// The identity a site is persisted under.
     fn snapshot_meta(&self, spec: &ScenarioSpec, days: u32, step: u32) -> SnapshotMeta {
         SnapshotMeta {
             spec: spec.to_spec_string(),
@@ -537,7 +550,7 @@ impl PlacementService {
         spans: &mut StageTimes,
     ) -> Result<(CachedSite, bool), (u16, String)> {
         let lookup_timer = Timer::start();
-        let key = cache_key(&self.snapshot_meta(spec, days, step));
+        let key = self.site_key(spec, days, step);
         let warm = self
             .cache
             .lock()
@@ -716,6 +729,17 @@ mod tests {
 
     fn service() -> PlacementService {
         PlacementService::new(ServiceConfig::tiny())
+    }
+
+    #[test]
+    fn site_keys_are_pinned() {
+        // Cache keys name `.pvsnap` files and router shards, so they must
+        // not move: a parsed spec and its persisted string key alike.
+        let spec = ScenarioSpec::generate(2018, 3);
+        let key = 0x387a_c766_2ce3_cd0a;
+        assert_eq!(cache_key(&spec, 30, 60, 16), key);
+        assert_eq!(cache_key(spec.to_spec_string(), 30, 60, 16), key);
+        assert_eq!(spec.canonical_hash(), 0x088c_4150_a0da_ba47);
     }
 
     #[test]

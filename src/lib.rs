@@ -115,7 +115,7 @@ pub mod prelude {
         ScenarioSpec, Site, SiteScenario, SolarDataset, SolarExtractor, WeatherGenerator,
     };
     pub use pv_model::{
-        panel_output, EmpiricalModule, ModuleModel, SingleDiodeModule, Topology, WiringSpec,
+        panel_step, EmpiricalModule, ModuleModel, SingleDiodeModule, Topology, WiringSpec,
     };
     pub use pv_runtime::Runtime;
     pub use pv_units::{
