@@ -7,11 +7,13 @@
 //! one year at hourly steps); the `--timings` probe is always pinned to
 //! the 30-day smoke configuration so its numbers stay comparable across
 //! runs (the EXPERIMENTS.md row is keyed to that scale). `--timings`
-//! prints extraction, horizon-map and evaluator timings, the E7 placement
-//! scaling sweep (suitability vs valid cells, greedy vs module count), and
-//! a per-kernel breakdown of the lane-shaped hot loops (irradiance census,
-//! fused transposition + operating-point pass, string aggregation — each
-//! against its scalar reference shape). It is the only writer of
+//! prints extraction, horizon-map and evaluator timings (the horizon map
+//! also on one thread over typical residential corpus sites, the shape of
+//! a served cold miss), the E7 placement scaling sweep (suitability vs
+//! valid cells, greedy vs module count), and a per-kernel breakdown of
+//! the lane-shaped hot loops (irradiance census, fused transposition +
+//! operating-point pass, string aggregation — each against its scalar
+//! reference shape). It is the only writer of
 //! `BENCH_evaluator.json` (in the working directory): the proposal-loop
 //! and `kernel_*` rows.
 
@@ -20,7 +22,10 @@ use pv_bench::{
     proposal_loop_timings, write_bench_records, HarnessArgs, Resolution,
 };
 use pv_floorplan::*;
-use pv_gis::{HorizonMap, PaperRoof, RoofBuilder, RoofScenario, Site, SolarExtractor};
+use pv_gis::synth::CORPUS_SEED;
+use pv_gis::{
+    Dsm, HorizonMap, PaperRoof, RoofBuilder, RoofScenario, ScenarioSpec, Site, SolarExtractor,
+};
 use pv_obs::{Histogram, Timer};
 use pv_runtime::Runtime;
 use pv_units::Meters;
@@ -91,10 +96,15 @@ fn run(args: &HarnessArgs) -> Result<(), String> {
     Ok(())
 }
 
+/// Typical residential corpus sites the one-thread horizon line covers.
+const TYPICAL_SITES: usize = 24;
+
 /// Times the solar extractor, the horizon map (64 sectors, also in ns per
 /// cell-sector) and the energy evaluator, each on one thread and on
-/// `runtime`, on Roof 2, 30 days at hourly steps, N = 32; then the E7
-/// placement scaling sweep, the proposal loop and the lane kernels.
+/// `runtime`, on Roof 2, 30 days at hourly steps, N = 32; the horizon map
+/// again on one thread over [`TYPICAL_SITES`] typical residential corpus
+/// sites; then the E7 placement scaling sweep, the proposal loop and the
+/// lane kernels.
 fn timings(runtime: Runtime) -> Result<(), String> {
     let scenario = RoofScenario::build(PaperRoof::Roof2);
     let clock = Resolution::Smoke.clock();
@@ -138,6 +148,21 @@ fn timings(runtime: Runtime) -> Result<(), String> {
     let t_horizon_seq = horizon_on(Runtime::sequential());
     let t_horizon_par = horizon_on(runtime);
     let ns_per_cell_sector = |ms: f64| ms * 1e6 / (scenario.dsm.dims().num_cells() * 64) as f64;
+    // The cold-miss shape: a service churning through many sites mostly
+    // extracts typical residential roofs, a sixth of Roof 2's cells, on
+    // one thread.
+    let typical: Vec<Dsm> = (0..)
+        .map(|index| ScenarioSpec::generate(CORPUS_SEED, index))
+        .filter(ScenarioSpec::is_typical_residential)
+        .take(TYPICAL_SITES)
+        .map(|spec| spec.build().dsm)
+        .collect();
+    let typical_cells: usize = typical.iter().map(|dsm| dsm.dims().num_cells()).sum();
+    let t_horizon_typical = time(&mut || {
+        for dsm in &typical {
+            std::hint::black_box(HorizonMap::compute_with(dsm, 64, Runtime::sequential()));
+        }
+    });
 
     let dataset = par_extractor.extract(&scenario.dsm);
     let map = SuitabilityMap::compute_with(&dataset, &config, runtime);
@@ -166,6 +191,10 @@ fn timings(runtime: Runtime) -> Result<(), String> {
         runtime.threads(),
         t_horizon_seq / t_horizon_par,
         ns_per_cell_sector(t_horizon_par)
+    );
+    println!(
+        "horizon    1 thread, typical {t_horizon_typical:9.1} ms  ({TYPICAL_SITES} sites, {typical_cells} cells, {:.1} ns per cell-sector)",
+        t_horizon_typical * 1e6 / (typical_cells * 64) as f64
     );
     println!("evaluator  1 thread          {t_eval_seq:9.1} ms");
     println!(

@@ -7,10 +7,11 @@
 //! plane-local azimuth — the classic r.sun-style approach, which is what
 //! makes a year at 15-minute resolution over ~12,000 cells tractable.
 //!
-//! Rays skip ahead over floor-height cells and four sectors of a cell
-//! march in lockstep; [`HorizonMap::compute_with`] states why neither
-//! changes a bit of the one-step march, which the tests keep as the
-//! oracle.
+//! A ray reads tables of the quadrant it heads into: it skips ahead over
+//! floor-height cells and stops once nothing it can still reach is high
+//! enough, and four sectors of a cell march in lockstep;
+//! [`HorizonMap::compute_with`] states why none of this changes a bit of
+//! the one-step march, which the tests keep as the oracle.
 
 use crate::dsm::Dsm;
 use pv_geom::{CellCoord, Grid, GridDims};
@@ -83,29 +84,51 @@ impl HorizonMap {
     /// A sector's horizon comes from marching a ray from the cell centre
     /// in whole-cell steps `t`, keeping the steepest tangent `dh / dist`
     /// of any sample above the observer, until the ray leaves the grid or
-    /// the stop rule `(max − h0) / dist <= best_tan` says no farther
-    /// sample can beat it. Most samples land on bare roof, so rays jump
-    /// over them: every cell carries its Chebyshev distance to the nearest
-    /// cell above the DSM's minimum height (at least 1), and a ray
-    /// advances `t` by the distance stored at the sample it just read
-    /// (the observer's own cell is the sample at `t = 0`). Four sectors of
-    /// a cell march in lockstep, so the loads their jumps wait on overlap.
-    /// The map is bit-identical to the one-step march, because:
+    /// no farther sample can beat it. A ray heads into one quadrant, the
+    /// signs of its `dx` and `dy`. Per quadrant, every cell carries two
+    /// values taken over the cells such a ray can still reach from it
+    /// (`x' >= x` or `x' <= x`, and `y' >= y` or `y' <= y`, the cell
+    /// included):
     ///
+    /// - the skip: the Chebyshev distance, at least 1, to the nearest of
+    ///   them above the DSM's minimum height. A ray advances `t` by the
+    ///   skip of the sample it just read; the observer's own cell is the
+    ///   sample at `t = 0`.
+    /// - the bound: their maximum height, rounded up to `f32`. The march
+    ///   stops once `(bound − h0) / dist <= best_tan`, and an observer no
+    ///   higher than its own bound reads no sample at all.
+    ///
+    /// Within a chunk of cells one quadrant's sectors march at a time, so
+    /// one table is hot, and four sectors of a cell march in lockstep,
+    /// each lane's step free of branches, so the loads their jumps wait on
+    /// overlap. The map is bit-identical to
+    /// the one-step march, which stops on the DSM's global maximum,
+    /// because:
+    ///
+    /// - `px = fl(cx + fl(dx·t))` is monotone in `t` (rounding is), and so
+    ///   is `floor(px)`, likewise `py`: every later sample lies in the
+    ///   region of the current one, whatever was skipped in between.
     /// - one step moves a sample at most one cell in x and in y
-    ///   (`|cos|, |sin| <= 1`), so every sample a jump passes over lies on
-    ///   a floor-height cell, whose `dh = floor − h0 <= 0` never raises
-    ///   `best_tan` for any observer;
-    /// - a passed-over sample could only have ended the march. If it was
-    ///   off the grid, so is every later one: a straight ray leaves the
-    ///   rectangle once. If it met the stop rule, the rule holds at every
-    ///   later `dist` and bounds every later `dh / dist` (rounding of `−`,
-    ///   `*` and `/` is monotone), so the next visited sample cannot raise
-    ///   `best_tan` and the march ends with the same value;
+    ///   (`|cos|, |sin| <= 1`), so a jump passes only over cells of the
+    ///   region closer than its nearest raised cell. They are floor
+    ///   height, whose `dh = floor − h0 <= 0` never raises `best_tan` for
+    ///   any observer.
+    /// - the bound, like the global maximum, is at least every later
+    ///   sample's height. Once the stop rule holds, every later `dh / dist`
+    ///   is at most `(bound − h0) / dist` (rounding of `−` and `/` is
+    ///   monotone), so no later sample raises `best_tan`. Both marches
+    ///   therefore end with the value a march to the grid edge would reach,
+    ///   whichever sample stops them. A sample a jump passes over could
+    ///   only have stopped the march early: by the stop rule, or by being
+    ///   off the grid, in which case so is every later one (a straight ray
+    ///   leaves the rectangle once).
     /// - `t` stays an integer-valued `f64`, so every visited sample
-    ///   computes `px`, `py`, `dh / dist` and the stop test from the same
-    ///   operands as the one-step march, and `atan` and the sky-view sum
-    ///   see the same tangents in the same sector order.
+    ///   computes `px`, `py` and `dh / dist` from the same operands as the
+    ///   one-step march, and `atan` and the sky-view sum see the same
+    ///   tangents in the same sector order. `atan` and `cos` run once per
+    ///   run of equal tangents, since equal inputs give equal bits, and
+    ///   not at all for a run of zeros that opens a cell: `atan(0) = 0`
+    ///   and `cos(0)² = 1` exactly.
     ///
     /// # Panics
     ///
@@ -133,68 +156,66 @@ impl HorizonMap {
 
         let max_extent =
             ((dims.width() * dims.width() + dims.height() * dims.height()) as f64).sqrt();
-        let directions: Vec<(f64, f64)> = (0..num_sectors)
-            .map(|k| {
-                let psi = core::f64::consts::TAU * k as f64 / num_sectors as f64;
-                (psi.cos(), psi.sin())
-            })
-            .collect();
-        // Each cell's height next to the skip a ray may take from it.
-        let samples: Vec<[f64; 2]> = heights
-            .iter()
-            .zip(skip_distances(heights))
-            .map(|(&h, skip)| [h, skip])
-            .collect();
+        // Each quadrant's sectors with their directions, in sector order.
+        let mut quadrant_rays: [Vec<(usize, (f64, f64))>; 4] = Default::default();
+        for k in 0..num_sectors {
+            let psi = core::f64::consts::TAU * k as f64 / num_sectors as f64;
+            let (dx, dy) = (psi.cos(), psi.sin());
+            quadrant_rays[quadrant(dx, dy)].push((k, (dx, dy)));
+        }
+        let tables = quadrant_tables(heights);
         let (width, height) = (dims.width() as f64, dims.height() as f64);
-        // One sample of the ray from `(cx, cy)` along `(dx, dy)` at `t`
-        // cells: raises `best_tan` if the sample does, and returns the
-        // next `t`, or `None` once the ray has left the grid or no
-        // further sample can beat `best_tan`.
-        let sample =
-            |(cx, cy): (f64, f64), h0: f64, (dx, dy): (f64, f64), t: f64, best_tan: &mut f64| {
-                if t > max_extent {
-                    return None;
-                }
-                let px = cx + dx * t;
-                let py = cy + dy * t;
-                if px < 0.0 || py < 0.0 || px >= width || py >= height {
-                    return None;
-                }
-                let [h, skip] = samples[py as usize * dims.width() + px as usize];
-                let dh = h - h0;
-                let dist = t * pitch;
-                if dh > 0.0 {
-                    let tan = dh / dist;
-                    if tan > *best_tan {
-                        *best_tan = tan;
-                    }
-                }
-                // Early exit: no remaining sample can beat best_tan.
-                if (global_max - h0) / dist <= *best_tan {
-                    return None;
-                }
-                Some(t + skip)
-            };
         // The horizon tangents of up to `LOCKSTEP_RAYS` sectors of one
-        // cell, marched in lockstep so their load chains overlap.
-        let march = |idx: usize, rays: &[(f64, f64)]| {
-            let cell = dims.coord_of(idx);
-            let origin = (cell.x as f64 + 0.5, cell.y as f64 + 0.5);
-            let [h0, first] = samples[idx];
+        // cell in one quadrant, marched in lockstep so their load chains
+        // overlap. A lane's step has no branch: once its ray has left the
+        // grid or stopped, the lane re-reads the observer's cell and keeps
+        // its tangent and `t`, so a ray ending costs no mispredict.
+        let march = |table: &[QuadrantCell], idx: usize, rays: &[(usize, (f64, f64))]| {
             let mut best_tan = [0.0f64; LOCKSTEP_RAYS];
+            let observer = table[idx];
+            let h0 = observer.height;
+            if f64::from(observer.bound) <= h0 {
+                return best_tan;
+            }
+            let cell = dims.coord_of(idx);
+            let (cx, cy) = (cell.x as f64 + 0.5, cell.y as f64 + 0.5);
+            let mut directions = [(0.0, 0.0); LOCKSTEP_RAYS];
+            let mut live = [false; LOCKSTEP_RAYS];
+            for (lane, &(_, direction)) in rays.iter().enumerate() {
+                directions[lane] = direction;
+                live[lane] = true;
+            }
             // The observer's cell is the sample at t = 0, so its skip is
             // the first sample's t.
-            let mut t = [first; LOCKSTEP_RAYS];
-            let mut live = [false; LOCKSTEP_RAYS];
-            live[..rays.len()].fill(true);
+            let mut t = [f64::from(observer.skip); LOCKSTEP_RAYS];
             while live.contains(&true) {
-                for (ray, &direction) in rays.iter().enumerate() {
-                    if live[ray] {
-                        match sample(origin, h0, direction, t[ray], &mut best_tan[ray]) {
-                            Some(next) => t[ray] = next,
-                            None => live[ray] = false,
-                        }
-                    }
+                for (lane, &(dx, dy)) in directions.iter().enumerate() {
+                    let px = cx + dx * t[lane];
+                    let py = cy + dy * t[lane];
+                    let inside = live[lane]
+                        & (t[lane] <= max_extent)
+                        & (px >= 0.0)
+                        & (py >= 0.0)
+                        & (px < width)
+                        & (py < height);
+                    let sample = table[if inside {
+                        py as usize * dims.width() + px as usize
+                    } else {
+                        idx
+                    }];
+                    let dh = sample.height - h0;
+                    let dist = t[lane] * pitch;
+                    let tan = dh / dist;
+                    let raises = inside & (dh > 0.0) & (tan > best_tan[lane]);
+                    best_tan[lane] = if raises { tan } else { best_tan[lane] };
+                    // Early exit: no sample the ray can still reach beats
+                    // best_tan.
+                    live[lane] = inside & ((f64::from(sample.bound) - h0) / dist > best_tan[lane]);
+                    t[lane] += if live[lane] {
+                        f64::from(sample.skip)
+                    } else {
+                        0.0
+                    };
                 }
             }
             best_tan
@@ -203,16 +224,33 @@ impl HorizonMap {
         // Each chunk returns its cells' angles cell-major plus their SVFs;
         // the scatter below writes them sector-major.
         let chunks = runtime.map_chunks(num_cells, HORIZON_CHUNK_CELLS, |cells| {
-            let mut chunk_angles = Vec::with_capacity(cells.len() * num_sectors);
-            let mut chunk_svf = Vec::with_capacity(cells.len());
-            for idx in cells {
-                let mut svf_acc = 0.0f64;
-                for rays in directions.chunks(LOCKSTEP_RAYS) {
-                    for best_tan in &march(idx, rays)[..rays.len()] {
-                        let angle = best_tan.atan();
-                        chunk_angles.push(angle as f32);
-                        svf_acc += angle.cos() * angle.cos();
+            // Cell-major tangents, filled one quadrant at a time.
+            let mut tans = vec![0.0f64; cells.len() * num_sectors];
+            for (table, rays) in tables.iter().zip(&quadrant_rays) {
+                for (cell_tans, idx) in tans.chunks_exact_mut(num_sectors).zip(cells.clone()) {
+                    for rays in rays.chunks(LOCKSTEP_RAYS) {
+                        for (&(k, _), &tan) in rays.iter().zip(&march(table, idx, rays)) {
+                            cell_tans[k] = tan;
+                        }
                     }
+                }
+            }
+            let mut chunk_angles = Vec::with_capacity(tans.len());
+            let mut chunk_svf = Vec::with_capacity(cells.len());
+            for cell_tans in tans.chunks_exact(num_sectors) {
+                let mut svf_acc = 0.0f64;
+                // The last distinct tangent with its angle and `cos²`,
+                // starting from 0: `atan(0) = 0` and `cos(0)² = 1`.
+                // Neighbouring sectors often meet the same block at the
+                // same step, so a run of equal tangents takes one `atan`.
+                let mut last = (0.0f64, 0.0f32, 1.0f64);
+                for &tan in cell_tans {
+                    if tan != last.0 {
+                        let angle = tan.atan();
+                        last = (tan, angle as f32, angle.cos() * angle.cos());
+                    }
+                    chunk_angles.push(last.1);
+                    svf_acc += last.2;
                 }
                 chunk_svf.push((svf_acc / num_sectors as f64) as f32);
             }
@@ -333,37 +371,99 @@ impl HorizonMap {
     }
 }
 
-/// Each cell's Chebyshev distance, in cells, to the nearest cell above
-/// the DSM's minimum height, at least 1: how far a horizon ray may jump
-/// from a sample in that cell without passing anything but floor-height
-/// cells. Without any raised cell every jump leaves the grid.
-fn skip_distances(heights: &Grid<f64>) -> Vec<f64> {
+/// What a horizon ray heading into one quadrant reads at a sample: the
+/// cell's height, and over the cells the ray can still reach from it
+/// (the cell included) an upper bound on their heights and how far the
+/// ray may jump without passing anything but floor-height cells. 16 bytes,
+/// so a sample costs one load of one line.
+#[derive(Clone, Copy)]
+struct QuadrantCell {
+    height: f64,
+    /// The reachable cells' maximum height, rounded up to `f32`.
+    bound: f32,
+    /// The Chebyshev distance, at least 1, to the nearest reachable cell
+    /// above the DSM's minimum height; `u32::MAX` (off the grid) without
+    /// any.
+    skip: u32,
+}
+
+const _: () = assert!(core::mem::size_of::<QuadrantCell>() == 16);
+
+/// The quadrant of direction `(dx, dy)`: bit 0 set when `dx < 0`, bit 1
+/// when `dy < 0`. A ray heading into quadrant `q` reaches from cell
+/// `(x, y)` only cells `(x', y')` with `x' >= x` (bit 0 clear) or
+/// `x' <= x` (set), and `y' >= y` or `y' <= y` by bit 1.
+fn quadrant(dx: f64, dy: f64) -> usize {
+    usize::from(dx < 0.0) | usize::from(dy < 0.0) << 1
+}
+
+/// Each quadrant's table of [`QuadrantCell`]s, indexed by [`quadrant`]
+/// and then by linear cell index.
+fn quadrant_tables(heights: &Grid<f64>) -> [Vec<QuadrantCell>; 4] {
     let dims = heights.dims();
+    let (width, height) = (dims.width(), dims.height());
     let floor = heights.iter().copied().fold(f64::INFINITY, f64::min);
-    let mut dist: Vec<u32> = heights
-        .iter()
-        .map(|&z| if z > floor { 0 } else { u32::MAX })
-        .collect();
-    // Two chamfer passes with unit weights on all 8 neighbours, exact for
-    // the Chebyshev metric: forward over the four neighbours a row-major
-    // walk has already visited, then backward over the other four.
-    let relax = |dist: &mut [u32], i: usize, offsets: &[(isize, isize); 4]| {
-        let cell = dims.coord_of(i);
-        for &(dx, dy) in offsets {
-            if let Some(n) = cell.checked_offset(dx, dy).filter(|&n| dims.contains(n)) {
-                dist[i] = dist[i].min(dist[dims.linear_index(n)].saturating_add(1));
+    core::array::from_fn(|q| {
+        let (back_x, back_y) = (q & 1 != 0, q & 2 != 0);
+        // One step further into the quadrant along one axis; `None` off
+        // the grid.
+        let ahead = |v: usize, back: bool, len: usize| {
+            if back {
+                v.checked_sub(1)
+            } else {
+                Some(v + 1).filter(|&v| v < len)
+            }
+        };
+        let mut table = vec![
+            QuadrantCell {
+                height: 0.0,
+                bound: 0.0,
+                skip: 0,
+            };
+            dims.num_cells()
+        ];
+        // Visit cells against the quadrant, so the three neighbours one
+        // step into it, whose regions cover the cell's own but for the
+        // cell, are done first. A raised cell is at distance 0, any other
+        // one step beyond its nearest neighbour; rounding up is monotone,
+        // so the maximum of rounded bounds is the rounded maximum.
+        for row in 0..height {
+            let y = if back_y { row } else { height - 1 - row };
+            for col in 0..width {
+                let x = if back_x { col } else { width - 1 - col };
+                let z = heights[CellCoord::new(x, y)];
+                let mut cell = QuadrantCell {
+                    height: z,
+                    bound: round_up_to_f32(z),
+                    skip: if z > floor { 0 } else { u32::MAX },
+                };
+                let (nx, ny) = (ahead(x, back_x, width), ahead(y, back_y, height));
+                let neighbours = [(nx, Some(y)), (Some(x), ny), (nx, ny)];
+                for (nx, ny) in neighbours {
+                    if let (Some(nx), Some(ny)) = (nx, ny) {
+                        let next = table[ny * width + nx];
+                        cell.bound = cell.bound.max(next.bound);
+                        cell.skip = cell.skip.min(next.skip.saturating_add(1));
+                    }
+                }
+                table[y * width + x] = cell;
             }
         }
-    };
-    let forward = [(-1, 0), (-1, -1), (0, -1), (1, -1)];
-    let backward = forward.map(|(dx, dy)| (-dx, -dy));
-    for i in 0..dims.num_cells() {
-        relax(&mut dist, i, &forward);
+        for cell in &mut table {
+            cell.skip = cell.skip.max(1);
+        }
+        table
+    })
+}
+
+/// The smallest `f32` at least `v`.
+fn round_up_to_f32(v: f64) -> f32 {
+    let nearest = v as f32;
+    if f64::from(nearest) < v {
+        nearest.next_up()
+    } else {
+        nearest
     }
-    for i in (0..dims.num_cells()).rev() {
-        relax(&mut dist, i, &backward);
-    }
-    dist.into_iter().map(|d| f64::from(d.max(1))).collect()
 }
 
 #[cfg(test)]
@@ -371,7 +471,7 @@ mod tests {
     use super::*;
     use crate::dsm::RoofBuilder;
     use crate::obstacle::Obstacle;
-    use crate::synth::ScenarioSpec;
+    use crate::synth::{CorpusPreset, Fnv1a, ScenarioSpec, CORPUS_SEED};
     use proptest::prelude::*;
     use pv_units::Meters;
     use rand::rngs::StdRng;
@@ -646,41 +746,71 @@ mod tests {
         assert_eq!(covered_roof(true).heights()[CellCoord::new(0, 0)], 1.5);
     }
 
-    /// Brute force: each cell's Chebyshev distance to the nearest cell
-    /// above the grid's minimum, at least 1, or `u32::MAX` without any.
-    fn brute_force_skips(heights: &Grid<f64>) -> Vec<f64> {
+    /// Brute force over each quadrant and cell, in [`quadrant_tables`]
+    /// order: the reachable cells' maximum height, and the Chebyshev
+    /// distance (at least 1) to the nearest reachable cell above the
+    /// grid's minimum, or `u32::MAX` without any.
+    fn brute_force_tables(heights: &Grid<f64>) -> [Vec<(f64, u32)>; 4] {
         let dims = heights.dims();
         let floor = heights.iter().copied().fold(f64::INFINITY, f64::min);
-        let raised: Vec<CellCoord> = dims.iter().filter(|&c| heights[c] > floor).collect();
-        dims.iter()
-            .map(|c| {
-                raised
-                    .iter()
-                    .map(|r| r.x.abs_diff(c.x).max(r.y.abs_diff(c.y)).max(1))
-                    .min()
-                    .map_or(f64::from(u32::MAX), |d| d as f64)
-            })
-            .collect()
+        core::array::from_fn(|q| {
+            let reaches = |c: CellCoord, r: CellCoord| {
+                (if q & 1 == 0 { r.x >= c.x } else { r.x <= c.x })
+                    && (if q & 2 == 0 { r.y >= c.y } else { r.y <= c.y })
+            };
+            dims.iter()
+                .map(|c| {
+                    let reach = || dims.iter().filter(move |&r| reaches(c, r));
+                    let max = reach()
+                        .map(|r| heights[r])
+                        .fold(f64::NEG_INFINITY, f64::max);
+                    let skip = reach()
+                        .filter(|&r| heights[r] > floor)
+                        .map(|r| r.x.abs_diff(c.x).max(r.y.abs_diff(c.y)).max(1))
+                        .min()
+                        .map_or(u32::MAX, |d| d as u32);
+                    (max, skip)
+                })
+                .collect()
+        })
+    }
+
+    /// The first quadrant and cell whose table entry differs from brute
+    /// force: its height, its skip, or a bound that is not the reachable
+    /// maximum rounded up to the next `f32`.
+    fn quadrant_table_mismatch(heights: &Grid<f64>) -> Option<(usize, usize)> {
+        let tables = quadrant_tables(heights);
+        for (q, (table, brute)) in tables.iter().zip(brute_force_tables(heights)).enumerate() {
+            for (idx, (cell, (max, skip))) in table.iter().zip(brute).enumerate() {
+                let bound = f64::from(cell.bound);
+                let tight = f64::from(cell.bound.next_down()) < max;
+                if cell.height != heights.as_slice()[idx]
+                    || cell.skip != skip
+                    || bound < max
+                    || !tight
+                {
+                    return Some((q, idx));
+                }
+            }
+        }
+        None
     }
 
     #[test]
-    fn skip_distances_match_brute_force_on_roofs() {
+    fn quadrant_tables_match_brute_force_on_roofs() {
         for dsm in [roof_with_wall(), covered_roof(false), covered_roof(true)] {
-            assert_eq!(
-                skip_distances(dsm.heights()),
-                brute_force_skips(dsm.heights())
-            );
+            assert_eq!(quadrant_table_mismatch(dsm.heights()), None);
         }
     }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
-        /// The chamfer skip table equals brute-force Chebyshev distances
-        /// on random grids: 1-cell-wide strips, sparse and dense raised
-        /// cells, and grids with none (every skip leaves the grid).
+        /// Both values of every quadrant table equal brute force on random
+        /// grids: 1-cell-wide strips, sparse and dense raised cells, grids
+        /// with none (every skip leaves the grid) and floors off 0.
         #[test]
-        fn skip_distances_match_brute_force(
+        fn quadrant_tables_match_brute_force(
             width in 1usize..24,
             height in 1usize..24,
             raised_one_in in 1u64..40,
@@ -691,7 +821,7 @@ mod tests {
             let heights = Grid::from_fn(GridDims::new(width, height), |_| {
                 if rng.gen_range(0..raised_one_in) == 0 { floor + rng.gen_range(0.1..3.0) } else { floor }
             });
-            prop_assert_eq!(skip_distances(&heights), brute_force_skips(&heights));
+            prop_assert_eq!(quadrant_table_mismatch(&heights), None);
         }
     }
 
@@ -751,6 +881,75 @@ mod tests {
             }
             let mismatch = sequential_march_mismatch(&roof.build());
             prop_assert!(mismatch.is_none(), "{:?}", mismatch);
+        }
+    }
+
+    /// The first eight typical residential sites of the default corpus
+    /// (see [`ScenarioSpec::is_typical_residential`]).
+    fn typical_corpus_sites() -> impl Iterator<Item = ScenarioSpec> {
+        (0..)
+            .map(|index| ScenarioSpec::generate(CORPUS_SEED, index))
+            .filter(ScenarioSpec::is_typical_residential)
+            .take(8)
+    }
+
+    /// A corpus site as drawn, then with mountain-valley terrain (horizon
+    /// class 2) and every obstacle slot filled.
+    fn drawn_and_dense(drawn: ScenarioSpec) -> [ScenarioSpec; 2] {
+        let mut dense = drawn.clone();
+        dense.horizon_class = 2;
+        dense.obstacle_density = 1.0;
+        [drawn, dense]
+    }
+
+    /// FNV-1a over every angle and SVF bit, at 64 sectors and one thread,
+    /// of the three paper roofs and of [`typical_corpus_sites`] as drawn
+    /// and dense. Captured before the directional march replaced the
+    /// isotropic one; the one-step-oracle tests sample far fewer sites.
+    const HORIZON_PIN: u64 = 0x0174_7BD9_8CDF_2661;
+
+    #[test]
+    fn horizon_bits_are_pinned() {
+        let corpus = typical_corpus_sites()
+            .flat_map(drawn_and_dense)
+            .map(|spec| spec.build().dsm);
+        let mut hash = Fnv1a::default();
+        for dsm in crate::paper_roofs()
+            .into_iter()
+            .map(|r| r.dsm)
+            .chain(corpus)
+        {
+            let map = HorizonMap::compute_with(&dsm, 64, Runtime::sequential());
+            for v in map.angles.iter().chain(&map.svf) {
+                hash.write_bytes(&v.to_bits().to_le_bytes());
+            }
+        }
+        assert_eq!(hash.finish(), HORIZON_PIN);
+    }
+
+    /// The one-step oracle on every `diverse64` site, as drawn and dense,
+    /// at 64 sectors on 1 and 3 threads. Too slow for a debug build: run
+    /// it with `cargo test --release -p pv_gis -- --ignored`.
+    #[test]
+    #[ignore = "whole corpus; run in release"]
+    fn skip_march_matches_sequential_march_on_diverse64() {
+        let bits = |v: &[f32]| v.iter().map(|a| a.to_bits()).collect::<Vec<_>>();
+        let preset = CorpusPreset::Diverse64;
+        for index in 0..preset.scenario_count() as u32 {
+            for spec in drawn_and_dense(ScenarioSpec::generate(CORPUS_SEED, index)) {
+                let dsm = spec.build().dsm;
+                let angles = bits(&sequential_march_angles(&dsm, 64));
+                let svf = bits(&sequential_march_svf(&dsm, 64));
+                for threads in [1usize, 3] {
+                    let got = HorizonMap::compute_with(&dsm, 64, Runtime::with_threads(threads));
+                    let site = spec.to_spec_string();
+                    assert!(
+                        bits(&got.angles) == angles,
+                        "angles, {threads} thread(s): {site}"
+                    );
+                    assert!(bits(&got.svf) == svf, "SVF, {threads} thread(s): {site}");
+                }
+            }
         }
     }
 

@@ -347,6 +347,17 @@ impl ScenarioSpec {
         }
     }
 
+    /// Whether this is a typical mid-latitude residential roof: 70–110 m²
+    /// in the middle band of [`LATITUDE_BANDS`]. A service that churns
+    /// through many sites mostly extracts roofs like these, so they are
+    /// the shape a cold miss's timings are taken on.
+    #[must_use]
+    pub fn is_typical_residential(&self) -> bool {
+        let (lo, hi) = LATITUDE_BANDS[1];
+        (lo..hi).contains(&self.latitude_deg)
+            && (70.0..110.0).contains(&(self.width_m * self.depth_m))
+    }
+
     /// The scenario's display name, e.g. `s007-gabled-lat42`.
     #[must_use]
     pub fn name(&self) -> String {
@@ -787,7 +798,7 @@ impl Fnv1a {
         self.0
     }
 
-    fn write_bytes(&mut self, bytes: &[u8]) {
+    pub(crate) fn write_bytes(&mut self, bytes: &[u8]) {
         for &b in bytes {
             self.0 ^= u64::from(b);
             self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
